@@ -29,6 +29,7 @@ from .duals import (
 )
 from .errors import FamilyMismatchError, InsufficientCutoffError
 from .fields import (
+    PRUNE_TOL,
     OperatorField,
     coefficient_field,
     evaluate,
@@ -133,16 +134,20 @@ def series_tail(dual: GroupDual, s: float, n_max: int):
     """
     rows = []
     total = 0.0
-    prev_ball: set = set()
-    for n in range(n_max + 1):
-        shell = [a for a in dual.ball(n) if a not in prev_ball]
-        prev_ball.update(shell)
-        inc = sum(
-            dual.dim(a) ** 2 * (1.0 + dual.word_length(a) ** 2) ** (-s) for a in shell
-        )
+    for n, shell in enumerate(_shells(dual, n_max)):
+        inc = sum(dual.dim(a) ** 2 * (1.0 + n**2) ** (-s) for a in shell)
         total += inc
         rows.append((n, total, inc))
     return rows
+
+
+def _shells(dual: GroupDual, n_max: int) -> list[list[IrrepLabel]]:
+    """Shell n lists the labels of word length n, n <= n_max, in ball order;
+    each ball is sorted, so shell n is ball(n) minus ball(n - 1) in order."""
+    shells: list[list[IrrepLabel]] = [[] for _ in range(n_max + 1)]
+    for a in dual.ball(n_max):
+        shells[dual.word_length(a)].append(a)
+    return shells
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +236,12 @@ def _self_adjoint_residual(u: OperatorField) -> float:
     return max(float(np.max(np.abs(M))) for M in diff.coeffs.values())
 
 
+def _check_self_adjoint(u: OperatorField) -> None:
+    res = _self_adjoint_residual(u)
+    if res > 1e-10:
+        raise ValueError(f"u is not self-adjoint (residual {res:.2e})")
+
+
 def _su2_central_parts(u: OperatorField):
     """Trace weights b_n with u = sum b_n Tr pi_n(.), or None if not central."""
     out = {}
@@ -259,9 +270,7 @@ def exp_itu(
     |1 - sum d ||coef||_2^2| measures the mass outside the cutoff; above
     ``tail_tol`` an insufficient-cutoff error carries it.
     """
-    res = _self_adjoint_residual(u)
-    if res > 1e-10:
-        raise ValueError(f"u is not self-adjoint (residual {res:.2e})")
+    _check_self_adjoint(u)
     if isinstance(dual, TorusDual):
         return _exp_itu_torus(dual, u, t, cutoff, tail_tol, grid_pad)
     if isinstance(dual, Su2Dual):
@@ -297,6 +306,20 @@ def _exp_itu_su2(dual, u, t, cutoff, tail_tol, grid_pad):
     parts = _su2_central_parts(u)
     if parts is None:
         raise ValueError("the SU(2) path needs a central u (a series in characters)")
+    b_t, defect = _su2_exp_weights(_su2_class_grid(parts, cutoff, grid_pad), t, tail_tol)
+    ns = np.arange(cutoff + 1)
+    # trace weight b_n is the coefficient b_n I/(n+1)
+    return _su2_scalar_field(dual, b_t / (ns + 1), ns[np.abs(b_t) > 1e-300]), defect
+
+
+def _su2_class_grid(parts: dict, cutoff: int, grid_pad: int | None = None):
+    """(vals, kernel) for e^{itu} with central u on SU(2) up to the cutoff.
+
+    vals holds u at the midpoint class angles theta_j of a uniform grid over
+    the doubled period; kernel[n, j] = (2/m) sin((n+1) theta_j) sin(theta_j)
+    maps the values of a class function there to its trace weights b_n.
+    Both are independent of t.
+    """
     pad = grid_pad if grid_pad is not None else max(32, cutoff // 2)
     m = 2 * (cutoff + pad) + 2
     theta = 2.0 * np.pi * (np.arange(m) + 0.5) / m
@@ -304,19 +327,30 @@ def _exp_itu_su2(dual, u, t, cutoff, tail_tol, grid_pad):
     sin_t = np.sin(theta)
     for n, b in parts.items():
         vals += b * (np.sin((n + 1) * theta) / sin_t)
-    g = np.exp(1j * t * vals)
     ns = np.arange(cutoff + 1)
-    kernel = np.sin(np.outer(ns + 1, theta)) * sin_t  # (cutoff+1, m)
-    b_t = (2.0 / m) * kernel @ g
-    terms = {
-        Su2Spin(int(n)): b_t[n] * np.eye(n + 1) / (n + 1)
-        for n in ns
-        if abs(b_t[n]) > 1e-300
-    }
+    kernel = (2.0 / m) * (np.sin(np.outer(ns + 1, theta)) * sin_t)  # (cutoff+1, m)
+    return vals, kernel
+
+
+def _su2_exp_weights(grid, t: float, tail_tol: float):
+    """Trace weights b_n (n <= cutoff) of e^{itu} and the Parseval defect.
+
+    One matrix-vector product per t: stacking several t into one matrix
+    product changes the last bits of the result.
+    """
+    vals, kernel = grid
+    b_t = kernel @ np.exp(1j * t * vals)
     defect = abs(1.0 - float(np.sum(np.abs(b_t) ** 2)))
     if defect > tail_tol:
-        raise InsufficientCutoffError(defect, cutoff)
-    return OperatorField.from_terms(dual, terms), defect
+        raise InsufficientCutoffError(defect, b_t.size - 1)
+    return b_t, defect
+
+
+def _su2_scalar_field(dual, diag, spins) -> OperatorField:
+    """The field with coefficient diag[n] I at each spin n, in the given order."""
+    return OperatorField.from_terms(
+        dual, {Su2Spin(int(n)): diag[n] * np.eye(n + 1) for n in spins}
+    )
 
 
 def exp_itu_auto(
@@ -331,11 +365,19 @@ def exp_itu_auto(
     """Adaptive cutoff: grows with |t| (ceil(rate * |t| * sup|u|) + margin),
     doubling on defect failures up to the cap."""
     sup = _sup_abs(dual, u)
+    (fld, defect), n = _with_doubling(
+        lambda n: exp_itu(dual, u, t, n, tail_tol), t, sup, cutoff_cap, rate, margin
+    )
+    return fld, defect, n
+
+
+def _with_doubling(attempt, t, sup, cutoff_cap, rate=1.2, margin=24):
+    """(attempt(n), n) for the first cutoff n that raises no insufficient-cutoff
+    error, from ceil(rate * |t| * sup) + margin doubling up to the cap."""
     n = min(cutoff_cap, int(math.ceil(rate * abs(t) * sup)) + margin)
     while True:
         try:
-            fld, defect = exp_itu(dual, u, t, n, tail_tol)
-            return fld, defect, n
+            return attempt(n), n
         except InsufficientCutoffError:
             if n >= cutoff_cap:
                 raise
@@ -353,6 +395,10 @@ def _sup_abs(dual, u) -> float:
     parts = _su2_central_parts(u)
     if parts is None:
         raise ValueError("sup estimate needs a central u on SU(2)")
+    return _su2_sup_abs(parts)
+
+
+def _su2_sup_abs(parts: dict) -> float:
     theta = np.pi * (np.arange(512) + 0.5) / 512
     vals = np.zeros(512, dtype=complex)
     for n, b in parts.items():
@@ -496,7 +542,11 @@ def separating_function(
     v = sum_m c_m e^{2 pi i (m/P) u0} over the Fourier series of a C^k bump
     periodized with period P = 4; since u0 takes values well inside a period,
     the periodization is exact and v(x) = bump(u0(x)) up to the dropped-mode
-    tail.  Each exponential is computed through :func:`exp_itu`.
+    tail.  Each exponential gets the cutoff :func:`exp_itu_auto` would give
+    it.  On SU(2) the exponentials are trace-weight vectors on class-angle
+    grids shared by the modes +-m and summed as one vector; the field is
+    built once, equal bit for bit to the sum of the :func:`exp_itu_auto`
+    fields.  Tori sum the fields.
     """
     if smoothness is None:
         smoothness = math.ceil(dual.lie_dim() / 2.0 + alpha + 2.0)
@@ -504,14 +554,17 @@ def separating_function(
     period = 4.0
     ms, coefs = bump.fourier_series(period=period, n_modes=n_modes)
     tail = _bump_tail_estimate(bump, period, n_modes)
-    acc = None
-    for mm, c in zip(ms, coefs):
-        if abs(c) < 1e-14:
-            continue
-        t = 2.0 * np.pi * mm / period
-        fld, _, _ = exp_itu_auto(dual, u0, t, cutoff_cap)
-        piece = c * fld
-        acc = piece if acc is None else acc + piece
+    modes = [(mm, c) for mm, c in zip(ms, coefs) if abs(c) >= 1e-14]
+    if type(dual) is Su2Dual:
+        # SO(3) stays on the field path, which rejects the odd spins of e^{itu}
+        acc = _su2_separating_field(dual, u0, modes, period, cutoff_cap)
+    else:
+        acc = None
+        for mm, c in modes:
+            t = 2.0 * np.pi * mm / period
+            fld, _, _ = exp_itu_auto(dual, u0, t, cutoff_cap)
+            piece = c * fld
+            acc = piece if acc is None else acc + piece
     rng = rng or np.random.default_rng(0)
     err = 0.0
     if sample_points <= 0:
@@ -532,6 +585,60 @@ def separating_function(
             u_val = evaluate(u0, s)
             err = max(err, abs(v_val - complex(bump(float(np.real(u_val))))))
     return SeparatingReport(acc, tail, err)
+
+
+def _su2_separating_field(dual, u0, modes, period, cutoff_cap) -> OperatorField:
+    """sum_m c_m e^{2 pi i (m/P) u0} on SU(2) through trace-weight vectors.
+
+    Mirrors the field sum of c_m * exp_itu_auto(dual, u0, t_m, cutoff_cap)[0]
+    exactly.  There each spin n carries a scalar matrix, so only its diagonal
+    entry matters: b_n/(n+1) in the exponential, c_m times that in the piece,
+    and a running sum in the accumulator.  The same PRUNE_TOL test drops a
+    spin at each of those three points, and spins enter the result in the
+    order the field sums insert them.
+    """
+    parts = _su2_central_parts(u0)
+    if parts is None:
+        raise ValueError("sup estimate needs a central u on SU(2)")
+    sup = _su2_sup_abs(parts)
+    _check_self_adjoint(u0)
+    # the exponentials, the modes +-m together: they start from the same cutoff
+    # and share its grid; a failing mode raises when the sum reaches it
+    by_size: dict[int, list[int]] = {}
+    for i, (mm, _) in enumerate(modes):
+        by_size.setdefault(abs(int(mm)), []).append(i)
+    trace_weights: list = [None] * len(modes)
+    for same_size in by_size.values():
+        grids: dict[int, tuple] = {}
+        for i in same_size:
+            t = 2.0 * np.pi * modes[i][0] / period
+
+            def attempt(n):
+                if n not in grids:
+                    grids[n] = _su2_class_grid(parts, n)
+                return _su2_exp_weights(grids[n], t, 1e-6)[0]
+
+            try:
+                trace_weights[i] = _with_doubling(attempt, t, sup, cutoff_cap)[0]
+            except InsufficientCutoffError as exc:
+                trace_weights[i] = exc
+    acc = np.zeros(cutoff_cap + 1, dtype=complex)  # 0 at spins not in the sum
+    order: dict[int, None] = {}  # spins in the sum, in insertion order
+    for (_, c), b in zip(modes, trace_weights):
+        if isinstance(b, InsufficientCutoffError):
+            raise b
+        d = b / (np.arange(b.size) + 1)
+        piece = c * d
+        spins = np.flatnonzero(
+            (np.abs(b) > 1e-300) & (np.abs(d) > PRUNE_TOL) & (np.abs(piece) > PRUNE_TOL)
+        )
+        acc[spins] += piece[spins]
+        kept = np.abs(acc[spins]) > PRUNE_TOL
+        for n in spins[~kept].tolist():
+            order.pop(n, None)
+        acc[spins[~kept]] = 0.0
+        order.update(dict.fromkeys(spins[kept].tolist()))
+    return _su2_scalar_field(dual, acc, order)
 
 
 def _bump_tail_estimate(bump, period, n_modes):
@@ -556,12 +663,10 @@ def derivation_bound_scan(dual: GroupDual, X, w: Weight, n_max: int):
     """Rows (n, sup over labels of word length <= n of ||dpi(X)|| / w(pi))."""
     rows = []
     best = 0.0
-    prev: set = set()
+    shells = _shells(dual, n_max)
     for n in range(1, n_max + 1):
-        for a in dual.ball(n):
-            if a in prev:
-                continue
-            prev.add(a)
+        # the trivial label sorts first, so shells 0 and 1 are ball(1) in order
+        for a in shells[0] + shells[1] if n == 1 else shells[n]:
             best = max(best, _algebra_norm(dual, a, X) / w(a))
         rows.append((n, best))
     return rows

@@ -79,6 +79,8 @@ class OperatorField:
                 raise ValueError(
                     f"coefficient at {format_label(a)} has shape {M.shape}, expected {(d, d)}"
                 )
+            if not np.isfinite(M).all():
+                raise ValueError(f"coefficient at {format_label(a)} is not finite")
             if np.max(np.abs(M)) > PRUNE_TOL:
                 M = M.copy()
                 M.flags.writeable = False
@@ -187,11 +189,12 @@ def dual_norm_report(T, w: Weight, cutoff: int | None = None,
         return DualNormResult(val, None, True)
     if dual is None or cutoff is None:
         raise ValueError("points need dual= and cutoff=")
-    from .spectrum import rep_at  # late import; spectrum builds on fields
+    from .spectrum import _reps_at  # late import; spectrum builds on fields
 
     best = 0.0
-    for a in dual.ball(cutoff):
-        best = max(best, float(np.linalg.norm(rep_at(dual, a, T), 2)) / w(a))
+    labels = dual.ball(cutoff)
+    for a, R in zip(labels, _reps_at(dual, labels, T)):
+        best = max(best, float(np.linalg.norm(R, 2)) / w(a))
     return DualNormResult(best, cutoff, False)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .duals import GroupDual, So3Dual, Su2Dual, su2_irrep_stack
 from .errors import QuadratureConvergenceError
 from .fields import OperatorField
-from .labels import IrrepLabel
+from .labels import IrrepLabel, Su2Spin
 
 __all__ = ["HaarGrid", "quadrature_coeffs", "grid_values"]
 
@@ -36,20 +36,26 @@ class HaarGrid:
 
     def rep_stack(self, a: IrrepLabel) -> np.ndarray:
         """Array (G, d, d) of the irrep a at every grid point."""
-        hit = self._stacks.get(a)
-        if hit is not None:
-            return hit
-        if isinstance(self.dual, (Su2Dual, So3Dual)):
-            gs = np.stack(self.points)
-            n_max = max([lab.n for lab in self._stacks] + [a.n])
-            stack = su2_irrep_stack(n_max, gs)
-            for k in range(n_max + 1):
-                lab = type(a)(k)
-                if self.dual.contains(lab):
-                    self._stacks[lab] = stack[k]
-        else:
-            self._stacks[a] = np.stack([self.dual.rep(a, p) for p in self.points])
+        self._fill((a,))
         return self._stacks[a]
+
+    def _fill(self, labels) -> None:
+        """Cache the stacks of the labels; on SU(2) and SO(3) one recursion
+        up to the largest new spin serves all of them (its level k does not
+        depend on where it stops)."""
+        missing = [a for a in labels if a not in self._stacks]
+        if not missing:
+            return
+        if isinstance(self.dual, (Su2Dual, So3Dual)):
+            n_max = max(a.n for a in missing)
+            stack = su2_irrep_stack(n_max, np.stack(self.points))
+            for k in range(n_max + 1):
+                lab = Su2Spin(k)
+                if self.dual.contains(lab):
+                    self._stacks.setdefault(lab, stack[k])
+        else:
+            for a in missing:
+                self._stacks[a] = np.stack([self.dual.rep(a, p) for p in self.points])
 
     def integrate(self, values: np.ndarray) -> complex:
         return complex(np.dot(self.weights, values))
@@ -57,6 +63,8 @@ class HaarGrid:
     def coefficients(self, values: np.ndarray, labels) -> OperatorField:
         """Transform of the function with the given grid values, per label."""
         wf = self.weights * np.asarray(values, dtype=complex)
+        labels = tuple(labels)
+        self._fill(labels)
         out = {}
         for a in labels:
             P = self.rep_stack(a)
@@ -68,6 +76,7 @@ class HaarGrid:
 def grid_values(u: OperatorField, grid: HaarGrid) -> np.ndarray:
     """Values of the represented function at every grid point."""
     vals = np.zeros(len(grid.points), dtype=complex)
+    grid._fill(u.coeffs)
     for a, M in u.coeffs.items():
         vals += u.dual.dim(a) * np.einsum("gij,ji->g", grid.rep_stack(a), M)
     return vals

@@ -30,6 +30,7 @@ from .duals import (
     Su2Dual,
     TorusDual,
     su2_irrep,
+    su2_irrep_stack,
 )
 from .errors import FamilyMismatchError
 from .fields import OperatorField
@@ -182,6 +183,18 @@ def rep_at(dual: GroupDual, a: IrrepLabel, theta) -> np.ndarray:
     raise FamilyMismatchError(f"unknown dual {dual!r}")
 
 
+def _reps_at(dual: GroupDual, labels, theta) -> list[np.ndarray]:
+    """rep_at at each label in turn; on SU(2) and SO(3) one irrep stack up to
+    the largest spin gives them all (its level n is su2_irrep(n, .))."""
+    labels = tuple(labels)
+    if isinstance(dual, Su2Dual) and labels:
+        dual._check(*labels)
+        g = theta.matrix() if isinstance(theta, Su2SpectrumPoint) else theta
+        stack = su2_irrep_stack(max(a.n for a in labels), np.asarray(g, dtype=complex)[None])
+        return [stack[a.n][0] for a in labels]
+    return [rep_at(dual, a, theta) for a in labels]
+
+
 def point_to_spectrum(dual: GroupDual, s):
     """Embed a group point as a spectrum point with trivial positive part."""
     if isinstance(dual, TorusDual):
@@ -259,8 +272,9 @@ def membership(dual: GroupDual, theta, w: Weight, cutoff: int = 64, tol: float =
     by the truncation.
     """
     best, arg = 0.0, format_label(dual.trivial)
-    for a in dual.ball(cutoff):
-        val = float(np.linalg.norm(rep_at(dual, a, theta), 2)) / w(a)
+    labels = dual.ball(cutoff)
+    for a, R in zip(labels, _reps_at(dual, labels, theta)):
+        val = float(np.linalg.norm(R, 2)) / w(a)
         if val > best:
             best, arg = val, format_label(a)
     member = best <= 1.0 + tol
@@ -298,8 +312,8 @@ def spectrum_bounds(
 def char_eval(dual: GroupDual, theta, u: OperatorField) -> complex:
     """Value of the multiplicative functional theta on u."""
     total = 0.0 + 0.0j
-    for a, M in u.coeffs.items():
-        total += dual.dim(a) * complex(np.trace(M @ rep_at(dual, a, theta)))
+    for (a, M), R in zip(u.coeffs.items(), _reps_at(dual, u.coeffs, theta)):
+        total += dual.dim(a) * complex(np.trace(M @ R))
     return total
 
 

@@ -38,8 +38,10 @@ from bfw.calculus import (
     smooth_embedding_check,
     synthesis_degree,
 )
-from bfw.duals import su2_algebra_rep
+from bfw.duals import TorusDual, su2_algebra_rep, su2_irrep
 from bfw.errors import InsufficientCutoffError
+from bfw.quadrature import HaarGrid, grid_values
+from bfw.spectrum import Su2SpectrumPoint, char_eval, membership
 
 from conftest import field_max_abs, fields_close, random_field
 
@@ -291,6 +293,93 @@ def test_separating_function_su2(su2):
     # honest matrix evaluation agrees with the class-angle values
     g = np.diag([np.exp(1j * 0.05), np.exp(-1j * 0.05)]).astype(complex)
     assert abs(evaluate(rep.field, g) - vals[0]) < 1e-8
+
+
+def _separating_field_sum(dual, u0, smoothness, n_modes, cutoff_cap):
+    """Reference: sum of c_m * exp_itu_auto(...)[0] with field * and +."""
+    ms, coefs = SplineBump(smoothness).fourier_series(period=4.0, n_modes=n_modes)
+    acc = None
+    for mm, c in zip(ms, coefs):
+        if abs(c) < 1e-14:
+            continue
+        fld, _, _ = exp_itu_auto(dual, u0, 2.0 * np.pi * mm / 4.0, cutoff_cap)
+        piece = c * fld
+        acc = piece if acc is None else acc + piece
+    return acc
+
+
+@pytest.mark.parametrize("n_modes", [24, 96])
+def test_separating_su2_equals_field_sum(su2, n_modes):
+    u0 = character_field(su2, Su2Spin(1)) * 0.25 + one_field(su2) * 0.5
+    rep = separating_function(su2, u0, smoothness=5, n_modes=n_modes, cutoff_cap=512,
+                              sample_points=0)
+    ref = _separating_field_sum(su2, u0, 5, n_modes, 512)
+    assert list(rep.field.coeffs) == list(ref.coeffs)  # same support, same order
+    for a, M in ref.coeffs.items():
+        assert np.array_equal(rep.field.coeffs[a], M)
+
+
+def test_separating_su2_cutoff_failure_equals_field_sum(su2):
+    u0 = character_field(su2, Su2Spin(1)) * 0.25 + one_field(su2) * 0.5
+    with pytest.raises(InsufficientCutoffError) as got:
+        separating_function(su2, u0, smoothness=5, n_modes=96, cutoff_cap=64, sample_points=0)
+    with pytest.raises(InsufficientCutoffError) as want:
+        _separating_field_sum(su2, u0, 5, 96, 64)
+    assert got.value.cutoff == want.value.cutoff == 64
+    assert got.value.defect == want.value.defect
+
+
+def test_irrep_stacks_equal_per_label_irreps(su2, rng):
+    grid = HaarGrid(su2, 10)
+    u = OperatorField.from_terms(
+        su2, {Su2Spin(n): rng.standard_normal((n + 1, n + 1)) for n in (5, 0, 3)}
+    )
+    grid_values(u, grid)
+    grid.coefficients(np.ones(len(grid.points)), su2.ball(7))
+    for n in range(8):
+        want = np.stack([su2_irrep(n, p) for p in grid.points])
+        assert np.array_equal(grid.rep_stack(Su2Spin(n)), want)
+    w = make_weight(su2, "exp:lambda=2")
+    for lam in (1.0, 1.5, 2.0, 2.5):
+        s = su2.random_point(rng)
+        theta = Su2SpectrumPoint(s, lam)
+        res = membership(su2, theta, w, cutoff=40)
+        margins = [np.linalg.norm(su2_irrep(a.n, theta.matrix()), 2) / w(a)
+                   for a in su2.ball(40)]
+        assert res.margin == max(margins)
+        assert res.argmax == f"pi:{int(np.argmax(margins))}"
+        want = sum(u.dual.dim(a) * complex(np.trace(M @ su2_irrep(a.n, theta.matrix())))
+                   for a, M in u.coeffs.items())
+        assert char_eval(su2, theta, u) == want
+
+
+def _shell_rows_reference(dual, X, w, s, n_max):
+    """The scans as sums over ball(n) minus the labels already seen."""
+    scan, best, seen = [], 0.0, set()
+    for n in range(1, n_max + 1):
+        for a in dual.ball(n):
+            if a not in seen:
+                seen.add(a)
+                best = max(best, _algebra_norm(dual, a, X) / w(a))
+        scan.append((n, best))
+    tail, total, seen = [], 0.0, set()
+    for n in range(n_max + 1):
+        shell = [a for a in dual.ball(n) if a not in seen]
+        seen.update(shell)
+        inc = sum(dual.dim(a) ** 2 * (1.0 + dual.word_length(a) ** 2) ** (-s) for a in shell)
+        total += inc
+        tail.append((n, total, inc))
+    return scan, tail
+
+
+@pytest.mark.parametrize("group", ["su2", "torus:2"])
+def test_shell_scans_equal_ball_differences(su2, group):
+    dual = su2 if group == "su2" else TorusDual(2)
+    X = CasimirData(dual).basis[2 if group == "su2" else 1]
+    w = make_weight(dual, "poly:alpha=0.5")
+    scan, tail = _shell_rows_reference(dual, X, w, 1.7, 40)
+    assert derivation_bound_scan(dual, X, w, 40) == scan
+    assert series_tail(dual, 1.7, 40) == tail
 
 
 # --- derivations ----------------------------------------------------------------------

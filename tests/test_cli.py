@@ -165,6 +165,19 @@ def test_numeric_exit_code(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_element_exit_code(tmp_path, bad):
+    # a non-finite coefficient is a parse error, not a term pruned to 0.0
+    element = {"group": "su2", "terms": [
+        {"irrep": "pi:0", "matrix": [[[1.0, 0.0]]]},
+        {"irrep": "pi:1", "matrix": [[[bad, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
+    ]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(element))
+    code, out = run(["norm", "--group", "su2", "--weight", "dim", "--element", str(path)])
+    assert code == 3 and out == ""
+
+
 # --- serialization round trips -------------------------------------------------
 
 def test_element_round_trip(su2, sd, t2, rng):

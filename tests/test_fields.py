@@ -49,6 +49,14 @@ def test_pruning(su2):
     assert f.is_zero()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_rejected(su2, bad):
+    M = 1e-16 * np.eye(2, dtype=complex)  # small enough to be pruned if it were finite
+    M[1, 0] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        OperatorField.from_terms(su2, {Su2Spin(1): M})
+
+
 def test_mismatched_duals(su2, t1):
     with pytest.raises(FamilyMismatchError):
         multiply(one_field(su2), one_field(t1))
