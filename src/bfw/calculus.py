@@ -347,9 +347,15 @@ def _su2_exp_weights(grid, t: float, tail_tol: float):
 
 
 def _su2_scalar_field(dual, diag, spins) -> OperatorField:
-    """The field with coefficient diag[n] I at each spin n, in the given order."""
+    """The field with coefficient diag[n] I at each spin n the dual contains,
+    in the given order.
+
+    On SO(3) the odd spins are dropped: u is even under the center, so there
+    the class-angle quadrature leaves only rounding noise (about 1e-17).
+    """
+    spins = [Su2Spin(int(n)) for n in spins]
     return OperatorField.from_terms(
-        dual, {Su2Spin(int(n)): diag[n] * np.eye(n + 1) for n in spins}
+        dual, {a: diag[a.n] * np.eye(a.n + 1) for a in spins if dual.contains(a)}
     )
 
 
@@ -543,10 +549,10 @@ def separating_function(
     periodized with period P = 4; since u0 takes values well inside a period,
     the periodization is exact and v(x) = bump(u0(x)) up to the dropped-mode
     tail.  Each exponential gets the cutoff :func:`exp_itu_auto` would give
-    it.  On SU(2) the exponentials are trace-weight vectors on class-angle
-    grids shared by the modes +-m and summed as one vector; the field is
-    built once, equal bit for bit to the sum of the :func:`exp_itu_auto`
-    fields.  Tori sum the fields.
+    it.  On SU(2) and SO(3) the exponentials are trace-weight vectors on
+    class-angle grids shared by the modes +-m and summed as one vector; the
+    field is built once, equal bit for bit to the sum of the
+    :func:`exp_itu_auto` fields.  Tori sum the fields.
     """
     if smoothness is None:
         smoothness = math.ceil(dual.lie_dim() / 2.0 + alpha + 2.0)
@@ -555,8 +561,7 @@ def separating_function(
     ms, coefs = bump.fourier_series(period=period, n_modes=n_modes)
     tail = _bump_tail_estimate(bump, period, n_modes)
     modes = [(mm, c) for mm, c in zip(ms, coefs) if abs(c) >= 1e-14]
-    if type(dual) is Su2Dual:
-        # SO(3) stays on the field path, which rejects the odd spins of e^{itu}
+    if isinstance(dual, Su2Dual):
         acc = _su2_separating_field(dual, u0, modes, period, cutoff_cap)
     else:
         acc = None

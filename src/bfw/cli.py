@@ -5,7 +5,8 @@ Subcommands wrap the library operations with file I/O and fixed exit codes:
     0  success
     2  validation or verdict failure
     3  parse error (flags, recipes, element files)
-    4  numeric non-convergence (quadrature refinement, tail mass)
+    4  numeric failure (quadrature refinement, tail mass, a weight value
+       that overflows)
 
 Reports embed the configuration that produced them; a fixed configuration
 yields byte-identical output.  ``BFW_THREADS`` caps worker parallelism; the
@@ -28,6 +29,7 @@ from .errors import (
     BfwError,
     InsufficientCutoffError,
     QuadratureConvergenceError,
+    WeightOverflowError,
     WeightSpecError,
 )
 from .labels import format_label, parse_label
@@ -411,7 +413,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     try:
         return args.func(args)
-    except (QuadratureConvergenceError, InsufficientCutoffError) as exc:
+    except (QuadratureConvergenceError, InsufficientCutoffError, WeightOverflowError) as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return EXIT_NUMERIC
     except (WeightSpecError, ValueError, KeyError, json.JSONDecodeError, OSError) as exc:

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     FamilyMismatchError,
     IntertwinerSynthesisError,
+    LabelCapError,
     NotGeneratedError,
     UnsupportedBranchingError,
 )
@@ -58,6 +59,47 @@ __all__ = [
 
 _EPS_FLIP = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)  # det-1 conjugator of SU(2)
 _SWAP2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+# a block of GroupDual.power_maxima ends at this many steps or support cells
+_BLOCK_STEPS = 64
+_BLOCK_CELLS = 1 << 18
+
+
+# ---------------------------------------------------------------------------
+# lattice masks
+# ---------------------------------------------------------------------------
+
+def _axis(ax: int, start: int, stop: int, step: int | None = None) -> tuple:
+    """Index selecting start:stop:step along axis ax and everything along the others."""
+    return (slice(None),) * ax + (slice(start, stop, step),)
+
+
+def _crop(supp, lo, shape) -> np.ndarray:
+    """The entries of the array supp = (arr, its lo) over the window (lo, shape), 0 outside."""
+    arr, alo = supp
+    out = np.zeros(shape, dtype=arr.dtype)
+    src, dst = [], []
+    for l, n, l2, n2 in zip(alo, arr.shape, lo, shape):
+        a, b = max(l, l2), min(l + n, l2 + n2)
+        if b <= a:
+            return out
+        src.append(slice(a - l, b - l))
+        dst.append(slice(a - l2, b - l2))
+    out[tuple(dst)] = arr[tuple(src)]
+    return out
+
+
+def _union(parts):
+    """OR of supports, over the smallest window that holds them all."""
+    full = [p for p in parts if p[0].size]
+    if len(full) <= 1:
+        return full[0] if full else parts[0]
+    lo = tuple(map(min, *(p[1] for p in full)))
+    hi = tuple(map(max, *(tuple(l + n for l, n in zip(p[1], p[0].shape)) for p in full)))
+    out = np.zeros([h - l for l, h in zip(lo, hi)], dtype=bool)
+    for arr, alo in full:
+        out[tuple(slice(a - l, a - l + n) for a, l, n in zip(alo, lo, arr.shape))] |= arr
+    return out, lo
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +246,12 @@ class GroupDual:
 
     # --- word length machinery --------------------------------------------
     def support_step(self, supp: frozenset, S) -> frozenset:
+        """One tensor-power step on a frozenset of labels, through ``fuse``.
+
+        The library steps supports as lattice masks (:meth:`support_walk`);
+        this label-by-label form is the reference those masks are tested
+        against.
+        """
         out = set()
         for a in supp:
             for s in S:
@@ -217,11 +265,10 @@ class GroupDual:
         S = tuple(S)
         if not S:
             raise ValueError("empty generating set with k >= 1")
-        self._check(*S)
-        supp = frozenset(S)
+        walk = self.support_walk(S)
         for _ in range(k - 1):
-            supp = self.support_step(supp, S)
-        return tuple(sorted(supp, key=label_key))
+            next(walk)
+        return self.mask_labels(*next(walk))
 
     def word_length(self, a: IrrepLabel, S=None, cap: int = 512) -> int:
         """Minimal k with a inside a k-fold product over S; trivial has length 0."""
@@ -234,16 +281,18 @@ class GroupDual:
                 return fast
             S = self.generators()
         S = tuple(S)
-        seen = frozenset([self.trivial])
-        supp = frozenset([self.trivial])
+        self._check(*S)
+        target = self.coords(a)
+        seen = supp = self.mask((self.trivial,))
         for k in range(1, cap + 1):
-            supp = self.support_step(supp, S)
-            if a in supp:
+            supp = self.lattice_step(supp, S)
+            arr, lo = supp
+            at = tuple(c - l for c, l in zip(target, lo))
+            if all(0 <= i < n for i, n in zip(at, arr.shape)) and arr[at]:
                 return k
-            new = supp - seen
-            if not new and k > 1:
+            if k > 1 and not (arr & ~_crop(seen, lo, arr.shape)).any():
                 raise NotGeneratedError(a, k)
-            seen = seen | supp
+            seen = _union([seen, supp])
         raise NotGeneratedError(a, cap)
 
     def _default_word_length(self, a):
@@ -256,15 +305,153 @@ class GroupDual:
             if fast is not None:
                 return fast
             S = self.generators()
-        acc = {self.trivial}
-        supp = frozenset([self.trivial])
+        S = tuple(S)
+        acc = supp = self.mask((self.trivial,))
+        if radius > 0:
+            self._check(*S)
         for _ in range(radius):
-            supp = self.support_step(supp, S)
-            acc.update(supp)
-        return tuple(sorted(acc, key=label_key))
+            supp = self.lattice_step(supp, S)
+            acc = _union([acc, supp])
+        return self.mask_labels(*acc)
 
     def _default_ball(self, radius):
         return None
+
+    # --- integer-lattice supports -------------------------------------------
+    # A support is a pair (arr, lo): a boolean mask over a window of the
+    # family's label lattice, holding the labels whose coordinates are lo
+    # plus an index where arr is True.
+    lattice_rank = 1
+
+    def coords(self, a: IrrepLabel) -> tuple[int, ...]:
+        """Integer-lattice coordinates of a label."""
+        raise NotImplementedError
+
+    def label_at(self, c) -> IrrepLabel:
+        """The label with lattice coordinates c (inverse of :meth:`coords`)."""
+        raise NotImplementedError
+
+    def _step_mask(self, arr, lo, s, ax):
+        """The support (arr, lo) tensored by the generator s, acting on the
+        lattice axes ax, ax+1, ... that hold this family's coordinates.
+
+        Returns arr itself, with lo moved, exactly when s acts by a
+        translation: a torus character, or a trivial label.
+        """
+        raise NotImplementedError
+
+    def mask(self, labels) -> tuple[np.ndarray, tuple[int, ...]]:
+        """The support holding the given labels."""
+        r = self.lattice_rank
+        pts = np.array([self.coords(a) for a in labels], dtype=np.int64).reshape(-1, r)
+        if not len(pts):
+            return np.zeros((0,) * r, dtype=bool), (0,) * r
+        lo = pts.min(axis=0)
+        arr = np.zeros(pts.max(axis=0) - lo + 1, dtype=bool)
+        arr[tuple((pts - lo).T)] = True
+        return arr, tuple(lo.tolist())
+
+    def mask_labels(self, arr, lo) -> tuple[IrrepLabel, ...]:
+        """The labels of a support, sorted by label_key."""
+        pts = (np.argwhere(arr) + np.array(lo, dtype=np.int64)).tolist()
+        return tuple(sorted((self.label_at(p) for p in pts), key=label_key))
+
+    def lattice_step(self, supp, S):
+        """One tensor-power step on a support: the OR over the generators in S."""
+        if not S:
+            return self.mask(())
+        arr, lo = supp
+        if len(S) == 1:
+            return self._step_mask(arr, lo, S[0], 0)
+        return _union([self._step_mask(arr, lo, s, 0) for s in S])
+
+    def support_walk(self, S):
+        """Iterator over the supports of the k-fold tensor powers over S, k = 1, 2, ..."""
+        S = tuple(S)
+        self._check(*S)
+
+        def walk(supp):
+            while True:
+                yield supp
+                supp = self.lattice_step(supp, S)
+
+        return walk(self.mask(S))
+
+    def power_maxima(self, S, n: int, value, cap: int) -> list[float]:
+        """max of value(a) over the support of the k-fold tensor power of S, k = 1..n.
+
+        ``value`` is called once per label, when the support first reaches
+        it, in step order.  Each maximum is taken over a float array of those
+        values, so it is the float a max over the labels gives.  Raises
+        :class:`LabelCapError` at the first support of more than ``cap``
+        labels, after that step's values.
+        """
+        S = tuple(S)
+        walk = self.support_walk(S)
+        if n < 1:
+            return []
+        arr, lo = next(walk)
+        if len(S) == 1 and cap >= 1:
+            arr2, lo2 = self._step_mask(arr, lo, S[0], 0)
+            if arr2 is arr:
+                # s acts by a translation: the support is the one label
+                # lo + (k-1) shift, a new one at every step unless shift is 0
+                shift = np.subtract(lo2, lo)
+                steps = np.arange(n if shift.any() else 1)
+                got = [value(self.label_at(c)) for c in (lo + np.outer(steps, shift)).tolist()]
+                return got if shift.any() else got * n
+        return self._block_maxima(itertools.chain([(arr, lo)], walk), n, value, cap)
+
+    def _block_maxima(self, walk, n, value, cap):
+        """power_maxima on the supports the walk yields, in blocks of steps.
+
+        A block's window keeps the values looked up so far and drops the
+        rest.  In a walk from one generator that loses nothing: a torus
+        coordinate moves one way, and the other families' windows only grow.
+        """
+        out: list[float] = []
+        steps: list = []  # (mask, its nonzero indices, lo) of steps taken, not yet evaluated
+        known = vals = wlo = None  # the values looked up so far, over the window at wlo
+        while len(out) < n:
+            total = sum(len(st[1][0]) for st in steps)
+            while (len(out) + len(steps) < n and len(steps) < _BLOCK_STEPS
+                   and total < _BLOCK_CELLS and not (steps and len(steps[-1][1][0]) > cap)):
+                arr, lo = next(walk)
+                steps.append((arr, np.nonzero(arr), lo))
+                total += len(steps[-1][1][0])
+            # the block: the steps before its window grows sparse (one step at least)
+            lo_k = np.array([st[2] for st in steps], dtype=np.int64)
+            hi_k = lo_k + np.array([st[0].shape for st in steps], dtype=np.int64)
+            counts = [len(st[1][0]) for st in steps]
+            blo, bhi = np.minimum.accumulate(lo_k), np.maximum.accumulate(hi_k)
+            volume = np.prod((bhi - blo).astype(float), axis=1)
+            sparse = np.flatnonzero(volume > 8.0 * np.cumsum(counts) + 4096.0)
+            m = max(1, int(sparse[0])) if sparse.size else len(steps)
+            block, counts, steps = steps[:m], counts[:m], steps[m:]
+            blo = blo[m - 1]
+            shape = tuple((bhi[m - 1] - blo).tolist())
+            strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]
+            # flat window index of every label of every step, step by step
+            base = [sum(i * st for i, st in zip(nz, strides)) for _, nz, _ in block]
+            idx = np.concatenate(base) + np.repeat((lo_k[:m] - blo) @ strides, counts)
+            blo = tuple(blo.tolist())
+            if wlo is None:
+                known, vals = np.zeros(shape, dtype=bool), np.zeros(shape)
+            else:
+                known, vals = _crop((known, wlo), blo, shape), _crop((vals, wlo), blo, shape)
+            wlo = blo
+            kf, vf = known.reshape(-1), vals.reshape(-1)
+            fresh = idx[~kf[idx]]
+            if fresh.size:
+                flat, first = np.unique(fresh, return_index=True)
+                flat = flat[np.argsort(first)]  # in the order the steps reach them
+                pts = zip(*((c + L).tolist() for c, L in zip(np.unravel_index(flat, shape), blo)))
+                vf[flat] = [value(self.label_at(c)) for c in pts]
+                kf[flat] = True
+            out.extend(np.maximum.reduceat(vf[idx], np.cumsum([0] + counts[:-1])).tolist())
+            if counts[-1] > cap:
+                raise LabelCapError(cap, counts[-1])
+        return out
 
     # --- points and representations ---------------------------------------
     def identity(self):
@@ -330,6 +517,7 @@ class TorusDual(GroupDual):
         if n < 1:
             raise ValueError("torus rank must be >= 1")
         self.n = n
+        self.lattice_rank = n
 
     def _params(self):
         return (self.n,)
@@ -367,6 +555,19 @@ class TorusDual(GroupDual):
 
     def _default_word_length(self, a):
         return sum(abs(m) for m in a.mu)
+
+    def coords(self, a):
+        return a.mu
+
+    def label_at(self, c):
+        return TorusChar(c)
+
+    def _step_mask(self, arr, lo, s, ax):
+        # a pure translation: the window moves and the mask is not copied
+        lo = list(lo)
+        for i, m in enumerate(s.mu):
+            lo[ax + i] += m
+        return arr, tuple(lo)
 
     def _default_ball(self, radius):
         out = []
@@ -440,6 +641,30 @@ class Su2Dual(GroupDual):
 
     def _default_word_length(self, a):
         return a.n
+
+    def coords(self, a):
+        return (a.n,)
+
+    def label_at(self, c):
+        return Su2Spin(c[0])
+
+    def _step_mask(self, arr, lo, s, ax):
+        # a (x) s holds a + d for d = -s, -s+2, ..., s where a + d >= |a - s|,
+        # that is where 2a >= s - d (Clebsch-Gordan)
+        n = s.n
+        if n == 0:
+            return arr, lo
+        l, size = lo[ax], arr.shape[ax]
+        new_l = max(0, l - n)
+        shape = list(arr.shape)
+        shape[ax] = l + size + n - new_l
+        out = np.zeros(shape, dtype=bool)
+        for d in range(-n, n + 1, 2):
+            i0 = max(0, (n - d) // 2 - l)
+            if i0 < size:
+                off = l + d - new_l
+                out[_axis(ax, i0 + off, size + off)] |= arr[_axis(ax, i0, size)]
+        return out, lo[:ax] + (new_l,) + lo[ax + 1:]
 
     def _default_ball(self, radius):
         return tuple(Su2Spin(k) for k in range(radius + 1))
@@ -625,6 +850,38 @@ class SemidirectDual(GroupDual):
             return 2
         return a.m
 
+    def coords(self, a):
+        return ({"triv": 0, "sgn": 1}.get(a.kind, a.m + 1),)
+
+    def label_at(self, c):
+        i = c[0]
+        if i < 2:
+            return SemidirectLabel(("triv", "sgn")[i])
+        return SemidirectLabel("pi", i - 1)
+
+    def _step_mask(self, arr, lo, s, ax):
+        # the fusion table in slices, on a window from index 0 (triv 0, sgn 1, pi_m at m + 1)
+        if s.kind == "triv":
+            return arr, lo
+        m = s.m if s.kind == "pi" else 0
+        lo0 = lo[:ax] + (0,) + lo[ax + 1:]
+        shape = list(arr.shape)
+        shape[ax] = max(2, lo[ax] + arr.shape[ax] + m + 1)
+        A = _crop((arr, lo), lo0, shape)
+        if s.kind == "sgn":  # swaps triv and sgn, fixes every pi_k
+            A[_axis(ax, 0, 2)] = A[_axis(ax, 1, None, -1)].copy()
+            return A, lo0
+        at = lambda i: _axis(ax, i, i + 1)
+        L = shape[ax]
+        out = np.zeros(shape, dtype=bool)
+        out[at(m + 1)] |= A[at(0)] | A[at(1)]  # triv, sgn -> pi_m
+        out[_axis(ax, m + 2, L)] |= A[_axis(ax, 2, L - m)]  # pi_k -> pi_{k+m}
+        out[_axis(ax, 2, L - m)] |= A[_axis(ax, m + 2, L)]  # pi_k -> pi_{k-m}, k > m
+        out[_axis(ax, 2, m + 1)] |= A[_axis(ax, m, 1, -1)]  # pi_k -> pi_{m-k}, k < m
+        out[at(0)] |= A[at(m + 1)]  # pi_m -> triv + sgn
+        out[at(1)] |= A[at(m + 1)]
+        return out, lo0
+
     def _default_ball(self, radius):
         out = [SemidirectLabel("triv")]
         if radius >= 2:
@@ -719,6 +976,7 @@ class ProductDual(GroupDual):
         super().__init__()
         self.left = left
         self.right = right
+        self.lattice_rank = left.lattice_rank + right.lattice_rank
 
     def _params(self):
         return (self.left, self.right)
@@ -764,6 +1022,18 @@ class ProductDual(GroupDual):
         if wl is None or wr is None:
             return None
         return wl + wr
+
+    def coords(self, a):
+        return tuple(self.left.coords(a.left)) + tuple(self.right.coords(a.right))
+
+    def label_at(self, c):
+        r = self.left.lattice_rank
+        return ProductLabel(self.left.label_at(c[:r]), self.right.label_at(c[r:]))
+
+    def _step_mask(self, arr, lo, s, ax):
+        # each factor's rule along its own axes
+        arr, lo = self.left._step_mask(arr, lo, s.left, ax)
+        return self.right._step_mask(arr, lo, s.right, ax + self.left.lattice_rank)
 
     def _default_ball(self, radius):
         lb = self.left._default_ball(radius)
@@ -838,41 +1108,11 @@ def branch_su2_to_torus(a: Su2Spin) -> tuple[tuple[TorusChar, int], ...]:
     return tuple((TorusChar((a.n - 2 * j,)), 1) for j in range(a.n + 1))
 
 
-class Su2TorusBranching:
-    """The pair SU(2) > diagonal torus, with forward and inverse branching."""
-
-    subgroup = TorusDual(1)
-
-    @staticmethod
-    def branch(a: Su2Spin):
-        return branch_su2_to_torus(a)
-
-    @staticmethod
-    def containing(sigma: TorusChar):
-        """SU(2) labels whose restriction contains sigma, in increasing order."""
-        k = abs(sigma.mu[0])
-        n = k
-        while True:
-            yield Su2Spin(n)
-            n += 2
-
-
 def so3_lift(m: int) -> Su2Spin:
     """SO(3) label m pulled back through the double cover: the spin-2m irrep."""
     if m < 0:
         raise ValueError("SO(3) label must be >= 0")
     return Su2Spin(2 * m)
-
-
-class Su2So3Lift:
-    """The quotient SU(2) -> SO(3); pullback sends SO(3) label m to spin 2m."""
-
-    quotient = So3Dual()
-    source = Su2Dual()
-
-    @staticmethod
-    def lift(m: int) -> Su2Spin:
-        return so3_lift(m)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,10 @@ class LabelCapError(BfwError):
         super().__init__(f"label support of size {size} exceeded cap {cap}")
 
 
+class WeightOverflowError(BfwError):
+    """A weight value overflowed the floating-point range."""
+
+
 class UnsupportedBranchingError(BfwError):
     """The requested subgroup/quotient pair is not implemented."""
 

@@ -293,13 +293,15 @@ def spectrum_bounds(
     probes=None,
     eps_class: float = EPS_CLASS,
 ) -> SpectrumDescription:
-    """Spectrum radii from growth certificates along probe directions."""
-    if isinstance(dual, TorusDual):
-        n_max = n_max or 4096
-        probes = tuple(probes) if probes is not None else dual.generators()
-    else:
-        n_max = n_max or 2048
-        probes = tuple(probes) if probes is not None else dual.generators()
+    """Spectrum radii from growth certificates along probe directions.
+
+    ``n_max`` defaults to 4096 on tori and 2048 elsewhere.
+    """
+    if n_max is None:
+        n_max = 4096 if isinstance(dual, TorusDual) else 2048
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    probes = tuple(probes) if probes is not None else dual.generators()
     radii = {format_label(p): _probe_radius(dual, w, p, n_max) for p in probes}
     equals = all(abs(r - 1.0) <= eps_class for r in radii.values())
     return SpectrumDescription(dual.family, w.descriptor, n_max, radii, equals)

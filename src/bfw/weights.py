@@ -23,9 +23,9 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .duals import GroupDual, So3Dual, Su2Dual, Su2So3Lift, Su2TorusBranching, TorusDual
-from .errors import LabelCapError, UnsupportedBranchingError, WeightSpecError
-from .labels import IrrepLabel, format_label, parse_label
+from .duals import GroupDual, So3Dual, Su2Dual, TorusDual, so3_lift
+from .errors import UnsupportedBranchingError, WeightOverflowError, WeightSpecError
+from .labels import IrrepLabel, Su2Spin, format_label, parse_label
 
 __all__ = [
     "Weight",
@@ -64,7 +64,14 @@ class Weight:
     def __call__(self, a: IrrepLabel) -> float:
         v = self._cache.get(a)
         if v is None:
-            v = float(self.fn(a))
+            try:
+                v = float(self.fn(a))
+            except OverflowError:
+                v = math.inf
+            if math.isinf(v):
+                raise WeightOverflowError(
+                    f"weight {self.descriptor} overflows at {format_label(a)}"
+                )
             if not v > 0.0:
                 raise WeightSpecError(f"weight {self.descriptor} is {v} at {format_label(a)}")
             self._cache[a] = v
@@ -335,15 +342,12 @@ def validate(dual: GroupDual, w: Weight, depth: int = 12, tol: float = 1e-9) -> 
 # ---------------------------------------------------------------------------
 
 def _power_log_values(dual, w, S, n_max, cap):
-    """log w of the k-fold tensor powers of S, k = 1..n_max (max over support)."""
-    vals = []
-    supp = frozenset(S)
-    for _ in range(n_max):
-        vals.append(w.log_of_support(supp))
-        if len(supp) > cap:
-            raise LabelCapError(cap, len(supp))
-        supp = dual.support_step(supp, S)
-    return vals
+    """log w of the k-fold tensor powers of S, k = 1..n_max (max over support).
+
+    Supports step as lattice masks; ``w.log_value`` runs once per label the
+    support reaches (see :meth:`GroupDual.power_maxima`).
+    """
+    return dual.power_maxima(S, n_max, w.log_value, cap)
 
 
 def _certificate(dual, w, label, n_max, cap, eps_class):
@@ -407,36 +411,28 @@ def classify_growth(
 # restriction and quotient weights
 # ---------------------------------------------------------------------------
 
-def restrict_weight(w: Weight, branching=Su2TorusBranching, cap: int = 512) -> Weight:
-    """Weight on the subgroup dual: infimum of w over labels restricting onto it.
+def restrict_weight(w: Weight, cap: int = 512) -> Weight:
+    """Weight on the diagonal torus of SU(2): the infimum of w over the spins
+    whose restriction contains the character.
 
-    For recipes nondecreasing in the SU(2) index the infimum is attained at
-    the smallest containing label and is exact; otherwise the scan truncates
-    at ``cap`` and the result carries an inexact-infimum warning.
+    The character mu is contained in the spins |mu|, |mu| + 2, ...  For
+    recipes nondecreasing in the SU(2) index the infimum is attained at the
+    smallest one and is exact; otherwise the scan truncates at ``cap`` and
+    the result carries an inexact-infimum warning.
     """
-    if (
-        branching is not Su2TorusBranching
-        or not isinstance(w.dual, Su2Dual)
-        or isinstance(w.dual, So3Dual)
-    ):
+    if not isinstance(w.dual, Su2Dual) or isinstance(w.dual, So3Dual):
         raise UnsupportedBranchingError("only the SU(2) > torus branching is supported")
-    sub = branching.subgroup
     exact = w.su2_monotone
     warnings = () if exact else ("inexact-infimum: scan truncated, recipe not certified monotone",)
 
     def fn(sigma):
-        it = branching.containing(sigma)
+        k = abs(sigma.mu[0])
         if exact:
-            return w(next(it))
-        best = math.inf
-        for lab in it:
-            if lab.n > cap:
-                break
-            best = min(best, w(lab))
-        return best
+            return w(Su2Spin(k))
+        return min((w(Su2Spin(n)) for n in range(k, cap + 1, 2)), default=math.inf)
 
     return Weight(
-        sub,
+        TorusDual(1),
         fn,
         f"restrict({w.descriptor})",
         symmetric=True,
@@ -445,14 +441,14 @@ def restrict_weight(w: Weight, branching=Su2TorusBranching, cap: int = 512) -> W
     )
 
 
-def quotient_weight(w: Weight, lift=Su2So3Lift) -> Weight:
-    """Weight on the quotient dual: w pulled back through the covering map."""
-    if lift is not Su2So3Lift or not isinstance(w.dual, Su2Dual) or isinstance(w.dual, So3Dual):
+def quotient_weight(w: Weight) -> Weight:
+    """Weight on the SO(3) dual: w pulled back through the covering map."""
+    if not isinstance(w.dual, Su2Dual) or isinstance(w.dual, So3Dual):
         raise UnsupportedBranchingError("only the SU(2) -> SO(3) quotient is supported")
 
     return Weight(
-        lift.quotient,
-        lambda a: w(a),  # SO(3) labels are the even SU(2) labels themselves
+        So3Dual(),
+        lambda a: w(so3_lift(a.n // 2)),  # SO(3) label m is the spin 2m
         f"quotient({w.descriptor})",
         symmetric=w.symmetric,
         bounded=w.bounded,

@@ -18,6 +18,7 @@ from bfw import (
     norm_a_omega,
     one_field,
 )
+from bfw import So3Dual, Su2Dual
 from bfw.calculus import (
     CasimirData,
     SplineBump,
@@ -37,6 +38,9 @@ from bfw.calculus import (
     series_tail,
     smooth_embedding_check,
     synthesis_degree,
+    _su2_central_parts,
+    _su2_class_grid,
+    _su2_exp_weights,
 )
 from bfw.duals import TorusDual, su2_algebra_rep, su2_irrep
 from bfw.errors import InsufficientCutoffError
@@ -533,3 +537,32 @@ def test_separating_function_torus(t1):
     rep = separating_function(t1, u0, smoothness=4, n_modes=64, cutoff_cap=256,
                               sample_points=200)
     assert rep.achieved_sup_error <= 0.05
+
+
+@pytest.mark.parametrize("t,cutoff", [(1.0, 20), (6.0, 40)])
+def test_exp_itu_so3_is_su2_at_even_spins(t, cutoff):
+    # u is even under the center, so e^{itu} lives on the even spins, the
+    # SO(3) labels; the SU(2) path leaves rounding noise at the odd ones
+    su2, so3 = Su2Dual(), So3Dual()
+    u2 = 0.5 * character_field(su2, Su2Spin(2)) + 0.2 * one_field(su2)
+    u3 = 0.5 * character_field(so3, Su2Spin(2)) + 0.2 * one_field(so3)
+    f2, d2 = exp_itu(su2, u2, t, cutoff)
+    f3, d3 = exp_itu(so3, u3, t, cutoff)
+    assert d3 == d2
+    assert list(f3.coeffs) == [a for a in f2.coeffs if a.n % 2 == 0]
+    assert all(np.array_equal(f3.coeffs[a], f2.coeffs[a]) for a in f3.coeffs)
+    b, _ = _su2_exp_weights(_su2_class_grid(_su2_central_parts(u2), cutoff), t, 1e-6)
+    assert np.max(np.abs(b[1::2])) < 1e-14
+    assert np.min(np.abs(b[0:8:2])) > 1e-6
+
+
+def test_separating_so3_equals_field_sum():
+    so3 = So3Dual()
+    u0 = 0.5 * one_field(so3) + 0.25 * character_field(so3, Su2Spin(2))
+    rep = separating_function(so3, u0, smoothness=5, n_modes=24, cutoff_cap=256,
+                              sample_points=200)
+    ref = _separating_field_sum(so3, u0, 5, 24, 256)
+    assert list(rep.field.coeffs) == list(ref.coeffs)
+    for a, M in ref.coeffs.items():
+        assert np.array_equal(rep.field.coeffs[a], M)
+    assert rep.achieved_sup_error < 0.05

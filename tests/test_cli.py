@@ -178,6 +178,30 @@ def test_non_finite_element_exit_code(tmp_path, bad):
     assert code == 3 and out == ""
 
 
+@pytest.mark.parametrize("group,weight,element", [
+    ("su2", "exp:lambda=1e308", "char:3"),  # float power raises OverflowError
+    ("su2", "prod(exp:lambda=1e200,exp:lambda=1e200)", "char:1"),  # product is inf
+    ("torus:2", "exp:lambda=1e200", "char:t:(1,1)"),
+])
+def test_weight_overflow_exit_code(group, weight, element):
+    code, out = run(["norm", "--group", group, "--weight", weight, "--element", element])
+    assert code == 4 and out == ""
+
+
+def test_spectrum_num_zero_rejected():
+    code, out = run(["spectrum", "--group", "torus:1", "--weight", "poly:alpha=1", "--num", "0"])
+    assert code == 3 and out == ""
+
+
+def test_expcurve_so3(tmp_path):
+    csv = tmp_path / "so3.csv"
+    code, out = run(["expcurve", "--group", "so3", "--u", "uchar:2", "--weight", "poly:alpha=1",
+                     "--tmax", "8", "--out", str(csv)])
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+    assert len(csv.read_text().splitlines()) == 5  # header and t = 1, 2, 4, 8
+
+
 # --- serialization round trips -------------------------------------------------
 
 def test_element_round_trip(su2, sd, t2, rng):

@@ -19,8 +19,9 @@ from bfw import (
     branch_su2_to_torus,
     so3_lift,
 )
-from bfw.duals import SemidirectPoint
+from bfw.duals import SemidirectPoint, parse_group
 from bfw.errors import FamilyMismatchError, NotGeneratedError
+from bfw.labels import label_key, parse_label
 
 
 def character_fusion_oracle(dual, a, b, sigma):
@@ -250,3 +251,109 @@ def test_product_dual(prod_dual, rng):
         prod_dual.rep(a, s) @ prod_dual.rep(a, t),
         atol=1e-12,
     )
+
+
+# --- lattice masks against the frozenset support_step oracle -------------------
+
+# (group, generating set): one or several generators, negative and mixed
+# torus characters, every T x| Z2 kind, products of each family
+LATTICE_CASES = [
+    ("su2", ["pi:1"]),
+    ("su2", ["pi:3"]),
+    ("su2", ["pi:1", "pi:2"]),
+    ("so3", ["pi:2"]),
+    ("so3", ["pi:2", "pi:4"]),
+    ("torus:1", ["t:(-2)"]),
+    ("torus:1", ["t:(1)", "t:(-1)"]),
+    ("torus:2", ["t:(1,-2)"]),
+    ("torus:2", ["t:(1,-2)", "t:(0,1)"]),
+    ("torus:3", ["t:(1,0,-1)", "t:(0,-1,0)"]),
+    ("txz2", ["pi:1"]),
+    ("txz2", ["pi:3"]),
+    ("txz2", ["sgn"]),
+    ("txz2", ["pi:2", "sgn"]),
+    ("txz2", ["triv", "pi:2"]),
+    ("prod(su2,torus:1)", ["pi:1×t:(0)", "pi:0×t:(-1)"]),
+    ("prod(txz2,su2)", ["pi:2×pi:1"]),
+    ("prod(txz2,su2)", ["sgn×pi:0", "pi:1×pi:2"]),
+    ("prod(so3,torus:2)", ["pi:2×t:(1,-1)", "pi:0×t:(0,1)"]),
+]
+
+
+def _case(group, gens):
+    dual = parse_group(group)
+    return dual, tuple(parse_label(dual, g) for g in gens)
+
+
+def _word_length_oracle(dual, a, S, cap):
+    """word_length on frozensets through support_step."""
+    seen = supp = frozenset([dual.trivial])
+    for k in range(1, cap + 1):
+        supp = dual.support_step(supp, S)
+        if a in supp:
+            return k
+        if not supp - seen and k > 1:
+            raise NotGeneratedError(a, k)
+        seen = seen | supp
+    raise NotGeneratedError(a, cap)
+
+
+def test_lattice_coords_round_trip():
+    for group, _ in LATTICE_CASES:
+        dual = parse_group(group)
+        for a in dual.ball(5):
+            assert dual.label_at(dual.coords(a)) == a
+
+
+@pytest.mark.parametrize("group,gens", LATTICE_CASES)
+def test_tensor_power_support_matches_oracle(group, gens):
+    dual, S = _case(group, gens)
+    supp = frozenset(S)
+    walk = dual.support_walk(S)
+    for k in range(1, 13):
+        want = tuple(sorted(supp, key=label_key))
+        assert dual.mask_labels(*next(walk)) == want
+        assert dual.tensor_power_support(S, k) == want
+        supp = dual.support_step(supp, S)
+
+
+@pytest.mark.parametrize("group,gens", LATTICE_CASES)
+def test_ball_and_word_length_match_oracle(group, gens):
+    dual, S = _case(group, gens)
+    acc, supp = {dual.trivial}, frozenset([dual.trivial])
+    for r in range(8):
+        assert dual.ball(r, S) == tuple(sorted(acc, key=label_key))
+        supp = dual.support_step(supp, S)
+        acc |= supp
+
+    def outcome(fn):
+        try:
+            return fn()
+        except NotGeneratedError as exc:
+            return ("not generated", exc.cap)
+
+    for a in dual.ball(3):
+        want = outcome(lambda: _word_length_oracle(dual, a, S, 16) if a != dual.trivial else 0)
+        assert outcome(lambda: dual.word_length(a, S, cap=16)) == want
+
+
+def test_word_length_not_generated_at_oracle_step(su2, sd):
+    # {sgn} only reaches triv and sgn: the oracle stops when no label is new
+    with pytest.raises(NotGeneratedError) as exc:
+        sd.word_length(SemidirectLabel("pi", 1), S=(SemidirectLabel("sgn"),))
+    assert exc.value.cap == 2
+    with pytest.raises(NotGeneratedError) as exc:
+        su2.word_length(Su2Spin(3), S=(), cap=10)
+    assert exc.value.cap == 2
+
+
+def test_lattice_foreign_generator(su2, t1):
+    foreign = (TorusChar((1,)),)
+    with pytest.raises(FamilyMismatchError):
+        su2.tensor_power_support(foreign, 3)
+    with pytest.raises(FamilyMismatchError):
+        su2.ball(2, foreign)
+    with pytest.raises(FamilyMismatchError):
+        su2.word_length(Su2Spin(2), S=foreign)
+    with pytest.raises(FamilyMismatchError):
+        t1.power_maxima((Su2Spin(1),), 4, lambda a: 0.0, 100)

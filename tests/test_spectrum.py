@@ -224,3 +224,12 @@ def test_torus_membership_annulus(t1):
     assert membership(t1, TorusSpectrumPoint((0.51,)), w, cutoff=64).member
     res = membership(t1, TorusSpectrumPoint((2.2,)), w, cutoff=64)
     assert not res.member and res.certified
+
+
+def test_spectrum_bounds_truncation(t1, su2):
+    w = make_weight(t1, "exp:lambda=2")
+    assert spectrum_bounds(t1, w).truncation == 4096
+    assert spectrum_bounds(su2, make_weight(su2, "exp:lambda=2"), n_max=16).truncation == 16
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            spectrum_bounds(t1, w, n_max=bad)

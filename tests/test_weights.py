@@ -11,13 +11,18 @@ from bfw import (
     Su2Dual,
     Su2Spin,
     TorusChar,
+    TorusDual,
+    format_label,
     make_weight,
     quotient_weight,
     restrict_weight,
 )
-from bfw.errors import WeightSpecError
+from bfw.duals import parse_group
+from bfw.errors import FamilyMismatchError, LabelCapError, WeightOverflowError, WeightSpecError
+from bfw.labels import parse_label
 from bfw.weights import (
     Weight,
+    _power_log_values,
     classify_growth,
     growth_rate,
     validate,
@@ -218,3 +223,99 @@ def test_weight_json_round_trip(su2):
         w2 = make_weight(su2, weight_to_json(w))
         for a in su2.ball(5):
             assert w(a) == w2(a)
+
+
+def test_weight_overflow_is_typed(su2, t2):
+    with pytest.raises(WeightOverflowError):
+        make_weight(su2, "exp:lambda=1e308")(Su2Spin(3))  # float ** raises OverflowError
+    with pytest.raises(WeightOverflowError):
+        make_weight(su2, "prod(exp:lambda=1e200,exp:lambda=1e200)")(Su2Spin(1))  # inf
+    with pytest.raises(WeightOverflowError):
+        make_weight(t2, "exp:lambda=1e200")(TorusChar((1, 1)))
+    assert make_weight(su2, "exp:lambda=1e200")(Su2Spin(1)) == 1e200
+
+
+# --- growth scans on lattice masks against the frozenset oracle -----------------
+
+def _oracle_log_values(dual, w, S, n_max, cap):
+    """log w of the tensor powers of S, stepping frozensets through support_step."""
+    vals = []
+    supp = frozenset(S)
+    for _ in range(n_max):
+        vals.append(w.log_of_support(supp))
+        if len(supp) > cap:
+            raise LabelCapError(cap, len(supp))
+        supp = dual.support_step(supp, S)
+    return vals
+
+
+# (group, probe, steps); 130 steps cross two blocks of the lattice engine
+GROWTH_PROBES = [
+    ("su2", "pi:1", 130), ("su2", "pi:2", 130), ("su2", "pi:3", 130),
+    ("so3", "pi:2", 130), ("so3", "pi:4", 130),
+    ("torus:1", "t:(-1)", 130), ("torus:2", "t:(1,-2)", 130), ("torus:2", "t:(0,0)", 20),
+    ("torus:3", "t:(2,-1,1)", 130),
+    ("txz2", "pi:1", 130), ("txz2", "pi:2", 130), ("txz2", "sgn", 20), ("txz2", "triv", 20),
+    ("prod(su2,torus:1)", "pi:1×t:(0)", 130), ("prod(su2,torus:1)", "pi:1×t:(-1)", 70),
+    ("prod(su2,torus:1)", "pi:0×t:(1)", 130),
+    ("prod(txz2,su2)", "pi:1×pi:1", 40), ("prod(so3,torus:2)", "pi:2×t:(1,-1)", 70),
+]
+
+
+def _recipes(dual):
+    lam = ["2", "1.5", "3"][: dual.n] if isinstance(dual, TorusDual) else ["2"]  # per axis
+    table = {"kind": "table", "base": {"kind": "dim"},
+             "entries": {format_label(dual.trivial): 3.0, format_label(dual.ball(2)[1]): 0.5}}
+    return ["dim", "poly:alpha=1.5", "exp:lambda=" + ",".join(lam), "prod(poly:alpha=1,dim)",
+            "pow(dim,2)", table]
+
+
+@pytest.mark.parametrize("group,probe,n", GROWTH_PROBES)
+def test_power_log_values_equal_support_step_oracle(group, probe, n):
+    dual = parse_group(group)
+    a = parse_label(dual, probe)
+    for spec in _recipes(dual):
+        got = _power_log_values(dual, make_weight(dual, spec), (a,), n, 200_000)
+        want = _oracle_log_values(dual, make_weight(dual, spec), (a,), n, 200_000)
+        assert got == want, (spec, [k for k, (x, y) in enumerate(zip(got, want)) if x != y][:5])
+
+
+def test_log_value_once_per_label_reached(su2, t1):
+    for dual, probe, n, reached in [
+        (su2, Su2Spin(1), 300, [(k,) for k in range(301)]),
+        (t1, TorusChar((-1,)), 50, [(-k,) for k in range(50, 0, -1)]),
+        (t1, TorusChar((0,)), 50, [(0,)]),
+    ]:
+        calls = []
+        w = make_weight(dual, "poly:alpha=1")
+
+        def value(a):
+            calls.append(dual.coords(a))
+            return w.log_value(a)
+
+        dual.power_maxima((probe,), n, value, 10**6)
+        assert sorted(calls) == reached
+
+
+@pytest.mark.parametrize("group,probe,cap", [
+    ("su2", "pi:1", 5), ("su2", "pi:2", 0), ("torus:1", "t:(1)", 0),
+    ("txz2", "pi:2", 3), ("prod(su2,su2)", "pi:1×pi:1", 30), ("prod(su2,torus:1)", "pi:1×t:(1)", 4),
+])
+def test_label_cap_matches_oracle(group, probe, cap):
+    dual = parse_group(group)
+    a = parse_label(dual, probe)
+    got, want = [], []
+    for fn, out in ((_power_log_values, got), (_oracle_log_values, want)):
+        w = make_weight(dual, "dim")
+        with pytest.raises(LabelCapError) as exc:
+            fn(dual, w, (a,), 100, cap)
+        out += [exc.value.cap, exc.value.size, sorted(w._log_cache, key=format_label)]
+    assert got == want
+
+
+def test_growth_foreign_generator(su2, t1):
+    w = make_weight(su2, "const:1")
+    with pytest.raises(FamilyMismatchError):
+        growth_rate(su2, w, TorusChar((1,)), 8)
+    with pytest.raises(FamilyMismatchError):
+        classify_growth(su2, w, S=(TorusChar((1,)),), n_max=8)
