@@ -708,10 +708,8 @@ class Su2Dual(GroupDual):
         return pts, np.array(wts)
 
     def _build_intertwiners(self, a, b):
-        blocks = []
-        for sigma, _ in self.fuse(a, b):
-            V = _su2_cg_isometry(a.n, b.n, sigma.n)
-            blocks.append((sigma, (V,)))
+        isos = _su2_cg_pair(a.n, b.n)
+        blocks = [(sigma, (isos[sigma.n],)) for sigma, _ in self.fuse(a, b)]
         return IntertwinerSet(a, b, tuple(blocks))
 
 
@@ -719,15 +717,15 @@ def _jplus(j: float, m: float) -> float:
     return math.sqrt(max(j * (j + 1) - m * (m + 1), 0.0))
 
 
-def _su2_cg_isometry(n1: int, n2: int, n: int) -> np.ndarray:
-    """Clebsch-Gordan isometry onto the spin-n/2 component of n1 (x) n2.
+def _su2_cg_top(n1: int, n2: int, n: int) -> np.ndarray:
+    """Highest-weight vector of the spin-n/2 component of n1 (x) n2, as a
+    (d1, d2) array over the factors' weight indices.
 
-    Phase fixed so the highest-weight coefficient at maximal first-factor
-    exponent is real positive (Condon-Shortley style).
+    Phase fixed so the coefficient at maximal first-factor exponent is real
+    positive (Condon-Shortley style).
     """
     j1, j2, j = n1 / 2.0, n2 / 2.0, n / 2.0
-    d1, d2, d = n1 + 1, n2 + 1, n + 1
-    # highest-weight vector over first-factor exponents m1, with m2 = j - m1
+    # coefficients over first-factor exponents m1, with m2 = j - m1
     m1_hi = min(j1, j + j2)
     m1_lo = max(-j1, j - j2)
     count = int(round(m1_hi - m1_lo)) + 1
@@ -739,35 +737,43 @@ def _su2_cg_isometry(n1: int, n2: int, n: int) -> np.ndarray:
     coeff /= math.sqrt(float(np.dot(coeff, coeff)))
     if coeff[0] < 0:
         coeff = -coeff
-    top = np.zeros(d1 * d2)
+    top = np.zeros((n1 + 1, n2 + 1))
     for i in range(count):
         m1 = m1_hi - i
-        k1 = int(round(j1 - m1))
-        k2 = int(round(j2 - (j - m1)))
-        top[k1 * d2 + k2] = coeff[i]
+        top[int(round(j1 - m1)), int(round(j2 - (j - m1)))] = coeff[i]
+    return top
 
-    V = np.zeros((d1 * d2, d), dtype=complex)
-    V[:, 0] = top
-    vec = top
-    for col in range(1, d):
-        m = j - (col - 1)
-        nxt = np.zeros(d1 * d2)
-        arr = vec.reshape(d1, d2)
-        for k1 in range(d1):
-            for k2 in range(d2):
-                c = arr[k1, k2]
-                if c == 0.0:
-                    continue
-                m1, m2 = j1 - k1, j2 - k2
-                if k1 + 1 < d1:
-                    nxt[(k1 + 1) * d2 + k2] += c * _jplus(j1, m1 - 1)
-                if k2 + 1 < d2:
-                    nxt[k1 * d2 + (k2 + 1)] += c * _jplus(j2, m2 - 1)
-        vec = nxt / _jplus(j, m - 1)
-        V[:, col] = vec
-    if not np.allclose(V.conj().T @ V, np.eye(d), atol=1e-10):
-        raise IntertwinerSynthesisError(f"CG isometry residual too large for ({n1},{n2})->{n}")
-    return V
+
+def _su2_cg_pair(n1: int, n2: int) -> dict:
+    """Clebsch-Gordan isometries onto every component of n1 (x) n2, keyed by
+    the component's spin index n.
+
+    Each isometry has the component's highest-weight vector (:func:`_su2_cg_top`)
+    as its first column and the lowered vector J_- v / J_-(m) as each next one.
+    All components are lowered together, highest spin first; a component drops
+    out of the stack once its columns are done.  An entry of J_- v is the
+    first-factor term plus the second-factor term, added in that order.
+    """
+    j1, j2 = n1 / 2.0, n2 / 2.0
+    d1, d2 = n1 + 1, n2 + 1
+    spins = range(n1 + n2, abs(n1 - n2) - 1, -2)
+    a1 = np.array([_jplus(j1, j1 - k - 1) for k in range(n1)])[:, None]
+    a2 = np.array([_jplus(j2, j2 - k - 1) for k in range(n2)])
+    vec = np.stack([_su2_cg_top(n1, n2, n) for n in spins])  # (components, d1, d2)
+    out = {n: np.zeros((d1 * d2, n + 1), dtype=complex) for n in spins}
+    for col in range(n1 + n2 + 1):
+        for n, v in zip(spins, vec):  # vec holds the components with a column col
+            out[n][:, col] = v.ravel()
+        live = [n for n in spins if n > col]
+        vec = vec[: len(live)]
+        nxt = np.zeros_like(vec)
+        nxt[:, 1:, :] = vec[:, :-1, :] * a1
+        nxt[:, :, 1:] += vec[:, :, :-1] * a2
+        vec = nxt / np.array([_jplus(n / 2.0, n / 2.0 - col - 1) for n in live])[:, None, None]
+    for n, V in out.items():
+        if not np.allclose(V.conj().T @ V, np.eye(n + 1), atol=1e-10):
+            raise IntertwinerSynthesisError(f"CG isometry residual too large for ({n1},{n2})->{n}")
+    return out
 
 
 # ---------------------------------------------------------------------------

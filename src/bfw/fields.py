@@ -23,13 +23,14 @@ input exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .duals import GroupDual
-from .errors import FamilyMismatchError
+from .errors import FamilyMismatchError, WeightOverflowError
 from .labels import IrrepLabel, format_label, label_key
 from .weights import Weight
 
@@ -149,6 +150,8 @@ def norm_a_omega(u: OperatorField, w: Weight) -> float:
     total = 0.0
     for a, M in u.coeffs.items():
         total += float(np.sum(np.linalg.svd(M, compute_uv=False))) * u.dual.dim(a) * w(a)
+    if not math.isfinite(total):
+        raise WeightOverflowError(f"A_omega norm under {w.descriptor} overflows")
     return total
 
 
@@ -224,12 +227,12 @@ def multiply(u: OperatorField, v: OperatorField) -> OperatorField:
     u._same_dual(v)
     dual = u.dual
     acc: dict = {}
+    v_parts = [(b, _rank_one_parts(dual, b, Mb)) for b, Mb in v.coeffs.items()]
     for a, Ma in u.coeffs.items():
         Ea, Xa = _rank_one_parts(dual, a, Ma)
         if Ea.shape[1] == 0:
             continue
-        for b, Mb in v.coeffs.items():
-            Eb, Xb = _rank_one_parts(dual, b, Mb)
+        for b, (Eb, Xb) in v_parts:
             if Eb.shape[1] == 0:
                 continue
             # all Kronecker pairs at once: columns are eta_k (x) eta'_l

@@ -207,19 +207,26 @@ def _spec_to_str(d: dict) -> str:
     raise WeightSpecError(f"unknown recipe kind {k!r}")
 
 
+def _finite(kind: str, name: str, x) -> float:
+    x = float(x)
+    if not math.isfinite(x):
+        raise WeightSpecError(f"{kind} weight needs a finite {name}, got {x}")
+    return x
+
+
 def make_weight(dual: GroupDual, spec: str | dict) -> Weight:
     """Build a weight from a recipe string or its JSON dict form."""
     d = _parse_spec(spec) if isinstance(spec, str) else spec
     kind = d.get("kind")
     if kind == "const":
-        c = float(d["c"])
+        c = _finite(kind, "c", d["c"])
         if c < 1.0:
             raise WeightSpecError(f"const weight needs c >= 1, got {c}")
         return Weight(dual, lambda a: c, _spec_to_str(d), log_fn=lambda a: math.log(c))
     if kind == "dim":
         return Weight(dual, dual.dim, "dim", su2_monotone=True, log_fn=lambda a: math.log(dual.dim(a)))
     if kind == "poly":
-        alpha = float(d["alpha"])
+        alpha = _finite(kind, "alpha", d["alpha"])
         if alpha <= 0.0:
             raise WeightSpecError(f"poly weight needs alpha > 0, got {alpha}")
         return Weight(
@@ -230,7 +237,7 @@ def make_weight(dual: GroupDual, spec: str | dict) -> Weight:
             log_fn=lambda a: alpha * math.log1p(dual.word_length(a)),
         )
     if kind == "exp":
-        lam = [float(x) for x in d["lam"]]
+        lam = [_finite(kind, "lambda", x) for x in d["lam"]]
         if any(x < 1.0 for x in lam):
             raise WeightSpecError(f"exp weight needs lambda >= 1, got {lam}")
         if isinstance(dual, TorusDual):
@@ -272,7 +279,7 @@ def make_weight(dual: GroupDual, spec: str | dict) -> Weight:
             log_fn=lambda a: f1.log_value(a) + f2.log_value(a),
         )
     if kind == "pow":
-        alpha = float(d["alpha"])
+        alpha = _finite(kind, "alpha", d["alpha"])
         if alpha < 1.0:
             raise WeightSpecError(f"pow weight needs alpha >= 1, got {alpha}")
         base = make_weight(dual, d["base"])
@@ -287,7 +294,9 @@ def make_weight(dual: GroupDual, spec: str | dict) -> Weight:
         )
     if kind == "table":
         base = make_weight(dual, d.get("base", {"kind": "const", "c": 1.0}))
-        entries = {parse_label(dual, k): float(v) for k, v in d.get("entries", {}).items()}
+        entries = {
+            parse_label(dual, k): _finite(kind, "entry", v) for k, v in d.get("entries", {}).items()
+        }
         if any(v <= 0.0 for v in entries.values()):
             raise WeightSpecError("table weight entries must be positive")
 

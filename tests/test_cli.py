@@ -188,6 +188,22 @@ def test_weight_overflow_exit_code(group, weight, element):
     assert code == 4 and out == ""
 
 
+def test_norm_sum_overflow_exit_code():
+    # w(pi:2) = 1e308 is finite, but ||u^(pi:2)||_1 d w = 3e308 is not
+    code, out = run(["norm", "--group", "su2", "--weight", "exp:lambda=1e154",
+                     "--element", "char:2"])
+    assert code == 4 and out == ""
+
+
+@pytest.mark.parametrize("weight", [
+    "exp:lambda=nan", "poly:alpha=inf", '{"kind": "table", "entries": {"pi:1": Infinity}}',
+])
+def test_non_finite_weight_exit_code(weight):
+    code, out = run(["growth", "--group", "su2", "--weight", weight,
+                     "--label", "pi:1", "--num", "8"])
+    assert code == 3 and out == ""
+
+
 def test_spectrum_num_zero_rejected():
     code, out = run(["spectrum", "--group", "torus:1", "--weight", "poly:alpha=1", "--num", "0"])
     assert code == 3 and out == ""

@@ -30,7 +30,7 @@ from bfw import (
     translate,
     zero_field,
 )
-from bfw.errors import FamilyMismatchError
+from bfw.errors import FamilyMismatchError, WeightOverflowError
 from bfw.quadrature import HaarGrid, grid_values, quadrature_coeffs
 from bfw.weights import Weight, validate
 
@@ -69,6 +69,17 @@ def test_a_norm_examples(su2, t1):
     u = OperatorField.from_terms(su2, {Su2Spin(1): np.diag([1.0, 0.0])})
     assert abs(norm_a_omega(u, wdim) - 4.0) < 1e-14  # 1 * 2 * 2
     assert norm_a_omega(zero_field(su2), wdim) == 0.0
+
+
+def test_a_norm_overflow_is_typed(su2, t1):
+    # every weight value is finite; the product (first) or the sum (second) is not
+    with pytest.raises(WeightOverflowError):
+        norm_a_omega(character_field(su2, Su2Spin(2)), make_weight(su2, "exp:lambda=1e154"))
+    u = OperatorField.from_terms(t1, {TorusChar((k,)): np.ones((1, 1)) for k in (-1, 1)})
+    w = make_weight(t1, "exp:lambda=1e308")
+    assert w(TorusChar((1,))) == w(TorusChar((-1,))) == 1e308
+    with pytest.raises(WeightOverflowError):
+        norm_a_omega(u, w)
 
 
 def test_single_coefficient_norm(su2, rng):

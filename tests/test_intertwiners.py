@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from bfw import ProductLabel, SemidirectLabel, Su2Spin, TorusChar
-from bfw.duals import _su2_cg_isometry
+from bfw.duals import _su2_cg_pair
+from bfw.errors import IntertwinerSynthesisError
+from cg_oracle import su2_cg_isometry as _su2_cg_isometry
 
 
 def _check_intertwiner_set(dual, a, b, rng, eq_tol=1e-10):
@@ -111,3 +113,65 @@ def test_cg_moderate_spins(su2, rng):
     big = np.kron(su2_irrep(8, g), su2_irrep(12, g))
     for sigma, (V,) in iw:
         assert np.max(np.abs(big @ V - V @ su2_irrep(sigma.n, g))) < 1e-10
+
+
+def _bit_equal(V, W):
+    # equal entries with equal signs, so -0.0 and 0.0 count as different
+    x, y = V.view(float), W.view(float)
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+def test_cg_pair_equals_scalar_oracle():
+    for n1 in range(17):
+        for n2 in range(17):
+            isos = _su2_cg_pair(n1, n2)
+            assert sorted(isos) == list(range(abs(n1 - n2), n1 + n2 + 1, 2))
+            for n, V in isos.items():
+                assert V.dtype == complex and V.flags.c_contiguous
+                assert _bit_equal(V, _su2_cg_isometry(n1, n2, n)), (n1, n2, n)
+
+
+@pytest.mark.parametrize("n1,n2", [(32, 0), (1, 32), (32, 5), (17, 32), (25, 24)])
+def test_cg_pair_equals_scalar_oracle_large(n1, n2):
+    for n, V in _su2_cg_pair(n1, n2).items():
+        assert _bit_equal(V, _su2_cg_isometry(n1, n2, n)), n
+
+
+@pytest.mark.parametrize("family", ["su2", "so3"])
+def test_intertwiner_blocks_in_fuse_order_equal_oracle(family, su2, so3):
+    dual = su2 if family == "su2" else so3
+    for n1, n2 in [(0, 0), (2, 4), (6, 2), (8, 8), (10, 4)]:
+        a, b = Su2Spin(n1), Su2Spin(n2)
+        iw = dual.intertwiners(a, b)
+        assert [sigma for sigma, _ in iw] == [sigma for sigma, _ in dual.fuse(a, b)]
+        for sigma, (V,) in iw:
+            assert _bit_equal(V, _su2_cg_isometry(n1, n2, sigma.n))
+
+
+def test_cg_pair_stacked_unitary():
+    # the blocks of one pair together form a unitary of the product space
+    worst = 0.0
+    for n1 in range(17):
+        for n2 in range(17):
+            U = np.hstack(list(_su2_cg_pair(n1, n2).values()))
+            assert U.shape == ((n1 + 1) * (n2 + 1),) * 2
+            worst = max(worst, np.max(np.abs(U.conj().T @ U - np.eye(U.shape[1]))))
+    assert worst < 1e-10
+
+
+def test_cg_residual_check_catches_corrupted_lowering(monkeypatch):
+    # scale _jplus at every spin but the factors' j = 4, which hits only the
+    # lowering divisors J_-(m) of the components: column k of the top component
+    # then shrinks by (1 + 1e-6)^k, and the last diagonal entry of V^H V is off
+    # by about 3.2e-5 > rtol 1e-5 (a uniform scaling would cancel in the ratio)
+    import bfw.duals as duals
+
+    _su2_cg_pair(8, 8)  # uncorrupted, every block passes
+    jplus = duals._jplus
+
+    def corrupted(j, m):
+        return jplus(j, m) * (1.0 if j == 4.0 else 1.0 + 1e-6)
+
+    monkeypatch.setattr(duals, "_jplus", corrupted)
+    with pytest.raises(IntertwinerSynthesisError, match=r"\(8,8\)->16"):
+        _su2_cg_pair(8, 8)

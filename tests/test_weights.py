@@ -235,6 +235,19 @@ def test_weight_overflow_is_typed(su2, t2):
     assert make_weight(su2, "exp:lambda=1e200")(Su2Spin(1)) == 1e200
 
 
+@pytest.mark.parametrize("group,spec", [
+    ("su2", "const:nan"), ("su2", "const:inf"), ("su2", "poly:alpha=nan"),
+    ("su2", "poly:alpha=inf"), ("su2", "exp:lambda=nan"), ("su2", "exp:lambda=inf"),
+    ("torus:2", "exp:lambda=2,nan"), ("su2", "pow(dim,nan)"), ("su2", "pow(dim,inf)"),
+    ("su2", "prod(dim,exp:lambda=nan)"),
+    ("su2", {"kind": "table", "entries": {"pi:1": float("inf")}}),
+    ("su2", {"kind": "table", "entries": {"pi:1": float("nan")}}),
+])
+def test_non_finite_recipe_parameter_rejected(group, spec):
+    with pytest.raises(WeightSpecError, match="finite"):
+        make_weight(parse_group(group), spec)
+
+
 # --- growth scans on lattice masks against the frozenset oracle -----------------
 
 def _oracle_log_values(dual, w, S, n_max, cap):
