@@ -278,16 +278,19 @@ def exp_itu(
     raise FamilyMismatchError(f"e^{{itu}} not implemented on {dual!r}")
 
 
+def _torus_values(u: OperatorField, m: int) -> np.ndarray:
+    """u on the product grid of m uniform angles per axis, shape (m,) * rank."""
+    mesh = np.meshgrid(*[2.0 * np.pi * np.arange(m) / m] * u.dual.n, indexing="ij")
+    vals = np.zeros(mesh[0].shape, dtype=complex)
+    for a, M in u.coeffs.items():
+        vals += M[0, 0] * np.exp(1j * sum(mu_j * th for mu_j, th in zip(a.mu, mesh)))
+    return vals
+
+
 def _exp_itu_torus(dual, u, t, cutoff, tail_tol, grid_pad):
     pad = grid_pad if grid_pad is not None else max(32, cutoff)
     m = 2 * (cutoff + pad) + 1
-    axes = [2.0 * np.pi * np.arange(m) / m] * dual.n
-    mesh = np.meshgrid(*axes, indexing="ij")
-    vals = np.zeros(mesh[0].shape, dtype=complex)
-    for a, M in u.coeffs.items():
-        phase = sum(mu_j * th for mu_j, th in zip(a.mu, mesh))
-        vals += M[0, 0] * np.exp(1j * phase)
-    g = np.exp(1j * t * vals)
+    g = np.exp(1j * t * _torus_values(u, m))
     spec = np.fft.fftn(g) / g.size
     terms = {}
     mass = 0.0
@@ -370,6 +373,8 @@ def exp_itu_auto(
 ) -> tuple[OperatorField, float, int]:
     """Adaptive cutoff: grows with |t| (ceil(rate * |t| * sup|u|) + margin),
     doubling on defect failures up to the cap."""
+    if not isinstance(dual, (TorusDual, Su2Dual)):  # exp_itu's check, before _sup_abs reads labels
+        raise FamilyMismatchError(f"e^{{itu}} not implemented on {dual!r}")
     sup = _sup_abs(dual, u)
     (fld, defect), n = _with_doubling(
         lambda n: exp_itu(dual, u, t, n, tail_tol), t, sup, cutoff_cap, rate, margin
@@ -392,12 +397,7 @@ def _with_doubling(attempt, t, sup, cutoff_cap, rate=1.2, margin=24):
 
 def _sup_abs(dual, u) -> float:
     if isinstance(dual, TorusDual):
-        grid = [2.0 * np.pi * np.arange(256) / 256] * dual.n
-        mesh = np.meshgrid(*grid, indexing="ij")
-        vals = np.zeros(mesh[0].shape, dtype=complex)
-        for a, M in u.coeffs.items():
-            vals += M[0, 0] * np.exp(1j * sum(m_j * th for m_j, th in zip(a.mu, mesh)))
-        return float(np.max(np.abs(vals)))
+        return float(np.max(np.abs(_torus_values(u, 256))))
     parts = _su2_central_parts(u)
     if parts is None:
         raise ValueError("sup estimate needs a central u on SU(2)")

@@ -6,7 +6,7 @@ Subcommands wrap the library operations with file I/O and fixed exit codes:
     2  validation or verdict failure
     3  parse error (flags, recipes, element files)
     4  numeric failure (quadrature refinement, tail mass, a weight value
-       that overflows)
+       that overflows, or a value out of floating-point range)
 
 Reports embed the configuration that produced them; a fixed configuration
 yields byte-identical output.  ``BFW_THREADS`` caps worker parallelism; the
@@ -269,6 +269,8 @@ def cmd_derivation(args) -> int:
     dual = parse_group(args.group)
     w = _load_weight(dual, args.weight)
     cas = calculus.CasimirData(dual)
+    if not 0 <= args.basis_index < len(cas.basis):
+        raise ValueError(f"--basis-index must lie in [0, {len(cas.basis)}), got {args.basis_index}")
     X = cas.basis[args.basis_index]
     rows = calculus.derivation_bound_scan(dual, X, w, args.num)
     lines = ["n,sup"]
@@ -413,7 +415,8 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     try:
         return args.func(args)
-    except (QuadratureConvergenceError, InsufficientCutoffError, WeightOverflowError) as exc:
+    except (QuadratureConvergenceError, InsufficientCutoffError, WeightOverflowError,
+            ArithmeticError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return EXIT_NUMERIC
     except (WeightSpecError, ValueError, KeyError, json.JSONDecodeError, OSError) as exc:

@@ -45,6 +45,10 @@ __all__ = [
     "SemidirectDual",
     "ProductDual",
     "SemidirectPoint",
+    "TorusSpectrumPoint",
+    "Su2SpectrumPoint",
+    "SemidirectSpectrumPoint",
+    "ProductSpectrumPoint",
     "IntertwinerSet",
     "su2_irrep",
     "su2_euler_point",
@@ -175,6 +179,62 @@ class SemidirectPoint:
     flip: bool = False
 
 
+# ---------------------------------------------------------------------------
+# spectrum points: points of the complexified group
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TorusSpectrumPoint:
+    z: tuple[complex, ...]
+
+    def __post_init__(self):
+        z = tuple(complex(x) for x in self.z)
+        if any(x == 0 for x in z):
+            raise ValueError("torus spectrum coordinates must be nonzero")
+        object.__setattr__(self, "z", z)
+
+
+@dataclass(frozen=True)
+class Su2SpectrumPoint:
+    """s . diag(lam, 1/lam) with s special unitary; canonicalized to lam >= 1."""
+
+    s: np.ndarray
+    lam: float
+
+    def __post_init__(self):
+        s = np.asarray(self.s, dtype=complex)
+        lam = float(self.lam)
+        if lam <= 0.0:
+            raise ValueError("lam must be positive")
+        if lam < 1.0:
+            # conjugate by the Weyl flip: equivalent point with lam >= 1
+            s = _EPS_FLIP @ s @ _EPS_FLIP.conj().T
+            lam = 1.0 / lam
+        s.flags.writeable = False
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "lam", lam)
+
+    def matrix(self) -> np.ndarray:
+        return self.s @ np.diag([self.lam, 1.0 / self.lam]).astype(complex)
+
+
+@dataclass(frozen=True)
+class SemidirectSpectrumPoint:
+    z: complex
+    flip: bool = False
+
+    def __post_init__(self):
+        if complex(self.z) == 0:
+            raise ValueError("spectrum coordinate must be nonzero")
+        object.__setattr__(self, "z", complex(self.z))
+
+
+@dataclass(frozen=True)
+class ProductSpectrumPoint:
+    left: object
+    right: object
+
+
 @dataclass(frozen=True)
 class IntertwinerSet:
     """Isometries embedding each fusion component into a tensor product.
@@ -241,9 +301,6 @@ class GroupDual:
             self._fuse_cache[key] = hit
         return hit
 
-    def fuse_support(self, a, b) -> tuple[IrrepLabel, ...]:
-        return tuple(s for s, _ in self.fuse(a, b))
-
     # --- word length machinery --------------------------------------------
     def support_step(self, supp: frozenset, S) -> frozenset:
         """One tensor-power step on a frozenset of labels, through ``fuse``.
@@ -255,7 +312,7 @@ class GroupDual:
         out = set()
         for a in supp:
             for s in S:
-                out.update(self.fuse_support(a, s))
+                out.update(sigma for sigma, _ in self.fuse(a, s))
         return frozenset(out)
 
     def tensor_power_support(self, S, k: int) -> tuple[IrrepLabel, ...]:
@@ -466,9 +523,18 @@ class GroupDual:
     def point_inv(self, s):
         raise NotImplementedError
 
-    def rep(self, a: IrrepLabel, point) -> np.ndarray:
-        """Unitary matrix of the irrep a at a group point."""
+    def reps(self, labels, points) -> list[np.ndarray]:
+        """Arrays (G, d, d): each irrep of ``labels`` at all G ``points``.
+
+        The points are group points, or all of them this family's spectrum
+        points (points of the complexified group).  Every entry equals the
+        matrix one label at one point gives, bit for bit.
+        """
         raise NotImplementedError
+
+    def rep(self, a: IrrepLabel, point) -> np.ndarray:
+        """Matrix of the irrep a at a group point (unitary) or a spectrum point."""
+        return self.reps((a,), [point])[0][0]
 
     def conj_intertwiner(self, a: IrrepLabel):
         """(abar, J) with conj(rep(a, s)) == J rep(abar, s) J^{-1} for all s."""
@@ -588,9 +654,13 @@ class TorusDual(GroupDual):
     def point_inv(self, s):
         return np.mod(-np.asarray(s), 2.0 * np.pi)
 
-    def rep(self, a, point):
-        self._check(a)
-        return np.array([[np.exp(1j * float(np.dot(a.mu, point)))]])
+    def reps(self, labels, points):
+        self._check(*labels)
+        if points and isinstance(points[0], TorusSpectrumPoint):
+            vals = [[math.prod(z**m for z, m in zip(p.z, a.mu)) for p in points] for a in labels]
+        else:  # one float dot product per point: a batched P @ mu differs in the last bits
+            vals = [np.exp(1j * np.array([float(np.dot(a.mu, p)) for p in points])) for a in labels]
+        return [np.array(v, dtype=complex).reshape(-1, 1, 1) for v in vals]
 
     def conj_intertwiner(self, a):
         self._check(a)
@@ -683,9 +753,12 @@ class Su2Dual(GroupDual):
     def point_inv(self, s):
         return np.asarray(s).conj().T
 
-    def rep(self, a, point):
-        self._check(a)
-        return su2_irrep(a.n, point)
+    def reps(self, labels, points):
+        # one recursion up to the largest spin; its level n does not depend on where it stops
+        self._check(*labels)
+        gs = np.stack([p.matrix() if isinstance(p, Su2SpectrumPoint) else p for p in points])
+        stack = su2_irrep_stack(max((a.n for a in labels), default=0), gs)
+        return [stack[a.n] for a in labels]
 
     def conj_intertwiner(self, a):
         self._check(a)
@@ -908,15 +981,27 @@ class SemidirectDual(GroupDual):
     def point_inv(self, s):
         return SemidirectPoint(s.theta if s.flip else (-s.theta) % (2.0 * np.pi), s.flip)
 
-    def rep(self, a, point):
-        self._check(a)
-        if a.kind == "triv":
-            return np.ones((1, 1), dtype=complex)
-        if a.kind == "sgn":
-            return np.array([[-1.0 if point.flip else 1.0]], dtype=complex)
-        z = np.exp(1j * a.m * point.theta)
-        M = np.diag([z, np.conj(z)])
-        return M @ _SWAP2 if point.flip else M
+    def reps(self, labels, points):
+        # spectrum point (z, flip): the group point (arg z, flip) times diag(|z|^m, |z|^-m) on pi_m
+        self._check(*labels)
+        spectral = bool(points) and isinstance(points[0], SemidirectSpectrumPoint)
+        theta = np.array([float(np.angle(p.z)) if spectral else p.theta for p in points], float)
+        flip = np.array([p.flip for p in points], dtype=bool)
+        out = []
+        for a in labels:
+            if a.kind != "pi":
+                sign = np.where(flip & (a.kind == "sgn"), -1.0, 1.0)
+                out.append(sign.astype(complex).reshape(-1, 1, 1))
+                continue
+            z = np.exp(1j * (a.m * theta))
+            M = np.zeros((len(points), 2, 2), dtype=complex)
+            M[:, 0, 0], M[:, 1, 1] = z, np.conj(z)
+            M[flip] = M[flip] @ _SWAP2
+            if spectral:
+                positive = np.array([[abs(p.z) ** a.m, abs(p.z) ** -a.m] for p in points])
+                M = M @ (np.eye(2) * positive[:, None])
+            out.append(M)
+        return out
 
     def conj_intertwiner(self, a):
         self._check(a)
@@ -1066,9 +1151,19 @@ class ProductDual(GroupDual):
     def point_inv(self, s):
         return (self.left.point_inv(s[0]), self.right.point_inv(s[1]))
 
-    def rep(self, a, point):
-        self._check(a)
-        return np.kron(self.left.rep(a.left, point[0]), self.right.rep(a.right, point[1]))
+    def reps(self, labels, points):
+        # Kronecker products of the factors' stacks, one multiplication per entry as in np.kron
+        self._check(*labels)
+        pairs = [(p.left, p.right) if isinstance(p, ProductSpectrumPoint) else p for p in points]
+        sides = []
+        for dual, part, i in ((self.left, "left", 0), (self.right, "right", 1)):
+            keys = list(dict.fromkeys(getattr(a, part) for a in labels))
+            sides.append(dict(zip(keys, dual.reps(keys, [p[i] for p in pairs]))))
+        out = []
+        for a in labels:
+            L, R, d = sides[0][a.left], sides[1][a.right], self.dim(a)
+            out.append((L[:, :, None, :, None] * R[:, None, :, None, :]).reshape(-1, d, d))
+        return out
 
     def conj_intertwiner(self, a):
         self._check(a)

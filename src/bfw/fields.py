@@ -44,6 +44,7 @@ __all__ = [
     "norm_l2_omega",
     "dual_norm",
     "dual_norm_report",
+    "point_margin",
     "DualNormResult",
     "multiply",
     "evaluate",
@@ -156,10 +157,21 @@ def norm_a_omega(u: OperatorField, w: Weight) -> float:
 
 
 def norm_l2_omega(f: OperatorField, w: Weight) -> float:
-    total = 0.0
-    for a, M in f.coeffs.items():
-        total += float(np.sum(np.abs(M) ** 2)) * f.dual.dim(a) * w(a)
-    return float(np.sqrt(total))
+    """Weighted L^2 norm (sum over the support of ||f^(pi)||_2^2 d_pi w(pi))^(1/2)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = 0.0
+        for a, M in f.coeffs.items():
+            total += float(np.sum(np.abs(M) ** 2)) * f.dual.dim(a) * w(a)
+        if math.isfinite(total):
+            return float(np.sqrt(total))
+        # the sum overflows where the norm may not: divide by the largest sqrt(d w)|entry| first
+        parts = [np.abs(M) * math.sqrt(f.dual.dim(a)) * math.sqrt(w(a))
+                 for a, M in f.coeffs.items()]
+        top = max(float(np.max(P)) for P in parts)
+        total = top * math.sqrt(sum(float(np.sum((P / top) ** 2)) for P in parts))
+    if not math.isfinite(total):
+        raise WeightOverflowError(f"L2 norm under {w.descriptor} overflows")
+    return total
 
 
 def l2_inner(x: OperatorField, y: OperatorField, w: Weight) -> complex:
@@ -192,13 +204,19 @@ def dual_norm_report(T, w: Weight, cutoff: int | None = None,
         return DualNormResult(val, None, True)
     if dual is None or cutoff is None:
         raise ValueError("points need dual= and cutoff=")
-    from .spectrum import _reps_at  # late import; spectrum builds on fields
+    return DualNormResult(point_margin(dual, T, w, cutoff)[0], cutoff, False)
 
-    best = 0.0
+
+def point_margin(dual: GroupDual, theta, w: Weight, cutoff: int) -> tuple[float, IrrepLabel]:
+    """sup of ||pi(theta)|| / w(pi) over the labels of word length <= cutoff,
+    with the first label that attains it (the trivial one when all are 0)."""
+    best, arg = 0.0, dual.trivial
     labels = dual.ball(cutoff)
-    for a, R in zip(labels, _reps_at(dual, labels, T)):
-        best = max(best, float(np.linalg.norm(R, 2)) / w(a))
-    return DualNormResult(best, cutoff, False)
+    for a, R in zip(labels, dual.reps(labels, [theta])):
+        val = float(np.linalg.norm(R[0], 2)) / w(a)
+        if val > best:
+            best, arg = val, a
+    return best, arg
 
 
 def dual_norm(T, w: Weight, cutoff: int | None = None, dual: GroupDual | None = None) -> float:
@@ -256,10 +274,11 @@ def multiply(u: OperatorField, v: OperatorField) -> OperatorField:
 # ---------------------------------------------------------------------------
 
 def evaluate(u: OperatorField, s) -> complex:
-    """Fourier inversion at a group point: sum d_pi Tr(u^(pi) pi(s))."""
+    """Fourier inversion at a group point or spectrum point: sum d_pi Tr(u^(pi) pi(s))."""
     total = 0.0 + 0.0j
-    for a, M in u.coeffs.items():
-        total += u.dual.dim(a) * complex(np.trace(M @ u.dual.rep(a, s)))
+    labels = tuple(u.coeffs)
+    for a, R in zip(labels, u.dual.reps(labels, [s])):
+        total += u.dual.dim(a) * complex(np.trace(u.coeffs[a] @ R[0]))
     return total
 
 

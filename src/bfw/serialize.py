@@ -23,7 +23,9 @@ import math
 
 import numpy as np
 
-from .duals import GroupDual, SemidirectDual, Su2Dual, TorusDual, group_token, parse_group
+from .duals import (
+    GroupDual, SemidirectDual, Su2Dual, TorusDual, group_token, parse_group, su2_euler_point,
+)
 from .fields import OperatorField
 from .labels import format_label, parse_label
 from .spectrum import (
@@ -49,8 +51,27 @@ def _matrix_to_json(M: np.ndarray):
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(M, complex)]
 
 
+def _expect(x, kind: type, what: str):
+    if not isinstance(x, kind):
+        raise ValueError(f"{what} must be a {kind.__name__}, got {x!r}")
+    return x
+
+
+def _finite(data, shape: tuple, what: str) -> np.ndarray:
+    """data as an array of finite floats of the given shape (-1: any length)."""
+    try:
+        arr = np.array(data, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = np.array(math.nan)
+    bad_shape = arr.ndim != len(shape) or any(n not in (-1, m) for n, m in zip(shape, arr.shape))
+    if bad_shape or not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite numbers of shape {shape} (-1: any length)")
+    return arr
+
+
 def _matrix_from_json(data):
-    return np.array([[complex(re, im) for re, im in row] for row in data])
+    # each [re, im] pair viewed as one complex number: the bits of complex(re, im)
+    return _finite(data, (-1, -1, 2), "a matrix").view(complex)[..., 0]
 
 
 def element_to_json(u: OperatorField) -> dict:
@@ -64,13 +85,13 @@ def element_to_json(u: OperatorField) -> dict:
 
 
 def element_from_json(data: dict, dual: GroupDual | None = None) -> OperatorField:
-    file_dual = parse_group(data["group"])
+    file_dual = parse_group(_expect(_expect(data, dict, "an element")["group"], str, "group"))
     if dual is not None and dual != file_dual:
         raise ValueError(f"element file is for {data['group']}, expected {group_token(dual)}")
     dual = dual or file_dual
     terms = {}
-    for term in data["terms"]:
-        a = parse_label(dual, term["irrep"])
+    for term in _expect(data["terms"], list, "terms"):
+        a = parse_label(dual, _expect(_expect(term, dict, "a term")["irrep"], str, "irrep"))
         M = _matrix_from_json(term["matrix"])
         terms[a] = terms.get(a, 0) + M
     return OperatorField.from_terms(dual, terms)
@@ -89,16 +110,16 @@ def spectrum_point_to_json(dual: GroupDual, theta) -> dict:
 
 
 def spectrum_point_from_json(data: dict):
-    dual = parse_group(data["group"])
+    dual = parse_group(_expect(_expect(data, dict, "a spectrum point")["group"], str, "group"))
     if isinstance(dual, TorusDual):
-        return dual, TorusSpectrumPoint(tuple(complex(re, im) for re, im in data["z"]))
+        z = _finite(data["z"], (dual.n, 2), "z").tolist()
+        return dual, TorusSpectrumPoint(tuple(complex(re, im) for re, im in z))
     if isinstance(dual, Su2Dual):
-        alpha, beta, gamma = data["euler"]
-        from .duals import su2_euler_point
-
-        return dual, Su2SpectrumPoint(su2_euler_point(alpha, beta, gamma), float(data["lambda"]))
+        alpha, beta, gamma = _finite(data["euler"], (3,), "euler").tolist()
+        lam = float(_finite(data["lambda"], (), "lambda"))
+        return dual, Su2SpectrumPoint(su2_euler_point(alpha, beta, gamma), lam)
     if isinstance(dual, SemidirectDual):
-        re, im = data["z"]
+        re, im = _finite(data["z"], (2,), "z").tolist()
         return dual, SemidirectSpectrumPoint(complex(re, im), bool(data.get("flip", False)))
     raise ValueError(f"no spectrum points for group {data['group']!r}")
 

@@ -25,15 +25,16 @@ import numpy as np
 from .duals import (
     GroupDual,
     ProductDual,
+    ProductSpectrumPoint,
     SemidirectDual,
-    SemidirectPoint,
+    SemidirectSpectrumPoint,
     Su2Dual,
+    Su2SpectrumPoint,
     TorusDual,
-    su2_irrep,
-    su2_irrep_stack,
+    TorusSpectrumPoint,
 )
 from .errors import FamilyMismatchError
-from .fields import OperatorField
+from .fields import OperatorField, evaluate, point_margin
 from .labels import IrrepLabel, format_label
 from .weights import EPS_CLASS, Weight, growth_rate
 
@@ -44,7 +45,6 @@ __all__ = [
     "ProductSpectrumPoint",
     "SpectrumDescription",
     "MembershipResult",
-    "rep_at",
     "point_to_spectrum",
     "spectrum_point_inv",
     "membership",
@@ -54,60 +54,6 @@ __all__ = [
     "conj_rep_residual",
     "strip_bracket",
 ]
-
-_WEYL_FLIP = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
-
-
-@dataclass(frozen=True)
-class TorusSpectrumPoint:
-    z: tuple[complex, ...]
-
-    def __post_init__(self):
-        z = tuple(complex(x) for x in self.z)
-        if any(x == 0 for x in z):
-            raise ValueError("torus spectrum coordinates must be nonzero")
-        object.__setattr__(self, "z", z)
-
-
-@dataclass(frozen=True)
-class Su2SpectrumPoint:
-    """s . diag(lam, 1/lam) with s special unitary; canonicalized to lam >= 1."""
-
-    s: np.ndarray
-    lam: float
-
-    def __post_init__(self):
-        s = np.asarray(self.s, dtype=complex)
-        lam = float(self.lam)
-        if lam <= 0.0:
-            raise ValueError("lam must be positive")
-        if lam < 1.0:
-            # conjugate by the Weyl flip: equivalent point with lam >= 1
-            s = _WEYL_FLIP @ s @ _WEYL_FLIP.conj().T
-            lam = 1.0 / lam
-        s.flags.writeable = False
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "lam", lam)
-
-    def matrix(self) -> np.ndarray:
-        return self.s @ np.diag([self.lam, 1.0 / self.lam]).astype(complex)
-
-
-@dataclass(frozen=True)
-class SemidirectSpectrumPoint:
-    z: complex
-    flip: bool = False
-
-    def __post_init__(self):
-        if complex(self.z) == 0:
-            raise ValueError("spectrum coordinate must be nonzero")
-        object.__setattr__(self, "z", complex(self.z))
-
-
-@dataclass(frozen=True)
-class ProductSpectrumPoint:
-    left: object
-    right: object
 
 
 @dataclass(frozen=True)
@@ -149,52 +95,6 @@ class SpectrumDescription:
         return out
 
 
-# ---------------------------------------------------------------------------
-# representations at spectrum points
-# ---------------------------------------------------------------------------
-
-def rep_at(dual: GroupDual, a: IrrepLabel, theta) -> np.ndarray:
-    """Matrix of the irrep a at a spectrum point (or a plain group point)."""
-    dual._check(a)
-    if isinstance(dual, TorusDual):
-        if isinstance(theta, TorusSpectrumPoint):
-            val = math.prod(z**m for z, m in zip(theta.z, a.mu))
-            return np.array([[val]], dtype=complex)
-        return dual.rep(a, theta)
-    if isinstance(dual, Su2Dual):
-        if isinstance(theta, Su2SpectrumPoint):
-            return su2_irrep(a.n, theta.matrix())
-        return dual.rep(a, theta)
-    if isinstance(dual, SemidirectDual):
-        if isinstance(theta, SemidirectSpectrumPoint):
-            lam = abs(theta.z)
-            angle = float(np.angle(theta.z))
-            base = dual.rep(a, SemidirectPoint(angle, theta.flip))
-            if a.kind != "pi":
-                return base
-            return base @ np.diag([lam**a.m, lam**-a.m]).astype(complex)
-        return dual.rep(a, theta)
-    if isinstance(dual, ProductDual):
-        if isinstance(theta, ProductSpectrumPoint):
-            return np.kron(
-                rep_at(dual.left, a.left, theta.left), rep_at(dual.right, a.right, theta.right)
-            )
-        return dual.rep(a, theta)
-    raise FamilyMismatchError(f"unknown dual {dual!r}")
-
-
-def _reps_at(dual: GroupDual, labels, theta) -> list[np.ndarray]:
-    """rep_at at each label in turn; on SU(2) and SO(3) one irrep stack up to
-    the largest spin gives them all (its level n is su2_irrep(n, .))."""
-    labels = tuple(labels)
-    if isinstance(dual, Su2Dual) and labels:
-        dual._check(*labels)
-        g = theta.matrix() if isinstance(theta, Su2SpectrumPoint) else theta
-        stack = su2_irrep_stack(max(a.n for a in labels), np.asarray(g, dtype=complex)[None])
-        return [stack[a.n][0] for a in labels]
-    return [rep_at(dual, a, theta) for a in labels]
-
-
 def point_to_spectrum(dual: GroupDual, s):
     """Embed a group point as a spectrum point with trivial positive part."""
     if isinstance(dual, TorusDual):
@@ -215,7 +115,7 @@ def spectrum_point_inv(dual: GroupDual, theta):
 
     Membership margins and norms are conjugation invariant, so the returned
     point is interchangeable with the true inverse for those purposes.  Where
-    exact matrices of the inverse are needed, use :func:`rep_at_inverse`.
+    exact matrices of the inverse are needed, use :func:`_exact_inverse`.
     """
     if isinstance(theta, TorusSpectrumPoint):
         return TorusSpectrumPoint(tuple(1.0 / z for z in theta.z))
@@ -244,20 +144,14 @@ def _su2_polar_point(M: np.ndarray) -> Su2SpectrumPoint:
     return Su2SpectrumPoint(s, float(sv[0]))
 
 
-def rep_at_inverse(dual: GroupDual, a: IrrepLabel, theta) -> np.ndarray:
-    """Exact matrix of the irrep a at the true inverse of theta."""
-    if isinstance(theta, TorusSpectrumPoint):
-        return rep_at(dual, a, TorusSpectrumPoint(tuple(1.0 / z for z in theta.z)))
+def _exact_inverse(theta):
+    """The true inverse of theta as a point ``dual.reps`` takes: on SU(2) the
+    plain matrix, elsewhere :func:`spectrum_point_inv`, which is exact there."""
     if isinstance(theta, Su2SpectrumPoint):
-        return su2_irrep(a.n, np.linalg.inv(theta.matrix()))
-    if isinstance(theta, SemidirectSpectrumPoint):
-        return rep_at(dual, a, spectrum_point_inv(dual, theta))
+        return np.linalg.inv(theta.matrix())
     if isinstance(theta, ProductSpectrumPoint):
-        return np.kron(
-            rep_at_inverse(dual.left, a.left, theta.left),
-            rep_at_inverse(dual.right, a.right, theta.right),
-        )
-    raise FamilyMismatchError(f"no inverse representation at {theta!r}")
+        return ProductSpectrumPoint(_exact_inverse(theta.left), _exact_inverse(theta.right))
+    return spectrum_point_inv(None, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -271,19 +165,9 @@ def membership(dual: GroupDual, theta, w: Weight, cutoff: int = 64, tol: float =
     above 1 certifies non-membership; a margin below 1 is evidence bounded
     by the truncation.
     """
-    best, arg = 0.0, format_label(dual.trivial)
-    labels = dual.ball(cutoff)
-    for a, R in zip(labels, _reps_at(dual, labels, theta)):
-        val = float(np.linalg.norm(R, 2)) / w(a)
-        if val > best:
-            best, arg = val, format_label(a)
+    best, arg = point_margin(dual, theta, w, cutoff)
     member = best <= 1.0 + tol
-    return MembershipResult(best, member, not member, cutoff, arg)
-
-
-def _probe_radius(dual, w, probe, n_max):
-    cert = growth_rate(dual, w, probe, n_max)
-    return cert.rho_slope
+    return MembershipResult(best, member, not member, cutoff, format_label(arg))
 
 
 def spectrum_bounds(
@@ -302,7 +186,7 @@ def spectrum_bounds(
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     probes = tuple(probes) if probes is not None else dual.generators()
-    radii = {format_label(p): _probe_radius(dual, w, p, n_max) for p in probes}
+    radii = {format_label(p): growth_rate(dual, w, p, n_max).rho_slope for p in probes}
     equals = all(abs(r - 1.0) <= eps_class for r in radii.values())
     return SpectrumDescription(dual.family, w.descriptor, n_max, radii, equals)
 
@@ -312,11 +196,10 @@ def spectrum_bounds(
 # ---------------------------------------------------------------------------
 
 def char_eval(dual: GroupDual, theta, u: OperatorField) -> complex:
-    """Value of the multiplicative functional theta on u."""
-    total = 0.0 + 0.0j
-    for (a, M), R in zip(u.coeffs.items(), _reps_at(dual, u.coeffs, theta)):
-        total += dual.dim(a) * complex(np.trace(M @ R))
-    return total
+    """Value of the multiplicative functional theta on u: u evaluated at theta."""
+    if dual != u.dual:
+        raise FamilyMismatchError(f"a field on {u.dual!r} at a point of {dual!r}")
+    return evaluate(u, theta)
 
 
 def _positive_log_eigs(dual, a, theta):
@@ -351,8 +234,8 @@ def analytic_eval(dual: GroupDual, u: OperatorField, theta, z: complex) -> compl
 def conj_rep_residual(dual: GroupDual, theta, a: IrrepLabel) -> float:
     """|| conjugate-rep(theta) - rep(theta^{-1})^T || via the explicit conjugator."""
     abar, J = dual.conj_intertwiner(a)
-    lhs = J @ rep_at(dual, abar, theta) @ J.conj().T
-    rhs = rep_at_inverse(dual, a, theta).T
+    lhs = J @ dual.rep(abar, theta) @ J.conj().T
+    rhs = dual.rep(a, _exact_inverse(theta)).T
     return float(np.max(np.abs(lhs - rhs)))
 
 

@@ -54,7 +54,6 @@ class Weight:
     fn: object
     descriptor: str
     symmetric: bool = True
-    bounded: bool = True
     su2_monotone: bool = False  # nondecreasing in the Su2Spin index
     warnings: tuple[str, ...] = ()
     log_fn: object = None  # exact log evaluator; keeps growth scans in range
@@ -85,13 +84,6 @@ class Weight:
             v = float(self.log_fn(a)) if self.log_fn is not None else math.log(self(a))
             self._log_cache[a] = v
         return v
-
-    def of_support(self, labels) -> float:
-        """Weight of a reducible object: the max over its irreducible support."""
-        return max(self(a) for a in labels)
-
-    def log_of_support(self, labels) -> float:
-        return max(self.log_value(a) for a in labels)
 
 
 @dataclass(frozen=True)
@@ -208,7 +200,10 @@ def _spec_to_str(d: dict) -> str:
 
 
 def _finite(kind: str, name: str, x) -> float:
-    x = float(x)
+    try:
+        x = float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise WeightSpecError(f"{kind} weight needs a number for {name}, got {x!r}") from None
     if not math.isfinite(x):
         raise WeightSpecError(f"{kind} weight needs a finite {name}, got {x}")
     return x
@@ -217,6 +212,8 @@ def _finite(kind: str, name: str, x) -> float:
 def make_weight(dual: GroupDual, spec: str | dict) -> Weight:
     """Build a weight from a recipe string or its JSON dict form."""
     d = _parse_spec(spec) if isinstance(spec, str) else spec
+    if not isinstance(d, dict):
+        raise WeightSpecError(f"a weight is a recipe string or an object, got {spec!r}")
     kind = d.get("kind")
     if kind == "const":
         c = _finite(kind, "c", d["c"])
@@ -237,6 +234,8 @@ def make_weight(dual: GroupDual, spec: str | dict) -> Weight:
             log_fn=lambda a: alpha * math.log1p(dual.word_length(a)),
         )
     if kind == "exp":
+        if not isinstance(d["lam"], list):
+            raise WeightSpecError(f"exp weight needs a list lam, got {d['lam']!r}")
         lam = [_finite(kind, "lambda", x) for x in d["lam"]]
         if any(x < 1.0 for x in lam):
             raise WeightSpecError(f"exp weight needs lambda >= 1, got {lam}")
@@ -268,13 +267,14 @@ def make_weight(dual: GroupDual, spec: str | dict) -> Weight:
 
         return Weight(dual, fn, _spec_to_str(d), su2_monotone=True, log_fn=log_fn)
     if kind == "prod":
+        if not isinstance(d["factors"], list) or len(d["factors"]) != 2:
+            raise WeightSpecError(f"prod takes a list of two recipes, got {d['factors']!r}")
         f1, f2 = (make_weight(dual, f) for f in d["factors"])
         return Weight(
             dual,
             lambda a: f1(a) * f2(a),
             f"prod({f1.descriptor},{f2.descriptor})",
             symmetric=f1.symmetric and f2.symmetric,
-            bounded=f1.bounded and f2.bounded,
             su2_monotone=f1.su2_monotone and f2.su2_monotone,
             log_fn=lambda a: f1.log_value(a) + f2.log_value(a),
         )
@@ -288,12 +288,13 @@ def make_weight(dual: GroupDual, spec: str | dict) -> Weight:
             lambda a: base(a) ** alpha,
             f"pow({base.descriptor},{alpha:g})",
             symmetric=base.symmetric,
-            bounded=base.bounded,
             su2_monotone=base.su2_monotone,
             log_fn=lambda a: alpha * base.log_value(a),
         )
     if kind == "table":
         base = make_weight(dual, d.get("base", {"kind": "const", "c": 1.0}))
+        if not isinstance(d.get("entries", {}), dict):
+            raise WeightSpecError(f"table entries must be an object, got {d['entries']!r}")
         entries = {
             parse_label(dual, k): _finite(kind, "entry", v) for k, v in d.get("entries", {}).items()
         }
@@ -303,7 +304,7 @@ def make_weight(dual: GroupDual, spec: str | dict) -> Weight:
         def fn(a, _e=entries, _b=base):
             return _e.get(a, _b(a))
 
-        return Weight(dual, fn, "table(...)", symmetric=False, bounded=base.bounded)
+        return Weight(dual, fn, "table(...)", symmetric=False)
     raise WeightSpecError(f"unknown recipe kind {kind!r}")
 
 
@@ -350,17 +351,9 @@ def validate(dual: GroupDual, w: Weight, depth: int = 12, tol: float = 1e-9) -> 
 # growth
 # ---------------------------------------------------------------------------
 
-def _power_log_values(dual, w, S, n_max, cap):
-    """log w of the k-fold tensor powers of S, k = 1..n_max (max over support).
-
-    Supports step as lattice masks; ``w.log_value`` runs once per label the
-    support reaches (see :meth:`GroupDual.power_maxima`).
-    """
-    return dual.power_maxima(S, n_max, w.log_value, cap)
-
-
 def _certificate(dual, w, label, n_max, cap, eps_class):
-    logs = _power_log_values(dual, w, (label,), n_max, cap)
+    # log w of the k-fold tensor powers of the label, k = 1..n_max (max over support)
+    logs = dual.power_maxima((label,), n_max, w.log_value, cap)
     seq = []
     rho_hat = math.inf
     for n, lv in enumerate(logs, start=1):
@@ -445,7 +438,6 @@ def restrict_weight(w: Weight, cap: int = 512) -> Weight:
         fn,
         f"restrict({w.descriptor})",
         symmetric=True,
-        bounded=w.bounded,
         warnings=warnings,
     )
 
@@ -460,6 +452,5 @@ def quotient_weight(w: Weight) -> Weight:
         lambda a: w(so3_lift(a.n // 2)),  # SO(3) label m is the spin 2m
         f"quotient({w.descriptor})",
         symmetric=w.symmetric,
-        bounded=w.bounded,
         su2_monotone=w.su2_monotone,
     )

@@ -16,7 +16,7 @@ from bfw.serialize import (
     spectrum_point_from_json,
     spectrum_point_to_json,
 )
-from bfw.spectrum import SemidirectSpectrumPoint, Su2SpectrumPoint, rep_at
+from bfw.spectrum import SemidirectSpectrumPoint, Su2SpectrumPoint, TorusSpectrumPoint
 
 from conftest import fields_close, random_field
 
@@ -195,6 +195,17 @@ def test_norm_sum_overflow_exit_code():
     assert code == 4 and out == ""
 
 
+def test_l2_norm_past_the_overflowing_sum(tmp_path):
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"group": "torus:1", "terms": [{"irrep": "t:(1)", "matrix": [[[2, 0]]]}]}))
+    code, out = run(["norm", "--kind", "l2", "--group", "torus:1", "--weight", "exp:lambda=1e308",
+                     "--element", str(path)])
+    assert code == 0 and json.loads(out)["result"]["value"] == 2e154
+    code, out = run(["norm", "--kind", "l2", "--group", "torus:1", "--weight", "exp:lambda=1e308",
+                     "--element", "char:t:(1)"])
+    assert code == 0 and json.loads(out)["result"]["value"] == 1e154
+
+
 @pytest.mark.parametrize("weight", [
     "exp:lambda=nan", "poly:alpha=inf", '{"kind": "table", "entries": {"pi:1": Infinity}}',
 ])
@@ -239,11 +250,11 @@ def test_spectrum_point_round_trip(su2, sd, t1, rng):
     pts = [
         (su2, Su2SpectrumPoint(su2.random_point(rng), 1.7)),
         (sd, SemidirectSpectrumPoint(1.3 * np.exp(0.8j), True)),
-        (t1, __import__("bfw.spectrum", fromlist=["TorusSpectrumPoint"]).TorusSpectrumPoint((0.5 + 0.2j,))),
+        (t1, TorusSpectrumPoint((0.5 + 0.2j,))),
     ]
     for dual, theta in pts:
         doc = spectrum_point_to_json(dual, theta)
         dual2, back = spectrum_point_from_json(json.loads(json.dumps(doc)))
         assert dual2 == dual
         for a in dual.ball(3):
-            assert np.allclose(rep_at(dual, a, back), rep_at(dual, a, theta), atol=1e-9)
+            assert np.allclose(dual.rep(a, back), dual.rep(a, theta), atol=1e-9)

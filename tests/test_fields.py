@@ -82,6 +82,20 @@ def test_a_norm_overflow_is_typed(su2, t1):
         norm_a_omega(u, w)
 
 
+def test_l2_norm_past_the_overflowing_sum(su2, t1):
+    # 2^2 * 1e308 overflows, the norm 2e154 does not
+    w = make_weight(t1, "exp:lambda=1e308")
+    assert norm_l2_omega(OperatorField.from_terms(t1, {TorusChar((1,)): [[2.0]]}), w) == 2e154
+    u = OperatorField.from_terms(t1, {TorusChar((k,)): [[3.0]] for k in (-1, 1)})
+    assert abs(norm_l2_omega(u, w) / (3e154 * np.sqrt(2.0)) - 1.0) < 1e-15
+    # a finite sum keeps the plain formula, bit for bit
+    v = OperatorField.from_terms(su2, {Su2Spin(1): np.diag([1.0, 3.0]), Su2Spin(2): np.eye(3)})
+    wd = make_weight(su2, "poly:alpha=2")
+    assert norm_l2_omega(v, wd) == float(np.sqrt(10.0 * 2 * 4.0 + 3.0 * 3 * 9.0))
+    with pytest.raises(WeightOverflowError):
+        norm_l2_omega(OperatorField.from_terms(t1, {TorusChar((1,)): [[1e160]]}), w)
+
+
 def test_single_coefficient_norm(su2, rng):
     # || (pi(.) eta, xi) || = |xi| |eta| w(pi)
     w = make_weight(su2, "poly:alpha=1")

@@ -23,7 +23,6 @@ from bfw.spectrum import (
     conj_rep_residual,
     membership,
     point_to_spectrum,
-    rep_at,
     spectrum_bounds,
     spectrum_point_inv,
     strip_bracket,
@@ -186,7 +185,7 @@ def test_semidirect_flip_involution(sd):
     inv = spectrum_point_inv(sd, th)
     lab = SemidirectLabel("pi", 2)
     assert np.allclose(
-        rep_at(sd, lab, th) @ rep_at(sd, lab, inv), np.eye(2), atol=1e-12
+        sd.rep(lab, th) @ sd.rep(lab, inv), np.eye(2), atol=1e-12
     )
 
 
