@@ -164,7 +164,7 @@ class SmoothingKernel:
     tail_estimate: float  # crude continuation of the squared-weighted tail
 
 
-def smoothing_kernel(dual: GroupDual, m: float, cutoff: int, w2: Weight | None = None) -> SmoothingKernel:
+def smoothing_kernel(dual: GroupDual, m: float, cutoff: int, w2: Weight) -> SmoothingKernel:
     cas = CasimirData(dual)
     terms = {}
     for a in dual.ball(cutoff):
@@ -174,8 +174,7 @@ def smoothing_kernel(dual: GroupDual, m: float, cutoff: int, w2: Weight | None =
     for a in dual.ball(4 * cutoff):
         if dual.word_length(a) <= cutoff:
             continue
-        ww = w2(a) if w2 is not None else 1.0
-        tail += dual.dim(a) ** 2 * ww / (1.0 + cas.eigenvalue(a)) ** (2 * m)
+        tail += dual.dim(a) ** 2 * w2(a) / (1.0 + cas.eigenvalue(a)) ** (2 * m)
     return SmoothingKernel(m, cutoff, fld, tail)
 
 
@@ -229,15 +228,15 @@ def smooth_embedding_check(
 # e^{itu}
 # ---------------------------------------------------------------------------
 
-def _self_adjoint_residual(u: OperatorField) -> float:
-    diff = involution(u) - u
-    if diff.is_zero():
-        return 0.0
-    return max(float(np.max(np.abs(M))) for M in diff.coeffs.values())
+GRID_PAD = 32  # the least padding of an e^{itu} quadrature grid beyond the cutoff
+CUTOFF_RATE, CUTOFF_MARGIN = 1.2, 24  # adaptive first cutoff ceil(rate |t| sup|u|) + margin
+SLOPE_SLACK = 0.5  # a growth curve passes with slope <= dim/2 + alpha + slack
+BUMP_PERIOD = 4.0  # period of the separating functions' bump series
 
 
 def _check_self_adjoint(u: OperatorField) -> None:
-    res = _self_adjoint_residual(u)
+    diff = involution(u) - u
+    res = max((float(np.max(np.abs(M))) for M in diff.coeffs.values()), default=0.0)
     if res > 1e-10:
         raise ValueError(f"u is not self-adjoint (residual {res:.2e})")
 
@@ -260,22 +259,91 @@ def exp_itu(
     t: float,
     cutoff: int,
     tail_tol: float = 1e-6,
-    grid_pad: int | None = None,
 ) -> tuple[OperatorField, float]:
     """Coefficients of e^{itu} up to the cutoff, with the Parseval defect.
 
-    ``u`` must be self-adjoint (checked).  The SU(2) path requires u central
-    and uses the one-dimensional class-angle quadrature with the square-sine
-    class weight; tori go through the product grid.  The defect
-    |1 - sum d ||coef||_2^2| measures the mass outside the cutoff; above
-    ``tail_tol`` an insufficient-cutoff error carries it.
+    ``u`` must be self-adjoint (checked), and central on SU(2) and SO(3).
+    The defect |1 - sum d ||coef||_2^2| measures the mass outside the cutoff;
+    above ``tail_tol`` (finite and >= 0) an insufficient-cutoff error carries
+    it.
     """
+    if not (math.isfinite(tail_tol) and tail_tol >= 0.0):
+        raise ValueError(f"tail_tol must be finite and >= 0, got {tail_tol!r}")
     _check_self_adjoint(u)
+    grid = _exp_grids(dual, u)(cutoff)
+    coef, defect = grid(t, tail_tol)
+    return _scalar_field(dual, grid.labels, coef, range(coef.size)), defect
+
+
+def _exp_grids(dual: GroupDual, u: OperatorField):
+    """The function cutoff -> e^{itu} grid of that cutoff for this u."""
     if isinstance(dual, TorusDual):
-        return _exp_itu_torus(dual, u, t, cutoff, tail_tol, grid_pad)
+        return lambda cutoff: _TorusExpGrid(dual, u, cutoff)
     if isinstance(dual, Su2Dual):
-        return _exp_itu_su2(dual, u, t, cutoff, tail_tol, grid_pad)
+        parts = _su2_central_parts(u)
+        if parts is None:
+            raise ValueError("the SU(2) path needs a central u (a series in characters)")
+        return lambda cutoff: _Su2ExpGrid(parts, cutoff)
     raise FamilyMismatchError(f"e^{{itu}} not implemented on {dual!r}")
+
+
+class _Su2ExpGrid:
+    """e^{itu} for a central u on SU(2) and SO(3), spins 0..cutoff; called at
+    (t, tail_tol), it gives the coefficient per spin and the Parseval defect.
+
+    ``vals`` holds u at the midpoint class angles theta_j of a uniform grid
+    over the doubled period; ``kernel[n, j] = (2/m) sin((n+1) theta_j)
+    sin(theta_j)`` maps the values of a class function there to its trace
+    weights b_n.  Both are independent of t.
+    """
+
+    def __init__(self, parts: dict, cutoff: int):
+        self.cutoff = cutoff
+        m = 2 * (cutoff + max(GRID_PAD, cutoff // 2)) + 2
+        theta = 2.0 * np.pi * (np.arange(m) + 0.5) / m
+        self.vals = np.zeros(m, dtype=complex)
+        sin_t = np.sin(theta)
+        for n, b in parts.items():
+            self.vals += b * (np.sin((n + 1) * theta) / sin_t)
+        ns = np.arange(cutoff + 1)
+        self.kernel = (2.0 / m) * (np.sin(np.outer(ns + 1, theta)) * sin_t)  # (cutoff+1, m)
+
+    @property
+    def labels(self):
+        return [Su2Spin(n) for n in range(self.cutoff + 1)]
+
+    def __call__(self, t: float, tail_tol: float):
+        # one matrix-vector product per t: stacking several t into one matrix
+        # product changes the last bits of the result
+        b = self.kernel @ np.exp(1j * t * self.vals)
+        defect = abs(1.0 - float(np.sum(np.abs(b) ** 2)))
+        if defect > tail_tol:
+            raise InsufficientCutoffError(defect, self.cutoff)
+        # trace weight b_n is the coefficient b_n I/(n+1), read as 0 where |b_n| <= 1e-300
+        return np.where(np.abs(b) > 1e-300, b / np.arange(1, b.size + 1), 0.0), defect
+
+
+class _TorusExpGrid:
+    """e^{itu} on a torus, labels ball(cutoff): the FFT of e^{itu} on the
+    product grid of m uniform angles per axis, read at each label."""
+
+    def __init__(self, dual: TorusDual, u: OperatorField, cutoff: int):
+        m = 2 * (cutoff + max(GRID_PAD, cutoff)) + 1
+        self.cutoff = cutoff
+        self.vals = _torus_values(u, m)
+        self.labels = dual.ball(cutoff)
+        self.index = tuple((np.array([a.mu for a in self.labels]) % m).T)
+
+    def __call__(self, t: float, tail_tol: float):
+        g = np.exp(1j * t * self.vals)
+        coef = np.fft.fftn(g)[self.index] / g.size
+        mass = 0.0
+        for c in coef:  # scalar abs: the array np.abs differs in the last bit
+            mass += abs(c) ** 2
+        defect = abs(1.0 - mass)
+        if defect > tail_tol:
+            raise InsufficientCutoffError(defect, self.cutoff)
+        return coef, defect
 
 
 def _torus_values(u: OperatorField, m: int) -> np.ndarray:
@@ -287,78 +355,16 @@ def _torus_values(u: OperatorField, m: int) -> np.ndarray:
     return vals
 
 
-def _exp_itu_torus(dual, u, t, cutoff, tail_tol, grid_pad):
-    pad = grid_pad if grid_pad is not None else max(32, cutoff)
-    m = 2 * (cutoff + pad) + 1
-    g = np.exp(1j * t * _torus_values(u, m))
-    spec = np.fft.fftn(g) / g.size
-    terms = {}
-    mass = 0.0
-    for a in dual.ball(cutoff):
-        idx = tuple(mu_j % m for mu_j in a.mu)
-        c = spec[idx]
-        terms[a] = np.array([[c]])
-        mass += abs(c) ** 2
-    defect = abs(1.0 - mass)
-    if defect > tail_tol:
-        raise InsufficientCutoffError(defect, cutoff)
-    return OperatorField.from_terms(dual, terms), defect
-
-
-def _exp_itu_su2(dual, u, t, cutoff, tail_tol, grid_pad):
-    parts = _su2_central_parts(u)
-    if parts is None:
-        raise ValueError("the SU(2) path needs a central u (a series in characters)")
-    b_t, defect = _su2_exp_weights(_su2_class_grid(parts, cutoff, grid_pad), t, tail_tol)
-    ns = np.arange(cutoff + 1)
-    # trace weight b_n is the coefficient b_n I/(n+1)
-    return _su2_scalar_field(dual, b_t / (ns + 1), ns[np.abs(b_t) > 1e-300]), defect
-
-
-def _su2_class_grid(parts: dict, cutoff: int, grid_pad: int | None = None):
-    """(vals, kernel) for e^{itu} with central u on SU(2) up to the cutoff.
-
-    vals holds u at the midpoint class angles theta_j of a uniform grid over
-    the doubled period; kernel[n, j] = (2/m) sin((n+1) theta_j) sin(theta_j)
-    maps the values of a class function there to its trace weights b_n.
-    Both are independent of t.
-    """
-    pad = grid_pad if grid_pad is not None else max(32, cutoff // 2)
-    m = 2 * (cutoff + pad) + 2
-    theta = 2.0 * np.pi * (np.arange(m) + 0.5) / m
-    vals = np.zeros(m, dtype=complex)
-    sin_t = np.sin(theta)
-    for n, b in parts.items():
-        vals += b * (np.sin((n + 1) * theta) / sin_t)
-    ns = np.arange(cutoff + 1)
-    kernel = (2.0 / m) * (np.sin(np.outer(ns + 1, theta)) * sin_t)  # (cutoff+1, m)
-    return vals, kernel
-
-
-def _su2_exp_weights(grid, t: float, tail_tol: float):
-    """Trace weights b_n (n <= cutoff) of e^{itu} and the Parseval defect.
-
-    One matrix-vector product per t: stacking several t into one matrix
-    product changes the last bits of the result.
-    """
-    vals, kernel = grid
-    b_t = kernel @ np.exp(1j * t * vals)
-    defect = abs(1.0 - float(np.sum(np.abs(b_t) ** 2)))
-    if defect > tail_tol:
-        raise InsufficientCutoffError(defect, b_t.size - 1)
-    return b_t, defect
-
-
-def _su2_scalar_field(dual, diag, spins) -> OperatorField:
-    """The field with coefficient diag[n] I at each spin n the dual contains,
-    in the given order.
+def _scalar_field(dual, labels, coef, positions) -> OperatorField:
+    """The field with coefficient coef[i] I at labels[i], for each position i
+    in the given order whose label the dual contains.
 
     On SO(3) the odd spins are dropped: u is even under the center, so there
     the class-angle quadrature leaves only rounding noise (about 1e-17).
     """
-    spins = [Su2Spin(int(n)) for n in spins]
+    pairs = ((labels[i], coef[i]) for i in positions)
     return OperatorField.from_terms(
-        dual, {a: diag[a.n] * np.eye(a.n + 1) for a in spins if dual.contains(a)}
+        dual, {a: c * np.eye(dual.dim(a)) for a, c in pairs if dual.contains(a)}
     )
 
 
@@ -368,24 +374,20 @@ def exp_itu_auto(
     t: float,
     cutoff_cap: int,
     tail_tol: float = 1e-6,
-    rate: float = 1.2,
-    margin: int = 24,
 ) -> tuple[OperatorField, float, int]:
-    """Adaptive cutoff: grows with |t| (ceil(rate * |t| * sup|u|) + margin),
-    doubling on defect failures up to the cap."""
-    if not isinstance(dual, (TorusDual, Su2Dual)):  # exp_itu's check, before _sup_abs reads labels
-        raise FamilyMismatchError(f"e^{{itu}} not implemented on {dual!r}")
+    """Adaptive cutoff: grows with |t| (ceil(1.2 |t| sup|u|) + 24), doubling
+    on defect failures up to the cap."""
     sup = _sup_abs(dual, u)
     (fld, defect), n = _with_doubling(
-        lambda n: exp_itu(dual, u, t, n, tail_tol), t, sup, cutoff_cap, rate, margin
+        lambda n: exp_itu(dual, u, t, n, tail_tol), t, sup, cutoff_cap
     )
     return fld, defect, n
 
 
-def _with_doubling(attempt, t, sup, cutoff_cap, rate=1.2, margin=24):
+def _with_doubling(attempt, t, sup, cutoff_cap):
     """(attempt(n), n) for the first cutoff n that raises no insufficient-cutoff
-    error, from ceil(rate * |t| * sup) + margin doubling up to the cap."""
-    n = min(cutoff_cap, int(math.ceil(rate * abs(t) * sup)) + margin)
+    error, from ceil(CUTOFF_RATE |t| sup) + CUTOFF_MARGIN doubling up to the cap."""
+    n = min(cutoff_cap, int(math.ceil(CUTOFF_RATE * abs(t) * sup)) + CUTOFF_MARGIN)
     while True:
         try:
             return attempt(n), n
@@ -398,13 +400,11 @@ def _with_doubling(attempt, t, sup, cutoff_cap, rate=1.2, margin=24):
 def _sup_abs(dual, u) -> float:
     if isinstance(dual, TorusDual):
         return float(np.max(np.abs(_torus_values(u, 256))))
+    if not isinstance(dual, Su2Dual):
+        raise FamilyMismatchError(f"e^{{itu}} not implemented on {dual!r}")
     parts = _su2_central_parts(u)
     if parts is None:
         raise ValueError("sup estimate needs a central u on SU(2)")
-    return _su2_sup_abs(parts)
-
-
-def _su2_sup_abs(parts: dict) -> float:
     theta = np.pi * (np.arange(512) + 0.5) / 512
     vals = np.zeros(512, dtype=complex)
     for n, b in parts.items():
@@ -444,12 +444,11 @@ def growth_curve(
     t_list,
     cutoff_cap: int = 120,
     tail_tol: float = 1e-6,
-    slope_slack: float = 0.5,
 ) -> GrowthCurve:
     """Weighted norms of e^{itu} with the polynomial reference bound.
 
     The log-log slope is fitted over the largest decade of t; the pass flag
-    compares it against (group dimension)/2 + alpha + slack.
+    compares it against (group dimension)/2 + alpha + SLOPE_SLACK.
     """
     alpha = _poly_alpha(w)
     exponent = dual.lie_dim() / 2.0 + alpha
@@ -464,7 +463,7 @@ def growth_curve(
         slope = float(np.polyfit(np.log1p(ts[sel]), np.log(norms[sel]), 1)[0])
     else:
         slope = float("nan")
-    passed = bool(slope <= exponent + slope_slack)
+    passed = bool(slope <= exponent + SLOPE_SLACK)
     return GrowthCurve(tuple(rows), slope, exponent, passed)
 
 
@@ -476,10 +475,8 @@ class SplineBump:
     """Piecewise-polynomial bump, exactly C^k: 0 on [-0.2, 0.2] and outside
     [0.2, 1.8], 1 on [0.8, 1.2], glued with order-k smoothstep ramps."""
 
-    def __init__(self, k: int, rise=(0.2, 0.8), fall=(1.2, 1.8)):
+    def __init__(self, k: int):
         self.k = int(k)
-        self.rise = rise
-        self.fall = fall
 
     def _step(self, x):
         # regularized incomplete-beta smoothstep of order k on [0, 1]
@@ -494,15 +491,14 @@ class SplineBump:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        r0, r1 = self.rise
-        f0, f1 = self.fall
+        r0, r1, f0, f1 = 0.2, 0.8, 1.2, 1.8
         up = self._step((x - r0) / (r1 - r0))
         down = self._step((f1 - x) / (f1 - f0))
         return np.where(x <= r0, 0.0, np.where(x >= f1, 0.0, np.minimum(up, down)))
 
-    def fourier_series(self, period: float = 4.0, n_modes: int = 256, samples: int = 1 << 16):
-        """Coefficients c_m of the periodization: phi(x) = sum c_m e^{2 pi i m x / period}."""
-        xs = -period / 2.0 + period * np.arange(samples) / samples
+    def fourier_series(self, n_modes: int = 256, samples: int = 1 << 16):
+        """Coefficients c_m of the periodization: phi(x) = sum c_m e^{2 pi i m x / BUMP_PERIOD}."""
+        xs = -BUMP_PERIOD / 2.0 + BUMP_PERIOD * np.arange(samples) / samples
         spec = np.fft.fft(self(xs)) / samples
         ms = np.arange(-n_modes, n_modes + 1)
         # grid starts at -period/2: undo the translation phase
@@ -541,7 +537,6 @@ def separating_function(
     n_modes: int = 160,
     cutoff_cap: int = 512,
     sample_points: int = 1000,
-    rng=None,
 ) -> SeparatingReport:
     """Build v with v ~ 0 where u0 ~ 0 and v ~ 1 where u0 ~ 1.
 
@@ -549,105 +544,99 @@ def separating_function(
     periodized with period P = 4; since u0 takes values well inside a period,
     the periodization is exact and v(x) = bump(u0(x)) up to the dropped-mode
     tail.  Each exponential gets the cutoff :func:`exp_itu_auto` would give
-    it.  On SU(2) and SO(3) the exponentials are trace-weight vectors on
-    class-angle grids shared by the modes +-m and summed as one vector; the
-    field is built once, equal bit for bit to the sum of the
-    :func:`exp_itu_auto` fields.  Tori sum the fields.
+    it, and the field equals the sum of those fields bit for bit.
     """
     if smoothness is None:
         smoothness = math.ceil(dual.lie_dim() / 2.0 + alpha + 2.0)
     bump = SplineBump(smoothness)
-    period = 4.0
-    ms, coefs = bump.fourier_series(period=period, n_modes=n_modes)
-    tail = _bump_tail_estimate(bump, period, n_modes)
+    ms, coefs = bump.fourier_series(n_modes=n_modes)
+    tail = _bump_tail_estimate(bump, n_modes)
     modes = [(mm, c) for mm, c in zip(ms, coefs) if abs(c) >= 1e-14]
-    if isinstance(dual, Su2Dual):
-        acc = _su2_separating_field(dual, u0, modes, period, cutoff_cap)
-    else:
-        acc = None
-        for mm, c in modes:
-            t = 2.0 * np.pi * mm / period
-            fld, _, _ = exp_itu_auto(dual, u0, t, cutoff_cap)
-            piece = c * fld
-            acc = piece if acc is None else acc + piece
-    rng = rng or np.random.default_rng(0)
-    err = 0.0
-    if sample_points <= 0:
-        pass
-    elif isinstance(dual, Su2Dual):
-        # central fields only depend on the class angle; evaluate all sample
-        # points through it (identical to the matrix-trace evaluation)
-        angles = np.array(
-            [su2_class_angle(dual.random_point(rng)) for _ in range(sample_points)]
-        )
-        v_vals = central_values(dual, acc, angles)
-        u_vals = central_values(dual, u0, angles)
-        err = float(np.max(np.abs(v_vals - bump(np.real(u_vals)))))
-    else:
-        for _ in range(sample_points):
-            s = dual.random_point(rng)
-            v_val = evaluate(acc, s)
-            u_val = evaluate(u0, s)
-            err = max(err, abs(v_val - complex(bump(float(np.real(u_val))))))
-    return SeparatingReport(acc, tail, err)
+    acc = _separating_field(dual, u0, modes, cutoff_cap)
+    return SeparatingReport(acc, tail, _sampled_error(dual, acc, u0, bump, sample_points))
 
 
-def _su2_separating_field(dual, u0, modes, period, cutoff_cap) -> OperatorField:
-    """sum_m c_m e^{2 pi i (m/P) u0} on SU(2) through trace-weight vectors.
+def _separating_field(dual, u0, modes, cutoff_cap) -> OperatorField:
+    """sum_m c_m e^{2 pi i (m/P) u0} through coefficient vectors.
 
     Mirrors the field sum of c_m * exp_itu_auto(dual, u0, t_m, cutoff_cap)[0]
-    exactly.  There each spin n carries a scalar matrix, so only its diagonal
-    entry matters: b_n/(n+1) in the exponential, c_m times that in the piece,
-    and a running sum in the accumulator.  The same PRUNE_TOL test drops a
-    spin at each of those three points, and spins enter the result in the
-    order the field sums insert them.
+    exactly.  There each label carries a scalar matrix, so only its diagonal
+    entry matters: the coefficient in the exponential, c_m times that in the
+    piece, and a running sum in the accumulator.  The same PRUNE_TOL test
+    drops a label at each of those three points, and labels enter the result
+    in the order the field sums insert them.  A position indexes the labels of
+    the largest cutoff used; each smaller cutoff's labels are a prefix of them
+    (spins 0..n, or a torus ball sorted by word length).
     """
-    parts = _su2_central_parts(u0)
-    if parts is None:
-        raise ValueError("sup estimate needs a central u on SU(2)")
-    sup = _su2_sup_abs(parts)
+    sup = _sup_abs(dual, u0)
     _check_self_adjoint(u0)
+    grid_of = _exp_grids(dual, u0)
     # the exponentials, the modes +-m together: they start from the same cutoff
     # and share its grid; a failing mode raises when the sum reaches it
     by_size: dict[int, list[int]] = {}
     for i, (mm, _) in enumerate(modes):
         by_size.setdefault(abs(int(mm)), []).append(i)
-    trace_weights: list = [None] * len(modes)
+    exps: list = [None] * len(modes)
+    top = None  # the grid of the largest cutoff used
     for same_size in by_size.values():
-        grids: dict[int, tuple] = {}
+        grids = {}
         for i in same_size:
-            t = 2.0 * np.pi * modes[i][0] / period
+            t = 2.0 * np.pi * modes[i][0] / BUMP_PERIOD
 
             def attempt(n):
                 if n not in grids:
-                    grids[n] = _su2_class_grid(parts, n)
-                return _su2_exp_weights(grids[n], t, 1e-6)[0]
+                    grids[n] = grid_of(n)
+                return grids[n](t, 1e-6)[0]
 
             try:
-                trace_weights[i] = _with_doubling(attempt, t, sup, cutoff_cap)[0]
+                exps[i], n = _with_doubling(attempt, t, sup, cutoff_cap)
             except InsufficientCutoffError as exc:
-                trace_weights[i] = exc
-    acc = np.zeros(cutoff_cap + 1, dtype=complex)  # 0 at spins not in the sum
-    order: dict[int, None] = {}  # spins in the sum, in insertion order
-    for (_, c), b in zip(modes, trace_weights):
-        if isinstance(b, InsufficientCutoffError):
-            raise b
-        d = b / (np.arange(b.size) + 1)
-        piece = c * d
-        spins = np.flatnonzero(
-            (np.abs(b) > 1e-300) & (np.abs(d) > PRUNE_TOL) & (np.abs(piece) > PRUNE_TOL)
+                exps[i] = exc
+                continue
+            if top is None or n > top.cutoff:
+                top = grids[n]
+    labels = top.labels if top is not None else []
+    acc = np.zeros(len(labels), dtype=complex)  # 0 at positions not in the sum
+    order: dict[int, None] = {}  # positions in the sum, in insertion order
+    for (_, c), coef in zip(modes, exps):
+        if isinstance(coef, InsufficientCutoffError):
+            raise coef
+        piece = c * coef
+        pos = np.flatnonzero((np.abs(coef) > PRUNE_TOL) & (np.abs(piece) > PRUNE_TOL))
+        acc[pos] += piece[pos]
+        kept = np.abs(acc[pos]) > PRUNE_TOL
+        for i in pos[~kept].tolist():
+            order.pop(i, None)
+        acc[pos[~kept]] = 0.0
+        order.update(dict.fromkeys(pos[kept].tolist()))
+    return _scalar_field(dual, labels, acc, order)
+
+
+def _sampled_error(dual, v, u0, bump, sample_points) -> float:
+    """max |v - bump(u0)| over random points of a fixed-seed generator."""
+    rng = np.random.default_rng(0)
+    if sample_points <= 0:
+        return 0.0
+    if isinstance(dual, Su2Dual):
+        # central fields only depend on the class angle; evaluate all sample
+        # points through it (identical to the matrix-trace evaluation)
+        angles = np.array(
+            [su2_class_angle(dual.random_point(rng)) for _ in range(sample_points)]
         )
-        acc[spins] += piece[spins]
-        kept = np.abs(acc[spins]) > PRUNE_TOL
-        for n in spins[~kept].tolist():
-            order.pop(n, None)
-        acc[spins[~kept]] = 0.0
-        order.update(dict.fromkeys(spins[kept].tolist()))
-    return _su2_scalar_field(dual, acc, order)
+        v_vals = central_values(dual, v, angles)
+        u_vals = central_values(dual, u0, angles)
+        return float(np.max(np.abs(v_vals - bump(np.real(u_vals)))))
+    err = 0.0
+    for _ in range(sample_points):
+        s = dual.random_point(rng)
+        v_val = evaluate(v, s)
+        u_val = evaluate(u0, s)
+        err = max(err, abs(v_val - complex(bump(float(np.real(u_val))))))
+    return err
 
 
-def _bump_tail_estimate(bump, period, n_modes):
-    ms, coefs = bump.fourier_series(period=period, n_modes=4 * n_modes)
+def _bump_tail_estimate(bump, n_modes):
+    ms, coefs = bump.fourier_series(n_modes=4 * n_modes)
     outside = np.abs(ms) > n_modes
     return float(np.sum(np.abs(coefs[outside])))
 

@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -65,13 +66,10 @@ def _write(path, text):
 
 
 def _load_weight(dual, spec_or_path):
-    if spec_or_path.endswith(".json") or spec_or_path.startswith("{"):
-        data = (
-            json.loads(spec_or_path)
-            if spec_or_path.startswith("{")
-            else json.load(open(spec_or_path))
-        )
-        return weights.weight_from_json(dual, data)
+    if spec_or_path.startswith("{"):
+        return weights.weight_from_json(dual, json.loads(spec_or_path))
+    if spec_or_path.endswith(".json"):
+        return weights.weight_from_json(dual, json.loads(Path(spec_or_path).read_text()))
     return weights.make_weight(dual, spec_or_path)
 
 
@@ -90,7 +88,7 @@ def _load_element(dual, spec_or_path):
         return fields.OperatorField.from_terms(
             dual, {plus: np.array([[1.0]]), minus: np.array([[1.0]])}
         )
-    return serialize.element_from_json(json.load(open(spec_or_path)), dual)
+    return serialize.element_from_json(json.loads(Path(spec_or_path).read_text()), dual)
 
 
 def _canonical_label_arg(dual, s):
@@ -112,8 +110,9 @@ def _config_dict(args):
     return out
 
 
-def _svg_polyline(xs, ys, width=480, height=320, margin=40) -> str:
-    """Minimal SVG log-log plot: axes plus one polyline."""
+def _svg_polyline(xs, ys) -> str:
+    """Minimal 480x320 SVG log-log plot: axes plus one polyline."""
+    width, height, margin = 480, 320, 40
     lx, ly = np.log10(np.asarray(xs, float)), np.log10(np.asarray(ys, float))
     x0, x1 = float(lx.min()), float(lx.max() or 1.0)
     y0, y1 = float(ly.min()), float(ly.max() or 1.0)
@@ -172,7 +171,9 @@ def cmd_spectrum(args) -> int:
     desc = spectrum.spectrum_bounds(dual, w, n_max=args.num)
     payload = desc.to_json()
     if args.membership_point:
-        sp_dual, theta = serialize.spectrum_point_from_json(json.load(open(args.membership_point)))
+        sp_dual, theta = serialize.spectrum_point_from_json(
+            json.loads(Path(args.membership_point).read_text())
+        )
         if sp_dual != dual:
             raise WeightSpecError("membership point group differs from --group")
         res = spectrum.membership(dual, theta, w, cutoff=args.cutoff)
@@ -242,6 +243,8 @@ def cmd_expcurve(args) -> int:
     dual = parse_group(args.group)
     w = _load_weight(dual, args.weight)
     u = _load_element(dual, args.u)
+    if not np.isfinite(args.tmax):
+        raise ValueError(f"--tmax must be finite, got {args.tmax!r}")
     t_list = []
     t = 1.0
     while t <= args.tmax:

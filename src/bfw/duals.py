@@ -756,8 +756,15 @@ class Su2Dual(GroupDual):
     def reps(self, labels, points):
         # one recursion up to the largest spin; its level n does not depend on where it stops
         self._check(*labels)
-        gs = np.stack([p.matrix() if isinstance(p, Su2SpectrumPoint) else p for p in points])
-        stack = su2_irrep_stack(max((a.n for a in labels), default=0), gs)
+        n_max = max((a.n for a in labels), default=0)
+        if points and isinstance(points[0], Su2SpectrumPoint):
+            with np.errstate(over="ignore", invalid="ignore"):  # the entries grow like |g|^n
+                stack = su2_irrep_stack(n_max, np.stack([p.matrix() for p in points]))
+            if not np.isfinite(stack[-1]).all():
+                n = next(n for n, level in enumerate(stack) if not np.isfinite(level).all())
+                raise OverflowError(f"the spin-{n} irrep overflows at a spectrum point")
+        else:
+            stack = su2_irrep_stack(n_max, np.stack(points))
         return [stack[a.n] for a in labels]
 
     def conj_intertwiner(self, a):

@@ -73,9 +73,7 @@ def quadrature_coeffs(
     dual: GroupDual,
     cutoff: int,
     degree: int | None = None,
-    grid: HaarGrid | None = None,
     check_refine: bool = False,
-    refine_tol: float = 1e-9,
 ) -> OperatorField:
     """Coefficients of ``fn`` on all labels of word length <= cutoff.
 
@@ -83,26 +81,26 @@ def quadrature_coeffs(
     its exact values are used).  The default grid degree ``2 * cutoff`` is
     exact whenever fn is a trigonometric polynomial within the cutoff.  With
     ``check_refine`` the transform is recomputed on a finer grid and a
-    mismatch raises, reporting both estimates.
+    mismatch above 1e-9 raises, reporting both estimates.
     """
     if degree is None:
         degree = 2 * cutoff
     labels = dual.ball(cutoff)
 
-    def run(deg, g=None):
-        g = g or HaarGrid(dual, deg)
+    def run(deg):
+        g = HaarGrid(dual, deg)
         if isinstance(fn, OperatorField):
             vals = grid_values(fn, g)
         else:
             vals = np.array([fn(p) for p in g.points], dtype=complex)
         return g.coefficients(vals, labels)
 
-    out = run(degree, grid)
+    out = run(degree)
     if check_refine:
         fine = run(2 * degree + 1)
         dev = 0.0
         for a in labels:
             dev = max(dev, float(np.max(np.abs(out[a] - fine[a]))))
-        if dev > refine_tol:
+        if dev > 1e-9:
             raise QuadratureConvergenceError(out, fine, dev)
     return out

@@ -174,10 +174,8 @@ def spectrum_bounds(
     dual: GroupDual,
     w: Weight,
     n_max: int | None = None,
-    probes=None,
-    eps_class: float = EPS_CLASS,
 ) -> SpectrumDescription:
-    """Spectrum radii from growth certificates along probe directions.
+    """Spectrum radii from growth certificates along the generators.
 
     ``n_max`` defaults to 4096 on tori and 2048 elsewhere.
     """
@@ -185,9 +183,8 @@ def spectrum_bounds(
         n_max = 4096 if isinstance(dual, TorusDual) else 2048
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    probes = tuple(probes) if probes is not None else dual.generators()
-    radii = {format_label(p): growth_rate(dual, w, p, n_max).rho_slope for p in probes}
-    equals = all(abs(r - 1.0) <= eps_class for r in radii.values())
+    radii = {format_label(p): growth_rate(dual, w, p, n_max).rho_slope for p in dual.generators()}
+    equals = all(abs(r - 1.0) <= EPS_CLASS for r in radii.values())
     return SpectrumDescription(dual.family, w.descriptor, n_max, radii, equals)
 
 

@@ -351,7 +351,7 @@ def validate(dual: GroupDual, w: Weight, depth: int = 12, tol: float = 1e-9) -> 
 # growth
 # ---------------------------------------------------------------------------
 
-def _certificate(dual, w, label, n_max, cap, eps_class):
+def _certificate(dual, w, label, n_max, cap):
     # log w of the k-fold tensor powers of the label, k = 1..n_max (max over support)
     logs = dual.power_maxima((label,), n_max, w.log_value, cap)
     seq = []
@@ -365,7 +365,7 @@ def _certificate(dual, w, label, n_max, cap, eps_class):
         rho_slope = math.exp((logs[n_max - 1] - logs[half - 1]) / (n_max - half))
     else:
         rho_slope = seq[0][1]
-    tag = "nonexponential-evidence" if rho_slope <= 1.0 + eps_class else "exponential-witness"
+    tag = "nonexponential-evidence" if rho_slope <= 1.0 + EPS_CLASS else "exponential-witness"
     return GrowthCertificate(label, tuple(seq), rho_hat, rho_slope, tag, n_max)
 
 
@@ -375,7 +375,6 @@ def growth_rate(
     label: IrrepLabel,
     n_max: int,
     cap: int = 200_000,
-    eps_class: float = EPS_CLASS,
 ) -> GrowthCertificate:
     """Certificate for the limit of w(pi^(x n))^(1/n).
 
@@ -388,7 +387,7 @@ def growth_rate(
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     dual._check(label)
-    return _certificate(dual, w, label, n_max, cap, eps_class)
+    return _certificate(dual, w, label, n_max, cap)
 
 
 def classify_growth(
@@ -397,11 +396,10 @@ def classify_growth(
     S=None,
     n_max: int = 2048,
     cap: int = 200_000,
-    eps_class: float = EPS_CLASS,
 ) -> GrowthClassification:
     """Evidence-level growth classification over a generating set."""
     S = tuple(S) if S is not None else dual.generators()
-    certs = tuple(_certificate(dual, w, s, n_max, cap, eps_class) for s in S)
+    certs = tuple(_certificate(dual, w, s, n_max, cap) for s in S)
     for cert in certs:
         if cert.tag == "exponential-witness":
             return GrowthClassification("exponential-witness", cert.label, cert.rho_hat, certs)

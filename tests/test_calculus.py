@@ -38,9 +38,8 @@ from bfw.calculus import (
     series_tail,
     smooth_embedding_check,
     synthesis_degree,
-    _su2_central_parts,
-    _su2_class_grid,
-    _su2_exp_weights,
+    _exp_grids,
+    _torus_values,
 )
 from bfw.duals import TorusDual, su2_algebra_rep, su2_irrep
 from bfw.errors import InsufficientCutoffError
@@ -301,7 +300,7 @@ def test_separating_function_su2(su2):
 
 def _separating_field_sum(dual, u0, smoothness, n_modes, cutoff_cap):
     """Reference: sum of c_m * exp_itu_auto(...)[0] with field * and +."""
-    ms, coefs = SplineBump(smoothness).fourier_series(period=4.0, n_modes=n_modes)
+    ms, coefs = SplineBump(smoothness).fourier_series(n_modes=n_modes)
     acc = None
     for mm, c in zip(ms, coefs):
         if abs(c) < 1e-14:
@@ -310,6 +309,27 @@ def _separating_field_sum(dual, u0, smoothness, n_modes, cutoff_cap):
         piece = c * fld
         acc = piece if acc is None else acc + piece
     return acc
+
+
+def _assert_same_field(got, want):
+    """Same labels in the same order, and bit-equal coefficients, signs of zero included."""
+    assert list(got.coeffs) == list(want.coeffs)
+    for a, M in want.coeffs.items():
+        assert np.array_equal(got.coeffs[a], M), a
+        assert np.array_equal(np.signbit(got.coeffs[a].view(float)), np.signbit(M.view(float))), a
+
+
+def _half_cos(dual):
+    """(1 + cos)/2 of the class angle on SU(2); on a torus, of each angle, averaged over them."""
+    if isinstance(dual, TorusDual):
+        terms = {dual.trivial: np.array([[0.5]])}
+        for j in range(dual.n):
+            for s in (1, -1):
+                mu = [0] * dual.n
+                mu[j] = s
+                terms[TorusChar(tuple(mu))] = np.array([[0.25 / dual.n]])
+        return OperatorField.from_terms(dual, terms)
+    return character_field(dual, Su2Spin(1)) * 0.25 + one_field(dual) * 0.5
 
 
 @pytest.mark.parametrize("n_modes", [24, 96])
@@ -323,14 +343,55 @@ def test_separating_su2_equals_field_sum(su2, n_modes):
         assert np.array_equal(rep.field.coeffs[a], M)
 
 
+@pytest.mark.parametrize("rank,smoothness,n_modes,cutoff_cap", [
+    (1, 4, 64, 256),
+    (1, 5, 96, 512),
+    (2, 4, 24, 64),
+])
+def test_separating_torus_equals_field_sum(rank, smoothness, n_modes, cutoff_cap):
+    dual = TorusDual(rank)
+    u0 = _half_cos(dual)
+    rep = separating_function(dual, u0, smoothness=smoothness, n_modes=n_modes,
+                              cutoff_cap=cutoff_cap, sample_points=0)
+    _assert_same_field(rep.field, _separating_field_sum(dual, u0, smoothness, n_modes, cutoff_cap))
+
+
 def test_separating_su2_cutoff_failure_equals_field_sum(su2):
-    u0 = character_field(su2, Su2Spin(1)) * 0.25 + one_field(su2) * 0.5
-    with pytest.raises(InsufficientCutoffError) as got:
-        separating_function(su2, u0, smoothness=5, n_modes=96, cutoff_cap=64, sample_points=0)
-    with pytest.raises(InsufficientCutoffError) as want:
-        _separating_field_sum(su2, u0, 5, 96, 64)
-    assert got.value.cutoff == want.value.cutoff == 64
-    assert got.value.defect == want.value.defect
+    # the torus cap fails too, and with the same error as the field sum
+    for dual, smoothness, cutoff_cap in ((su2, 5, 64), (TorusDual(1), 4, 32)):
+        u0 = _half_cos(dual)
+        with pytest.raises(InsufficientCutoffError) as got:
+            separating_function(dual, u0, smoothness=smoothness, n_modes=96,
+                                cutoff_cap=cutoff_cap, sample_points=0)
+        with pytest.raises(InsufficientCutoffError) as want:
+            _separating_field_sum(dual, u0, smoothness, 96, cutoff_cap)
+        assert got.value.cutoff == want.value.cutoff == cutoff_cap
+        assert got.value.defect == want.value.defect
+
+
+def _torus_exp_itu_loop(dual, u, t, cutoff):
+    """Reference: e^{itu} on a torus with one FFT lookup per label of the ball."""
+    m = 2 * (cutoff + max(32, cutoff)) + 1
+    g = np.exp(1j * t * _torus_values(u, m))
+    spec = np.fft.fftn(g) / g.size
+    terms, mass = {}, 0.0
+    for a in dual.ball(cutoff):
+        c = spec[tuple(mu_j % m for mu_j in a.mu)]
+        terms[a] = np.array([[c]])
+        mass += abs(c) ** 2
+    return OperatorField.from_terms(dual, terms), abs(1.0 - mass)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("t", [0.0, 0.7, -3.0, 11.0])
+@pytest.mark.parametrize("cutoff", [3, 24, 40])
+def test_exp_itu_torus_equals_label_loop(rank, t, cutoff):
+    dual = TorusDual(rank)
+    u = _half_cos(dual) * 2.0 + one_field(dual) * 0.5
+    fld_want, defect = _torus_exp_itu_loop(dual, u, t, cutoff)
+    fld, got = exp_itu(dual, u, t, cutoff, tail_tol=1.0)  # the defect 1 - mass is at most 1
+    assert got == defect
+    _assert_same_field(fld, fld_want)
 
 
 def test_irrep_stacks_equal_per_label_irreps(su2, rng):
@@ -551,7 +612,7 @@ def test_exp_itu_so3_is_su2_at_even_spins(t, cutoff):
     assert d3 == d2
     assert list(f3.coeffs) == [a for a in f2.coeffs if a.n % 2 == 0]
     assert all(np.array_equal(f3.coeffs[a], f2.coeffs[a]) for a in f3.coeffs)
-    b, _ = _su2_exp_weights(_su2_class_grid(_su2_central_parts(u2), cutoff), t, 1e-6)
+    b = _exp_grids(su2, u2)(cutoff)(t, 1e-6)[0] * np.arange(1, cutoff + 2)  # trace weights
     assert np.max(np.abs(b[1::2])) < 1e-14
     assert np.min(np.abs(b[0:8:2])) > 1e-6
 

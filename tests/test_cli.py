@@ -93,7 +93,7 @@ def test_multiply_cmd(tmp_path):
     code, _ = run(["multiply", "--group", "su2", "--u", "char:1", "--v", "char:1",
                    "--out", str(out_path)])
     assert code == 0
-    doc = json.load(open(out_path))
+    doc = json.loads(out_path.read_text())
     assert [t["irrep"] for t in doc["terms"]] == ["pi:0", "pi:2"]
 
 
@@ -108,8 +108,8 @@ def test_factorize_cmd(tmp_path):
                      "--out-f", str(f_path), "--out-g", str(g_path)])
     assert code == 0
     assert json.loads(out)["result"]["reconstruction_error"] < 1e-12
-    f = element_from_json(json.load(open(f_path)))
-    g = element_from_json(json.load(open(g_path)))
+    f = element_from_json(json.loads(f_path.read_text()))
+    g = element_from_json(json.loads(g_path.read_text()))
     from bfw import convolve
 
     assert fields_close(convolve(f, g), u, tol=1e-12)

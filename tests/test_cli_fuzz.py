@@ -84,8 +84,11 @@ def invocations(draw):
         "nu-check": ["--element", u, "--weight", weight] + draw(st.sampled_from([[], ["--T", v]])),
         "spectrum": ["--weight", weight, "--num", draw(small(-1, 12)), "--cutoff", draw(small(0, 6)),
                      "--membership-point", P],
-        "expcurve": ["--u", u, "--weight", weight, "--tmax", draw(st.sampled_from(["0.5", "2", "4"])),
-                     "--cutoff-cap", draw(small(4, 32)), "--out", f"{TMP}/c.csv"],
+        "expcurve": ["--u", u, "--weight", weight,
+                     "--tmax", draw(st.sampled_from(["0.5", "2", "4", "inf", "nan"])),
+                     "--cutoff-cap", draw(small(4, 32)), "--out", f"{TMP}/c.csv"]
+                    + draw(st.sampled_from([[]] + [["--tail-tol", x]
+                                                   for x in ("1e-6", "nan", "-1", "0")])),
         "derivation": ["--weight", weight, "--num", draw(small(-1, 8)),
                        "--basis-index", draw(small(-3, 5)), "--out", f"{TMP}/d.csv"],
         "growth": ["--weight", weight, "--label", draw(st.sampled_from(LABELS)),
@@ -117,6 +120,8 @@ VALID = {
 NORM = ["norm", "--group", "su2", "--weight", "dim", "--element", E]
 WEIGHT = ["norm", "--group", "su2", "--weight", W, "--element", "char:1"]
 MEMBERSHIP = ["spectrum", "--weight", "exp:lambda=2", "--num", "8", "--membership-point", P, "--group"]
+EXPCURVE = ["expcurve", "--group", "su2", "--u", "uchar:1", "--weight", "poly:alpha=1",
+            "--out", f"{TMP}/c.csv"]
 
 # (argv, files replacing VALID's, exit code): each ended in an uncaught
 # exception or printed a wrong number before
@@ -137,6 +142,11 @@ REPRODUCED = [
     (["derivation", "--group", "su2", "--weight", "dim", "--num", "4", "--basis-index", index,
       "--out", f"{TMP}/d.csv"], {}, 3)
     for index in ("7", "3", "-1")
+] + [
+    (MEMBERSHIP + ["su2", "--cutoff", "6"],
+     {"p": {"group": "su2", "euler": [0, 0, 0], "lambda": 1e300}}, 4),
+    (EXPCURVE + ["--tmax", "8", "--cutoff-cap", "4", "--tail-tol", "nan"], {}, 3),
+    (EXPCURVE + ["--tmax", "inf"], {}, 3),
 ]
 
 
