@@ -265,14 +265,29 @@ def exp_itu(
     ``u`` must be self-adjoint (checked), and central on SU(2) and SO(3).
     The defect |1 - sum d ||coef||_2^2| measures the mass outside the cutoff;
     above ``tail_tol`` (finite and >= 0) an insufficient-cutoff error carries
-    it.
+    it.  ``t`` must be finite; a t u too large for floats raises
+    ``OverflowError``.
     """
     if not (math.isfinite(tail_tol) and tail_tol >= 0.0):
         raise ValueError(f"tail_tol must be finite and >= 0, got {tail_tol!r}")
+    _check_t(t)
     _check_self_adjoint(u)
     grid = _exp_grids(dual, u)(cutoff)
     coef, defect = grid(t, tail_tol)
     return _scalar_field(dual, grid.labels, coef, range(coef.size)), defect
+
+
+def _check_t(t: float) -> None:
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
+
+
+def _defect_error(defect: float, t: float, cutoff: int) -> Exception:
+    """The error for a Parseval defect above tail_tol: a non-finite one means
+    e^{itu} overflowed, which no cutoff mends."""
+    if not math.isfinite(defect):
+        return OverflowError(f"e^{{itu}} is not finite at t={t!r}")
+    return InsufficientCutoffError(defect, cutoff)
 
 
 def _exp_grids(dual: GroupDual, u: OperatorField):
@@ -315,10 +330,11 @@ class _Su2ExpGrid:
     def __call__(self, t: float, tail_tol: float):
         # one matrix-vector product per t: stacking several t into one matrix
         # product changes the last bits of the result
-        b = self.kernel @ np.exp(1j * t * self.vals)
-        defect = abs(1.0 - float(np.sum(np.abs(b) ** 2)))
-        if defect > tail_tol:
-            raise InsufficientCutoffError(defect, self.cutoff)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the defect
+            b = self.kernel @ np.exp(1j * t * self.vals)
+            defect = abs(1.0 - float(np.sum(np.abs(b) ** 2)))
+        if not defect <= tail_tol:
+            raise _defect_error(defect, t, self.cutoff)
         # trace weight b_n is the coefficient b_n I/(n+1), read as 0 where |b_n| <= 1e-300
         return np.where(np.abs(b) > 1e-300, b / np.arange(1, b.size + 1), 0.0), defect
 
@@ -335,14 +351,15 @@ class _TorusExpGrid:
         self.index = tuple((np.array([a.mu for a in self.labels]) % m).T)
 
     def __call__(self, t: float, tail_tol: float):
-        g = np.exp(1j * t * self.vals)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the defect
+            g = np.exp(1j * t * self.vals)
         coef = np.fft.fftn(g)[self.index] / g.size
         mass = 0.0
         for c in coef:  # scalar abs: the array np.abs differs in the last bit
             mass += abs(c) ** 2
         defect = abs(1.0 - mass)
-        if defect > tail_tol:
-            raise InsufficientCutoffError(defect, self.cutoff)
+        if not defect <= tail_tol:
+            raise _defect_error(defect, t, self.cutoff)
         return coef, defect
 
 
@@ -377,6 +394,7 @@ def exp_itu_auto(
 ) -> tuple[OperatorField, float, int]:
     """Adaptive cutoff: grows with |t| (ceil(1.2 |t| sup|u|) + 24), doubling
     on defect failures up to the cap."""
+    _check_t(t)
     sup = _sup_abs(dual, u)
     (fld, defect), n = _with_doubling(
         lambda n: exp_itu(dual, u, t, n, tail_tol), t, sup, cutoff_cap

@@ -388,6 +388,15 @@ class GroupDual:
         """The label with lattice coordinates c (inverse of :meth:`coords`)."""
         raise NotImplementedError
 
+    def word_lengths_at(self, c: np.ndarray) -> np.ndarray:
+        """Default word lengths (:meth:`word_length` with S=None) of the labels
+        at the rows of the (k, r) int64 coordinate array c."""
+        raise NotImplementedError
+
+    def dims_at(self, c: np.ndarray) -> np.ndarray:
+        """Dimensions of the labels at the rows of c."""
+        raise NotImplementedError
+
     def _step_mask(self, arr, lo, s, ax):
         """The support (arr, lo) tensored by the generator s, acting on the
         lattice axes ax, ax+1, ... that hold this family's coordinates.
@@ -434,14 +443,17 @@ class GroupDual:
 
         return walk(self.mask(S))
 
-    def power_maxima(self, S, n: int, value, cap: int) -> list[float]:
-        """max of value(a) over the support of the k-fold tensor power of S, k = 1..n.
+    def power_maxima(self, S, n: int, log_values, cap: int) -> list[float]:
+        """max of the log weight over the support of the k-fold tensor power of S, k = 1..n.
 
-        ``value`` is called once per label, when the support first reaches
-        it, in step order.  Each maximum is taken over a float array of those
-        values, so it is the float a max over the labels gives.  Raises
-        :class:`LabelCapError` at the first support of more than ``cap``
-        labels, after that step's values.
+        ``log_values`` maps a (k, r) int64 array of lattice coordinates to k
+        floats (:meth:`bfw.weights.Weight.log_values`).  It is called once per
+        block of steps, on the coordinates the block reaches first, in the
+        order the steps reach them, so every label is evaluated once.  Each
+        maximum is taken over a float array of those values, so it is the
+        float a max over the labels gives.  Raises :class:`LabelCapError` at
+        the first support of more than ``cap`` labels, after that step's
+        values.
         """
         S = tuple(S)
         walk = self.support_walk(S)
@@ -455,11 +467,11 @@ class GroupDual:
                 # lo + (k-1) shift, a new one at every step unless shift is 0
                 shift = np.subtract(lo2, lo)
                 steps = np.arange(n if shift.any() else 1)
-                got = [value(self.label_at(c)) for c in (lo + np.outer(steps, shift)).tolist()]
+                got = log_values(lo + np.outer(steps, shift)).tolist()
                 return got if shift.any() else got * n
-        return self._block_maxima(itertools.chain([(arr, lo)], walk), n, value, cap)
+        return self._block_maxima(itertools.chain([(arr, lo)], walk), n, log_values, cap)
 
-    def _block_maxima(self, walk, n, value, cap):
+    def _block_maxima(self, walk, n, log_values, cap):
         """power_maxima on the supports the walk yields, in blocks of steps.
 
         A block's window keeps the values looked up so far and drops the
@@ -502,8 +514,7 @@ class GroupDual:
             if fresh.size:
                 flat, first = np.unique(fresh, return_index=True)
                 flat = flat[np.argsort(first)]  # in the order the steps reach them
-                pts = zip(*((c + L).tolist() for c, L in zip(np.unravel_index(flat, shape), blo)))
-                vf[flat] = [value(self.label_at(c)) for c in pts]
+                vf[flat] = log_values(np.column_stack(np.unravel_index(flat, shape)) + blo)
                 kf[flat] = True
             out.extend(np.maximum.reduceat(vf[idx], np.cumsum([0] + counts[:-1])).tolist())
             if counts[-1] > cap:
@@ -628,6 +639,12 @@ class TorusDual(GroupDual):
     def label_at(self, c):
         return TorusChar(c)
 
+    def word_lengths_at(self, c):
+        return np.abs(c).sum(axis=1)
+
+    def dims_at(self, c):
+        return np.ones(len(c), dtype=np.int64)
+
     def _step_mask(self, arr, lo, s, ax):
         # a pure translation: the window moves and the mask is not copied
         lo = list(lo)
@@ -717,6 +734,12 @@ class Su2Dual(GroupDual):
 
     def label_at(self, c):
         return Su2Spin(c[0])
+
+    def word_lengths_at(self, c):
+        return c[:, 0]
+
+    def dims_at(self, c):
+        return c[:, 0] + 1
 
     def _step_mask(self, arr, lo, s, ax):
         # a (x) s holds a + d for d = -s, -s+2, ..., s where a + d >= |a - s|,
@@ -872,6 +895,9 @@ class So3Dual(Su2Dual):
     def _default_word_length(self, a):
         return a.n // 2
 
+    def word_lengths_at(self, c):
+        return c[:, 0] // 2
+
     def _default_ball(self, radius):
         return tuple(Su2Spin(2 * k) for k in range(radius + 1))
 
@@ -944,6 +970,13 @@ class SemidirectDual(GroupDual):
         if i < 2:
             return SemidirectLabel(("triv", "sgn")[i])
         return SemidirectLabel("pi", i - 1)
+
+    def word_lengths_at(self, c):
+        i = c[:, 0]  # triv 0, sgn 2, pi_m m
+        return np.where(i < 2, 2 * i, i - 1)
+
+    def dims_at(self, c):
+        return np.where(c[:, 0] < 2, 1, 2)
 
     def _step_mask(self, arr, lo, s, ax):
         # the fusion table in slices, on a window from index 0 (triv 0, sgn 1, pi_m at m + 1)
@@ -1127,6 +1160,14 @@ class ProductDual(GroupDual):
     def label_at(self, c):
         r = self.left.lattice_rank
         return ProductLabel(self.left.label_at(c[:r]), self.right.label_at(c[r:]))
+
+    def word_lengths_at(self, c):
+        r = self.left.lattice_rank
+        return self.left.word_lengths_at(c[:, :r]) + self.right.word_lengths_at(c[:, r:])
+
+    def dims_at(self, c):
+        r = self.left.lattice_rank
+        return self.left.dims_at(c[:, :r]) * self.right.dims_at(c[:, r:])
 
     def _step_mask(self, arr, lo, s, ax):
         # each factor's rule along its own axes

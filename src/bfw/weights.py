@@ -15,6 +15,12 @@ recipe (handy for fabricating invalid weights in diagnostics).  Evaluations
 are memoized per weight; all built-ins are symmetric on the supported
 families and nondecreasing in the SU(2) spin index, which the restriction
 weight uses as its exactness certificate.
+
+Growth scans read log w on arrays of lattice coordinates
+(:meth:`Weight.log_values`).  Each recipe evaluates them in bulk, calling
+``math`` once per distinct integer, since NumPy's vectorized ``log`` and
+``log1p`` differ from ``math``'s in the last bit on some integers; the rest is
+elementwise IEEE arithmetic in the order of the per-label formula.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .duals import GroupDual, So3Dual, Su2Dual, TorusDual, so3_lift
 from .errors import UnsupportedBranchingError, WeightOverflowError, WeightSpecError
@@ -56,9 +64,8 @@ class Weight:
     symmetric: bool = True
     su2_monotone: bool = False  # nondecreasing in the Su2Spin index
     warnings: tuple[str, ...] = ()
-    log_fn: object = None  # exact log evaluator; keeps growth scans in range
+    log_array: object = None  # coords -> log w in bulk; None reads fn label by label
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _log_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __call__(self, a: IrrepLabel) -> float:
         v = self._cache.get(a)
@@ -76,14 +83,28 @@ class Weight:
             self._cache[a] = v
         return v
 
+    def log_values(self, coords) -> np.ndarray:
+        """log w at the labels whose lattice coordinates (:meth:`GroupDual.coords`)
+        are the rows of the (k, r) int64 array coords, as k floats.
+
+        Exponential recipes overflow plain evaluation long before the growth
+        scans finish, so scans use this.  A log weight that is not finite
+        raises :class:`WeightOverflowError`.
+        """
+        c = np.asarray(coords, dtype=np.int64).reshape(-1, self.dual.lattice_rank)
+        if self.log_array is None:
+            return np.array([math.log(self(self.dual.label_at(p))) for p in c.tolist()], dtype=float)
+        with np.errstate(over="ignore"):  # an overflow is the inf caught below
+            out = self.log_array(c)
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            a = self.dual.label_at(c[bad[0]].tolist())
+            raise WeightOverflowError(f"log of weight {self.descriptor} overflows at {format_label(a)}")
+        return out
+
     def log_value(self, a: IrrepLabel) -> float:
-        """log of the weight; exponential recipes overflow plain evaluation
-        long before the growth scans finish, so scans use this."""
-        v = self._log_cache.get(a)
-        if v is None:
-            v = float(self.log_fn(a)) if self.log_fn is not None else math.log(self(a))
-            self._log_cache[a] = v
-        return v
+        """log w(a): :meth:`log_values` of one label."""
+        return float(self.log_values([self.dual.coords(a)])[0])
 
 
 @dataclass(frozen=True)
@@ -209,6 +230,12 @@ def _finite(kind: str, name: str, x) -> float:
     return x
 
 
+def _on_distinct(fn, ints: np.ndarray) -> np.ndarray:
+    """fn, a ``math`` function, at each entry of an integer array, called once per distinct value."""
+    values, inverse = np.unique(ints, return_inverse=True)
+    return np.array([fn(v) for v in values.tolist()], dtype=float)[inverse]
+
+
 def make_weight(dual: GroupDual, spec: str | dict) -> Weight:
     """Build a weight from a recipe string or its JSON dict form."""
     d = _parse_spec(spec) if isinstance(spec, str) else spec
@@ -219,9 +246,11 @@ def make_weight(dual: GroupDual, spec: str | dict) -> Weight:
         c = _finite(kind, "c", d["c"])
         if c < 1.0:
             raise WeightSpecError(f"const weight needs c >= 1, got {c}")
-        return Weight(dual, lambda a: c, _spec_to_str(d), log_fn=lambda a: math.log(c))
+        log_c = math.log(c)
+        return Weight(dual, lambda a: c, _spec_to_str(d), log_array=lambda x: np.full(len(x), log_c))
     if kind == "dim":
-        return Weight(dual, dual.dim, "dim", su2_monotone=True, log_fn=lambda a: math.log(dual.dim(a)))
+        return Weight(dual, dual.dim, "dim", su2_monotone=True,
+                      log_array=lambda x: _on_distinct(math.log, dual.dims_at(x)))
     if kind == "poly":
         alpha = _finite(kind, "alpha", d["alpha"])
         if alpha <= 0.0:
@@ -231,7 +260,7 @@ def make_weight(dual: GroupDual, spec: str | dict) -> Weight:
             lambda a: (1.0 + dual.word_length(a)) ** alpha,
             _spec_to_str(d),
             su2_monotone=True,
-            log_fn=lambda a: alpha * math.log1p(dual.word_length(a)),
+            log_array=lambda x: alpha * _on_distinct(math.log1p, dual.word_lengths_at(x)),
         )
     if kind == "exp":
         if not isinstance(d["lam"], list):
@@ -251,8 +280,11 @@ def make_weight(dual: GroupDual, spec: str | dict) -> Weight:
             def fn(a, _l=lam_t):
                 return math.prod(x ** abs(m) for x, m in zip(_l, a.mu))
 
-            def log_fn(a, _l=lam_t):
-                return sum(abs(m) * math.log(x) for x, m in zip(_l, a.mu))
+            def log_array(x, _l=tuple(math.log(v) for v in lam_t)):
+                out = np.zeros(len(x))  # axis by axis, as the sum over mu would add
+                for j, log_lam in enumerate(_l):
+                    out = out + np.abs(x[:, j]) * log_lam
+                return out
 
         else:
             if len(lam) != 1:
@@ -262,10 +294,10 @@ def make_weight(dual: GroupDual, spec: str | dict) -> Weight:
             def fn(a, _b=base):
                 return _b ** dual.word_length(a)
 
-            def log_fn(a, _b=base):
-                return dual.word_length(a) * math.log(_b)
+            def log_array(x, _l=math.log(base)):
+                return dual.word_lengths_at(x) * _l
 
-        return Weight(dual, fn, _spec_to_str(d), su2_monotone=True, log_fn=log_fn)
+        return Weight(dual, fn, _spec_to_str(d), su2_monotone=True, log_array=log_array)
     if kind == "prod":
         if not isinstance(d["factors"], list) or len(d["factors"]) != 2:
             raise WeightSpecError(f"prod takes a list of two recipes, got {d['factors']!r}")
@@ -276,7 +308,7 @@ def make_weight(dual: GroupDual, spec: str | dict) -> Weight:
             f"prod({f1.descriptor},{f2.descriptor})",
             symmetric=f1.symmetric and f2.symmetric,
             su2_monotone=f1.su2_monotone and f2.su2_monotone,
-            log_fn=lambda a: f1.log_value(a) + f2.log_value(a),
+            log_array=lambda x: f1.log_values(x) + f2.log_values(x),
         )
     if kind == "pow":
         alpha = _finite(kind, "alpha", d["alpha"])
@@ -289,7 +321,7 @@ def make_weight(dual: GroupDual, spec: str | dict) -> Weight:
             f"pow({base.descriptor},{alpha:g})",
             symmetric=base.symmetric,
             su2_monotone=base.su2_monotone,
-            log_fn=lambda a: alpha * base.log_value(a),
+            log_array=lambda x: alpha * base.log_values(x),
         )
     if kind == "table":
         base = make_weight(dual, d.get("base", {"kind": "const", "c": 1.0}))
@@ -353,16 +385,25 @@ def validate(dual: GroupDual, w: Weight, depth: int = 12, tol: float = 1e-9) -> 
 
 def _certificate(dual, w, label, n_max, cap):
     # log w of the k-fold tensor powers of the label, k = 1..n_max (max over support)
-    logs = dual.power_maxima((label,), n_max, w.log_value, cap)
+    logs = dual.power_maxima((label,), n_max, w.log_values, cap)
+
+    def exp(x):
+        try:
+            return math.exp(x)
+        except OverflowError:
+            raise WeightOverflowError(
+                f"growth rate of weight {w.descriptor} along {format_label(label)} overflows"
+            ) from None
+
     seq = []
     rho_hat = math.inf
     for n, lv in enumerate(logs, start=1):
-        root = math.exp(lv / n)
+        root = exp(lv / n)
         rho_hat = min(rho_hat, root)
         seq.append((n, root))
     half = max(1, n_max // 2)
     if n_max > 1:
-        rho_slope = math.exp((logs[n_max - 1] - logs[half - 1]) / (n_max - half))
+        rho_slope = exp((logs[n_max - 1] - logs[half - 1]) / (n_max - half))
     else:
         rho_slope = seq[0][1]
     tag = "nonexponential-evidence" if rho_slope <= 1.0 + EPS_CLASS else "exponential-witness"

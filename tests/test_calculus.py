@@ -41,7 +41,7 @@ from bfw.calculus import (
     _exp_grids,
     _torus_values,
 )
-from bfw.duals import TorusDual, su2_algebra_rep, su2_irrep
+from bfw.duals import TorusDual, parse_group, su2_algebra_rep, su2_irrep
 from bfw.errors import InsufficientCutoffError
 from bfw.quadrature import HaarGrid, grid_values
 from bfw.spectrum import Su2SpectrumPoint, char_eval, membership
@@ -183,6 +183,23 @@ def test_exp_itu_auto_grows(t1):
     )
     fld, defect, used = exp_itu_auto(t1, u, 30.0, cutoff_cap=256)
     assert defect < 1e-6 and used <= 256
+
+
+@pytest.mark.parametrize("group", ["su2", "so3", "torus:1"])
+def test_exp_itu_overflow_and_non_finite_t(group):
+    # t u past the float range gave the zero field with a NaN defect on SU(2)
+    dual = parse_group(group)
+    a = {"su2": Su2Spin(1), "so3": Su2Spin(2)}.get(group)
+    u = (character_field(dual, a) if a is not None else  # sup |u| >= 2
+         OperatorField.from_terms(dual, {TorusChar((1,)): np.array([[1.0]]),
+                                         TorusChar((-1,)): np.array([[1.0]])}))
+    with pytest.raises(OverflowError, match=r"not finite at t=1e\+308"):
+        exp_itu(dual, u, 1e308, 8)
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="t must be finite"):
+            exp_itu(dual, u, t, 8)
+        with pytest.raises(ValueError, match="t must be finite"):
+            exp_itu_auto(dual, u, t, 64)
 
 
 # --- growth curves -----------------------------------------------------------------

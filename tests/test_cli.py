@@ -215,6 +215,23 @@ def test_non_finite_weight_exit_code(weight):
     assert code == 3 and out == ""
 
 
+@pytest.mark.parametrize("cmd,weight,message", [
+    (["growth", "--label", "pi:1"], "pow(poly:alpha=1e300,1e10)",  # log w is inf
+     "log of weight pow(poly:alpha=1e+300,1e+10) overflows at pi:1"),
+    (["spectrum"], "pow(poly:alpha=1e300,1e10)",
+     "log of weight pow(poly:alpha=1e+300,1e+10) overflows at pi:1"),
+    (["growth", "--label", "pi:1"], "pow(exp:lambda=1e300,3)",  # w^(1/n) is not
+     "growth rate of weight pow(exp:lambda=1e+300,3) along pi:1 overflows"),
+])
+def test_overflowing_certificate_exit_code(cmd, weight, message):
+    # printed Infinity and NaN (not JSON) with exit 0, or a bare "math range error"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run(cmd + ["--group", "su2", "--weight", weight, "--num", "4"])
+    assert code == 4 and out == ""
+    assert err.getvalue() == f"numeric failure: {message}\n"
+
+
 def test_spectrum_num_zero_rejected():
     code, out = run(["spectrum", "--group", "torus:1", "--weight", "poly:alpha=1", "--num", "0"])
     assert code == 3 and out == ""

@@ -147,6 +147,13 @@ REPRODUCED = [
      {"p": {"group": "su2", "euler": [0, 0, 0], "lambda": 1e300}}, 4),
     (EXPCURVE + ["--tmax", "8", "--cutoff-cap", "4", "--tail-tol", "nan"], {}, 3),
     (EXPCURVE + ["--tmax", "inf"], {}, 3),
+] + [
+    ([cmd, "--group", "su2", "--weight", weight, "--num", "4"] + label, {}, 4)
+    for cmd, weight, label in [
+        ("growth", "pow(poly:alpha=1e300,1e10)", ["--label", "pi:1"]),
+        ("spectrum", "pow(poly:alpha=1e300,1e10)", []),
+        ("growth", "pow(exp:lambda=1e300,3)", ["--label", "pi:1"]),
+    ]
 ]
 
 

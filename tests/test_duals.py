@@ -356,4 +356,4 @@ def test_lattice_foreign_generator(su2, t1):
     with pytest.raises(FamilyMismatchError):
         su2.word_length(Su2Spin(2), S=foreign)
     with pytest.raises(FamilyMismatchError):
-        t1.power_maxima((Su2Spin(1),), 4, lambda a: 0.0, 100)
+        t1.power_maxima((Su2Spin(1),), 4, lambda c: np.zeros(len(c)), 100)

@@ -20,6 +20,7 @@ from bfw import (
 from bfw.duals import parse_group
 from bfw.errors import FamilyMismatchError, LabelCapError, WeightOverflowError, WeightSpecError
 from bfw.labels import parse_label
+from weight_log_oracle import oracle_log_value
 from bfw.weights import (
     Weight,
     classify_growth,
@@ -249,17 +250,18 @@ def test_non_finite_recipe_parameter_rejected(group, spec):
 
 # --- growth scans on lattice masks against the frozenset oracle -----------------
 
-def _log_of_support(w, labels):
+def _log_of_support(log_of, labels):
     """log w of a reducible object: the max over its irreducible support."""
-    return max(w.log_value(a) for a in labels)
+    return max(log_of(a) for a in labels)
 
 
-def _oracle_log_values(dual, w, S, n_max, cap):
-    """log w of the tensor powers of S, stepping frozensets through support_step."""
+def _oracle_log_values(dual, log_of, S, n_max, cap):
+    """log w of the tensor powers of S, stepping frozensets through support_step
+    and reading log w label by label through log_of."""
     vals = []
     supp = frozenset(S)
     for _ in range(n_max):
-        vals.append(_log_of_support(w, supp))
+        vals.append(_log_of_support(log_of, supp))
         if len(supp) > cap:
             raise LabelCapError(cap, len(supp))
         supp = dual.support_step(supp, S)
@@ -293,26 +295,79 @@ def test_power_log_values_equal_support_step_oracle(group, probe, n):
     a = parse_label(dual, probe)
     for spec in _recipes(dual):
         w = make_weight(dual, spec)
-        got = dual.power_maxima((a,), n, w.log_value, 200_000)
-        want = _oracle_log_values(dual, make_weight(dual, spec), (a,), n, 200_000)
+        got = dual.power_maxima((a,), n, w.log_values, 200_000)
+        want = _oracle_log_values(dual, lambda b: oracle_log_value(dual, spec, b), (a,), n, 200_000)
         assert got == want, (spec, [k for k, (x, y) in enumerate(zip(got, want)) if x != y][:5])
+
+
+def _recording(dual, w, calls):
+    """w.log_values, appending the coordinate rows of every call to calls."""
+    def log_values(c):
+        assert c.dtype == np.int64 and c.shape == (len(c), dual.lattice_rank)
+        calls.append([tuple(p) for p in c.tolist()])
+        return w.log_values(c)
+    return log_values
+
+
+def _first_reached(dual, S, n):
+    """coords -> the first of the k-fold tensor powers of S (k = 1..n) holding the label."""
+    first, supp = {}, frozenset(S)
+    for k in range(1, n + 1):
+        for a in supp:
+            first.setdefault(tuple(dual.coords(a)), k)
+        supp = dual.support_step(supp, S)
+    return first
 
 
 def test_log_value_once_per_label_reached(su2, t1):
     for dual, probe, n, reached in [
-        (su2, Su2Spin(1), 300, [(k,) for k in range(301)]),
-        (t1, TorusChar((-1,)), 50, [(-k,) for k in range(50, 0, -1)]),
+        (su2, Su2Spin(1), 300, [(1,), (0,)] + [(k,) for k in range(2, 301)]),
+        (t1, TorusChar((-1,)), 50, [(-k,) for k in range(1, 51)]),
         (t1, TorusChar((0,)), 50, [(0,)]),
     ]:
         calls = []
         w = make_weight(dual, "poly:alpha=1")
+        dual.power_maxima((probe,), n, _recording(dual, w, calls), 10**6)
+        assert [c for call in calls for c in call] == reached
 
-        def value(a):
-            calls.append(dual.coords(a))
-            return w.log_value(a)
 
-        dual.power_maxima((probe,), n, value, 10**6)
-        assert sorted(calls) == reached
+@pytest.mark.parametrize("group,probe,n", GROWTH_PROBES)
+def test_labels_evaluated_once_in_first_reached_order(group, probe, n):
+    # every label the supports reach is evaluated exactly once, in the order
+    # of the step that first reaches it
+    dual = parse_group(group)
+    a = parse_label(dual, probe)
+    calls = []
+    w = make_weight(dual, "poly:alpha=1")
+    dual.power_maxima((a,), n, _recording(dual, w, calls), 10**6)
+    seen = [c for call in calls for c in call]
+    first = _first_reached(dual, (a,), n)
+    assert sorted(seen) == sorted(first)
+    steps = [first[c] for c in seen]
+    assert steps == sorted(steps)
+
+
+def test_evaluator_calls_per_scan(monkeypatch, su2, t2):
+    # one evaluator call per block: a torus walk is one block, SU(2) a block per 64 steps
+    def scalar(*_):
+        raise AssertionError("Weight.log_value called in a growth scan")
+
+    monkeypatch.setattr(Weight, "log_value", scalar)
+    log_values = Weight.log_values
+    for dual, probe, n, most in [(t2, TorusChar((1, -1)), 4096, 1), (su2, Su2Spin(1), 768, 12)]:
+        w = make_weight(dual, "poly:alpha=1")
+        calls = []
+
+        def counted(self, c):
+            calls.append(len(c))
+            return log_values(self, c)
+
+        monkeypatch.setattr(Weight, "log_values", counted)
+        cert = growth_rate(dual, w, probe, n)
+        monkeypatch.setattr(Weight, "log_values", log_values)
+        assert 1 <= len(calls) <= most
+        assert sum(calls) == (n if dual is t2 else n + 1)
+        assert cert.seq[-1][0] == n
 
 
 @pytest.mark.parametrize("group,probe,cap", [
@@ -322,16 +377,21 @@ def test_log_value_once_per_label_reached(su2, t1):
 def test_label_cap_matches_oracle(group, probe, cap):
     dual = parse_group(group)
     a = parse_label(dual, probe)
-    got, want = [], []
-    def lattice(dual, w, S, n, cap):
-        return dual.power_maxima(S, n, w.log_value, cap)
+    calls, labels = [], []
+    w = make_weight(dual, "dim")
+    with pytest.raises(LabelCapError) as got:
+        dual.power_maxima((a,), 100, _recording(dual, w, calls), cap)
+    evaluated = [dual.label_at(c) for call in calls for c in call]
+    assert len(evaluated) == len(set(evaluated))
 
-    for fn, out in ((lattice, got), (_oracle_log_values, want)):
-        w = make_weight(dual, "dim")
-        with pytest.raises(LabelCapError) as exc:
-            fn(dual, w, (a,), 100, cap)
-        out += [exc.value.cap, exc.value.size, sorted(w._log_cache, key=format_label)]
-    assert got == want
+    def log_of(b):
+        labels.append(b)
+        return oracle_log_value(dual, "dim", b)
+
+    with pytest.raises(LabelCapError) as want:
+        _oracle_log_values(dual, log_of, (a,), 100, cap)
+    assert (got.value.cap, got.value.size) == (want.value.cap, want.value.size)
+    assert sorted(evaluated, key=format_label) == sorted(set(labels), key=format_label)
 
 
 def test_growth_foreign_generator(su2, t1):
