@@ -405,7 +405,12 @@ def exp_itu_auto(
 def _with_doubling(attempt, t, sup, cutoff_cap):
     """(attempt(n), n) for the first cutoff n that raises no insufficient-cutoff
     error, from ceil(CUTOFF_RATE |t| sup) + CUTOFF_MARGIN doubling up to the cap."""
-    n = min(cutoff_cap, int(math.ceil(CUTOFF_RATE * abs(t) * sup)) + CUTOFF_MARGIN)
+    need = CUTOFF_RATE * abs(t) * sup
+    if not math.isfinite(need):
+        raise OverflowError(
+            f"e^{{itu}} has no finite cutoff at t={t!r}: {CUTOFF_RATE} |t| sup|u| overflows"
+        )
+    n = min(cutoff_cap, int(math.ceil(need)) + CUTOFF_MARGIN)
     while True:
         try:
             return attempt(n), n
@@ -676,25 +681,37 @@ def derivation_bound_scan(dual: GroupDual, X, w: Weight, n_max: int):
     rows = []
     best = 0.0
     shells = _shells(dual, n_max)
+    top = _normal_top_eigenvalue(dual, X)
     for n in range(1, n_max + 1):
         # the trivial label sorts first, so shells 0 and 1 are ball(1) in order
         for a in shells[0] + shells[1] if n == 1 else shells[n]:
-            best = max(best, _algebra_norm(dual, a, X) / w(a))
+            norm = a.n * top if top is not None else _algebra_norm(dual, a, X)
+            best = max(best, norm / w(a))
         rows.append((n, best))
     return rows
 
 
 def _algebra_norm(dual, a, X) -> float:
-    if isinstance(dual, Su2Dual):
-        X = np.asarray(X, dtype=complex)
-        Xh = X.conj().T
-        if np.array_equal(X @ Xh, Xh @ X):
-            # a normal X is unitarily diagonalizable, so dpi(X) is unitarily
-            # conjugate to dpi of the diagonalization of X, whose norm is n
-            # times the top eigenvalue modulus; exact and O(1)
-            ev = np.linalg.eigvals(X)
-            return a.n * float(np.max(np.abs(ev)))
+    """||dpi_a(X)||, the operator norm."""
+    top = _normal_top_eigenvalue(dual, X)
+    if top is not None:
+        return a.n * top
     return float(np.linalg.norm(algebra_rep(dual, a, X), 2))
+
+
+def _normal_top_eigenvalue(dual, X) -> float | None:
+    """max |eig X| for a normal X on SU(2) or SO(3), else None.
+
+    A normal X is unitarily diagonalizable, so dpi(X) is unitarily conjugate
+    to dpi of the diagonalization of X, whose norm is n times this modulus.
+    """
+    if not isinstance(dual, Su2Dual):
+        return None
+    X = np.asarray(X, dtype=complex)
+    Xh = X.conj().T
+    if not np.array_equal(X @ Xh, Xh @ X):
+        return None
+    return float(np.max(np.abs(np.linalg.eigvals(X))))
 
 
 # ---------------------------------------------------------------------------

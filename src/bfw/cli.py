@@ -9,9 +9,9 @@ Subcommands wrap the library operations with file I/O and fixed exit codes:
        that overflows, or a value out of floating-point range)
 
 Reports embed the configuration that produced them; a fixed configuration
-yields byte-identical output.  ``BFW_THREADS`` caps worker parallelism; the
-numeric core is sequential and deterministic, so the cap is recorded in
-reports but does not change results.
+yields byte-identical output.  ``BFW_THREADS`` sets nothing: the numeric core
+is sequential and deterministic, and the value is only recorded as
+``threads`` in each report's configuration.
 """
 
 from __future__ import annotations

@@ -12,14 +12,19 @@ points:
     {"group": "torus:1", "z": [[re, im]]}
     {"group": "txz2", "z": [re, im], "flip": false}
 
-Writers sort keys and use shortest round-trip float formatting, so a fixed
-input produces byte-identical output.
+``dumps`` writes exactly the bytes of ``json.dumps(obj, sort_keys=True,
+indent=2) + "\n"`` from the running interpreter's stdlib: keys sorted, strings
+escaped to ASCII, floats by ``float.__repr__`` (``NaN`` and ``Infinity`` for
+the non-finite ones), tuples as lists.  Documents must be acyclic.  A matrix
+may also be given as a two-dimensional complex ndarray, written as the nested
+``[[[re, im], ...], ...]`` list it stands for, so element documents carry
+their coefficient arrays and are never built as nested lists.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -44,11 +49,69 @@ __all__ = [
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The document as indented JSON text: see the module docstring."""
+    return _encode(obj, "\n") + "\n"
 
 
-def _matrix_to_json(M: np.ndarray):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(M, complex)]
+def _encode(o, nl: str) -> str:
+    """o as JSON, for a value that starts a line indented as ``nl`` ends."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join([_encode(x, inner) for x in o]) + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        items = [_key(k) + ": " + _encode(v, inner) for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(o, np.ndarray) and o.ndim == 2 and o.dtype == complex:
+        return _matrix(o, nl)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key(k) -> str:
+    if not isinstance(k, str):
+        if not (isinstance(k, (int, float)) or k is None):  # bool is an int
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+        k = _encode(k, "")
+    return encode_basestring_ascii(k)
+
+
+def _matrix(M: np.ndarray, nl: str) -> str:
+    """A complex matrix as the [[[re, im], ...], ...] list it stands for."""
+    flat = np.ascontiguousarray(M).view(float).ravel().tolist()
+    if not math.isfinite(sum(flat)):  # a finite sum has only finite terms
+        flat = [_float(x) for x in flat]
+    # one %s per float, filled in row-major order; str(float) is its repr
+    r, c, e = nl + "  ", nl + "    ", nl + "      "
+    pair = "[" + e + "%s," + e + "%s" + c + "]"
+    row = "[" + c + ("," + c).join([pair] * M.shape[1]) + r + "]" if M.shape[1] else "[]"
+    text = "[" + r + ("," + r).join([row] * M.shape[0]) + nl + "]" if M.shape[0] else "[]"
+    return text % tuple(flat)
 
 
 def _expect(x, kind: type, what: str):
@@ -70,6 +133,8 @@ def _finite(data, shape: tuple, what: str) -> np.ndarray:
 
 
 def _matrix_from_json(data):
+    if isinstance(data, np.ndarray) and np.iscomplexobj(data):  # as element_to_json left it
+        data = np.stack([data.real, data.imag], axis=-1)
     # each [re, im] pair viewed as one complex number: the bits of complex(re, im)
     return _finite(data, (-1, -1, 2), "a matrix").view(complex)[..., 0]
 
@@ -78,7 +143,7 @@ def element_to_json(u: OperatorField) -> dict:
     return {
         "group": group_token(u.dual),
         "terms": [
-            {"irrep": format_label(a), "matrix": _matrix_to_json(u.coeffs[a])}
+            {"irrep": format_label(a), "matrix": np.asarray(u.coeffs[a], complex)}
             for a in u.support
         ],
     }

@@ -195,6 +195,9 @@ def test_exp_itu_overflow_and_non_finite_t(group):
                                          TorusChar((-1,)): np.array([[1.0]])}))
     with pytest.raises(OverflowError, match=r"not finite at t=1e\+308"):
         exp_itu(dual, u, 1e308, 8)
+    # the adaptive cutoff 1.2 |t| sup|u| overflows before any grid is built
+    with pytest.raises(OverflowError, match=r"no finite cutoff at t=1e\+308: .* overflows"):
+        exp_itu_auto(dual, u, 1e308, 64)
     for t in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="t must be finite"):
             exp_itu(dual, u, t, 8)
@@ -510,6 +513,29 @@ def test_derivation_scan_shapes(su2):
     rows05 = derivation_bound_scan(su2, X, w05, 500)
     s05 = dict(rows05)
     assert s05[500] > 10.0 * s05[1]
+
+
+@pytest.mark.parametrize("group", ["su2", "so3"])
+@pytest.mark.parametrize("kind", ["basis0", "basis1", "basis2", "nilpotent", "non-normal"])
+def test_derivation_scan_one_eigen_solve(group, kind, monkeypatch):
+    dual = parse_group(group)
+    E = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    X = {"nilpotent": E, "non-normal": 1j * np.diag([1.0, -1.0]) + E}.get(kind)
+    if X is None:
+        X = CasimirData(dual).basis[int(kind[-1])]
+    w = make_weight(dual, "poly:alpha=0.75")
+    n_max = 24
+    normal = kind.startswith("basis")
+    if not normal:  # the per-label norm is still the SVD of dpi(X)
+        for a in dual.ball(n_max):
+            assert _algebra_norm(dual, a, X) == float(np.linalg.norm(su2_algebra_rep(a.n, X), 2))
+    want = [(n, max(_algebra_norm(dual, a, X) / w(a) for a in dual.ball(n)))
+            for n in range(1, n_max + 1)]
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(1) or eigvals(M))
+    assert derivation_bound_scan(dual, X, w, n_max) == want
+    assert len(calls) == (1 if normal else 0)
 
 
 def test_algebra_norm_non_normal(su2):

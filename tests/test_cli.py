@@ -252,7 +252,7 @@ def test_element_round_trip(su2, sd, t2, rng):
     for dual in (su2, sd, t2):
         u = random_field(dual, 3, rng, n_terms=3)
         doc = element_to_json(u)
-        back = element_from_json(json.loads(json.dumps(doc)))
+        back = element_from_json(json.loads(dumps(doc)))
         assert back.dual == dual
         assert fields_close(back, u, tol=1e-15)
 
