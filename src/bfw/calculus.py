@@ -145,8 +145,10 @@ def _shells(dual: GroupDual, n_max: int) -> list[list[IrrepLabel]]:
     """Shell n lists the labels of word length n, n <= n_max, in ball order;
     each ball is sorted, so shell n is ball(n) minus ball(n - 1) in order."""
     shells: list[list[IrrepLabel]] = [[] for _ in range(n_max + 1)]
-    for a in dual.ball(n_max):
-        shells[dual.word_length(a)].append(a)
+    ball = dual.ball(n_max)
+    coords = np.array([dual.coords(a) for a in ball], dtype=np.int64)
+    for a, n in zip(ball, dual.word_lengths_at(coords).tolist()):
+        shells[n].append(a)
     return shells
 
 

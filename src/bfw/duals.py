@@ -35,6 +35,7 @@ from .labels import (
     Su2Spin,
     TorusChar,
     label_key,
+    split_top,
 )
 
 __all__ = [
@@ -328,15 +329,15 @@ class GroupDual:
         return self.mask_labels(*next(walk))
 
     def word_length(self, a: IrrepLabel, S=None, cap: int = 512) -> int:
-        """Minimal k with a inside a k-fold product over S; trivial has length 0."""
+        """Minimal k with a inside a k-fold product over S; trivial has length 0.
+
+        With S=None this is the family's rule on ``coords(a)``, which the
+        walk over the default generators is tested against."""
         self._check(a)
+        if S is None:
+            return self._word_length_rule(self.coords(a))
         if a == self.trivial:
             return 0
-        if S is None:
-            fast = self._default_word_length(a)
-            if fast is not None:
-                return fast
-            S = self.generators()
         S = tuple(S)
         self._check(*S)
         target = self.coords(a)
@@ -352,16 +353,26 @@ class GroupDual:
             seen = _union([seen, supp])
         raise NotGeneratedError(a, cap)
 
-    def _default_word_length(self, a):
-        return None
-
     def ball(self, radius: int, S=None) -> tuple[IrrepLabel, ...]:
-        """All labels of word length <= radius (cumulative tensor-power support)."""
+        """All labels of word length <= radius (cumulative tensor-power support).
+
+        Over the default generators (S=None) they are the labels of a box of
+        coordinates that the family contains and whose :meth:`word_lengths_at`
+        is at most radius.  The box holds what radius steps from the trivial
+        label reach when a step moves each coordinate at most as far as some
+        generator lies from the trivial label.
+        """
+        if radius < 0:
+            raise ValueError(f"ball radius must be >= 0, got {radius}")
         if S is None:
-            fast = self._default_ball(radius)
-            if fast is not None:
-                return fast
-            S = self.generators()
+            triv = np.array(self.coords(self.trivial), dtype=np.int64)
+            off = np.array([self.coords(s) for s in self.generators()], dtype=np.int64) - triv
+            lo = triv + radius * np.minimum(off.min(axis=0), 0)
+            hi = triv + radius * np.maximum(off.max(axis=0), 0)
+            shape = tuple((hi - lo + 1).tolist())
+            box = np.indices(shape).reshape(len(shape), -1).T + lo
+            inside = self.word_lengths_at(box).reshape(shape) <= radius
+            return tuple(a for a in self.mask_labels(inside, lo) if self.contains(a))
         S = tuple(S)
         acc = supp = self.mask((self.trivial,))
         if radius > 0:
@@ -370,9 +381,6 @@ class GroupDual:
             supp = self.lattice_step(supp, S)
             acc = _union([acc, supp])
         return self.mask_labels(*acc)
-
-    def _default_ball(self, radius):
-        return None
 
     # --- integer-lattice supports -------------------------------------------
     # A support is a pair (arr, lo): a boolean mask over a window of the
@@ -388,10 +396,15 @@ class GroupDual:
         """The label with lattice coordinates c (inverse of :meth:`coords`)."""
         raise NotImplementedError
 
+    def _word_length_rule(self, c):
+        """Word length over the default generators of the label at coordinates
+        c, given as r ints (one label) or r int64 columns (many labels)."""
+        raise NotImplementedError
+
     def word_lengths_at(self, c: np.ndarray) -> np.ndarray:
         """Default word lengths (:meth:`word_length` with S=None) of the labels
         at the rows of the (k, r) int64 coordinate array c."""
-        raise NotImplementedError
+        return self._word_length_rule(tuple(c.T))
 
     def dims_at(self, c: np.ndarray) -> np.ndarray:
         """Dimensions of the labels at the rows of c."""
@@ -630,17 +643,14 @@ class TorusDual(GroupDual):
     def _fuse(self, a, b):
         return [(TorusChar(tuple(x + y for x, y in zip(a.mu, b.mu))), 1)]
 
-    def _default_word_length(self, a):
-        return sum(abs(m) for m in a.mu)
-
     def coords(self, a):
         return a.mu
 
     def label_at(self, c):
         return TorusChar(c)
 
-    def word_lengths_at(self, c):
-        return np.abs(c).sum(axis=1)
+    def _word_length_rule(self, c):
+        return sum(abs(m) for m in c)
 
     def dims_at(self, c):
         return np.ones(len(c), dtype=np.int64)
@@ -651,13 +661,6 @@ class TorusDual(GroupDual):
         for i, m in enumerate(s.mu):
             lo[ax + i] += m
         return arr, tuple(lo)
-
-    def _default_ball(self, radius):
-        out = []
-        for mu in itertools.product(range(-radius, radius + 1), repeat=self.n):
-            if sum(abs(m) for m in mu) <= radius:
-                out.append(TorusChar(mu))
-        return tuple(sorted(out, key=label_key))
 
     def identity(self):
         return np.zeros(self.n)
@@ -726,17 +729,14 @@ class Su2Dual(GroupDual):
         lo, hi = abs(a.n - b.n), a.n + b.n
         return [(Su2Spin(k), 1) for k in range(lo, hi + 1, 2)]
 
-    def _default_word_length(self, a):
-        return a.n
-
     def coords(self, a):
         return (a.n,)
 
     def label_at(self, c):
         return Su2Spin(c[0])
 
-    def word_lengths_at(self, c):
-        return c[:, 0]
+    def _word_length_rule(self, c):
+        return c[0]
 
     def dims_at(self, c):
         return c[:, 0] + 1
@@ -758,9 +758,6 @@ class Su2Dual(GroupDual):
                 off = l + d - new_l
                 out[_axis(ax, i0 + off, size + off)] |= arr[_axis(ax, i0, size)]
         return out, lo[:ax] + (new_l,) + lo[ax + 1:]
-
-    def _default_ball(self, radius):
-        return tuple(Su2Spin(k) for k in range(radius + 1))
 
     def identity(self):
         return np.eye(2, dtype=complex)
@@ -892,14 +889,8 @@ class So3Dual(Su2Dual):
     def generators(self):
         return (Su2Spin(2),)
 
-    def _default_word_length(self, a):
-        return a.n // 2
-
-    def word_lengths_at(self, c):
-        return c[:, 0] // 2
-
-    def _default_ball(self, radius):
-        return tuple(Su2Spin(2 * k) for k in range(radius + 1))
+    def _word_length_rule(self, c):
+        return c[0] // 2
 
 
 # ---------------------------------------------------------------------------
@@ -955,25 +946,20 @@ class SemidirectDual(GroupDual):
             (SemidirectLabel("sgn"), 1),
         ]
 
-    def _default_word_length(self, a):
-        if a.kind == "triv":
-            return 0
-        if a.kind == "sgn":
-            return 2
-        return a.m
-
     def coords(self, a):
         return ({"triv": 0, "sgn": 1}.get(a.kind, a.m + 1),)
 
     def label_at(self, c):
         i = c[0]
+        if i < 0:
+            raise ValueError(f"no circle-with-flip label at coordinate {i}")
         if i < 2:
             return SemidirectLabel(("triv", "sgn")[i])
         return SemidirectLabel("pi", i - 1)
 
-    def word_lengths_at(self, c):
-        i = c[:, 0]  # triv 0, sgn 2, pi_m m
-        return np.where(i < 2, 2 * i, i - 1)
+    def _word_length_rule(self, c):
+        i = c[0]  # triv 0 -> 0, sgn 1 -> 2, pi_m m + 1 -> m
+        return (i < 2) * (i + 1) + i - 1
 
     def dims_at(self, c):
         return np.where(c[:, 0] < 2, 1, 2)
@@ -1000,13 +986,6 @@ class SemidirectDual(GroupDual):
         out[at(0)] |= A[at(m + 1)]  # pi_m -> triv + sgn
         out[at(1)] |= A[at(m + 1)]
         return out, lo0
-
-    def _default_ball(self, radius):
-        out = [SemidirectLabel("triv")]
-        if radius >= 2:
-            out.append(SemidirectLabel("sgn"))
-        out.extend(SemidirectLabel("pi", m) for m in range(1, radius + 1))
-        return tuple(sorted(out, key=label_key))
 
     def identity(self):
         return SemidirectPoint(0.0, False)
@@ -1147,13 +1126,6 @@ class ProductDual(GroupDual):
                 out.append((ProductLabel(sl, sr), ml * mr))
         return out
 
-    def _default_word_length(self, a):
-        wl = self.left._default_word_length(a.left)
-        wr = self.right._default_word_length(a.right)
-        if wl is None or wr is None:
-            return None
-        return wl + wr
-
     def coords(self, a):
         return tuple(self.left.coords(a.left)) + tuple(self.right.coords(a.right))
 
@@ -1161,9 +1133,9 @@ class ProductDual(GroupDual):
         r = self.left.lattice_rank
         return ProductLabel(self.left.label_at(c[:r]), self.right.label_at(c[r:]))
 
-    def word_lengths_at(self, c):
+    def _word_length_rule(self, c):
         r = self.left.lattice_rank
-        return self.left.word_lengths_at(c[:, :r]) + self.right.word_lengths_at(c[:, r:])
+        return self.left._word_length_rule(c[:r]) + self.right._word_length_rule(c[r:])
 
     def dims_at(self, c):
         r = self.left.lattice_rank
@@ -1173,19 +1145,6 @@ class ProductDual(GroupDual):
         # each factor's rule along its own axes
         arr, lo = self.left._step_mask(arr, lo, s.left, ax)
         return self.right._step_mask(arr, lo, s.right, ax + self.left.lattice_rank)
-
-    def _default_ball(self, radius):
-        lb = self.left._default_ball(radius)
-        rb = self.right._default_ball(radius)
-        if lb is None or rb is None:
-            return None
-        out = [
-            ProductLabel(a, b)
-            for a in lb
-            for b in rb
-            if self.left._default_word_length(a) + self.right._default_word_length(b) <= radius
-        ]
-        return tuple(sorted(out, key=label_key))
 
     def identity(self):
         return (self.left.identity(), self.right.identity())
@@ -1293,17 +1252,8 @@ def parse_group(token: str) -> GroupDual:
     if token.startswith("torus:"):
         return TorusDual(int(token.split(":", 1)[1]))
     if token.startswith("prod(") and token.endswith(")"):
-        inner = token[5:-1]
-        depth, cut = 0, None
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                cut = i
-                break
-        if cut is None:
+        parts = split_top(token[5:-1], ",")
+        if len(parts) != 2:
             raise ValueError(f"bad product group {token!r}")
-        return ProductDual(parse_group(inner[:cut]), parse_group(inner[cut + 1:]))
+        return ProductDual(*(parse_group(p) for p in parts))
     raise ValueError(f"unknown group {token!r}")

@@ -108,14 +108,16 @@ _TORUS_RE = re.compile(r"^t:\((-?\d+(?:,-?\d+)*)\)$")
 _PI_RE = re.compile(r"^pi:(\d+)$")
 
 
-def _split_product(s: str) -> list[str]:
+def split_top(s: str, sep: str) -> list[str]:
+    """s cut at each sep outside parentheses: the parts of ``prod(a,b)``
+    groups, of ``prod``/``pow`` recipes and of ``a×b`` labels."""
     parts, depth, start = [], 0, 0
     for i, ch in enumerate(s):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        elif ch == "×" and depth == 0:
+        elif ch == sep and depth == 0:
             parts.append(s[start:i])
             start = i + 1
     parts.append(s[start:])
@@ -128,7 +130,7 @@ def parse_label(dual, s: str) -> IrrepLabel:
 
     s = s.strip()
     if isinstance(dual, duals.ProductDual):
-        parts = _split_product(s)
+        parts = split_top(s, "×")
         if len(parts) != 2:
             raise ValueError(f"product label needs two ×-joined parts: {s!r}")
         lp, rp = (p[1:-1] if p.startswith("(") and p.endswith(")") else p for p in parts)

@@ -25,6 +25,8 @@ elementwise IEEE arithmetic in the order of the per-label formula.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -33,7 +35,7 @@ import numpy as np
 
 from .duals import GroupDual, So3Dual, Su2Dual, TorusDual, so3_lift
 from .errors import UnsupportedBranchingError, WeightOverflowError, WeightSpecError
-from .labels import IrrepLabel, Su2Spin, format_label, parse_label
+from .labels import IrrepLabel, Su2Spin, format_label, parse_label, split_top
 
 __all__ = [
     "Weight",
@@ -65,6 +67,7 @@ class Weight:
     su2_monotone: bool = False  # nondecreasing in the Su2Spin index
     warnings: tuple[str, ...] = ()
     log_array: object = None  # coords -> log w in bulk; None reads fn label by label
+    recipe: dict | None = field(default=None, repr=False, compare=False)  # make_weight's spec
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __call__(self, a: IrrepLabel) -> float:
@@ -157,20 +160,6 @@ class GrowthClassification:
 # recipes
 # ---------------------------------------------------------------------------
 
-def _split_args(s: str) -> list[str]:
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(s[start:i])
-            start = i + 1
-    parts.append(s[start:])
-    return [p.strip() for p in parts]
-
-
 def _parse_spec(spec: str) -> dict:
     spec = spec.strip()
     if spec == "dim":
@@ -189,12 +178,12 @@ def _parse_spec(spec: str) -> dict:
         lam = [float(x) for x in body[7:].split(",")]
         return {"kind": "exp", "lam": lam}
     if spec.startswith("prod(") and spec.endswith(")"):
-        args = _split_args(spec[5:-1])
+        args = split_top(spec[5:-1], ",")
         if len(args) != 2:
             raise WeightSpecError(f"prod takes two recipes, got {spec!r}")
         return {"kind": "prod", "factors": [_parse_spec(a) for a in args]}
     if spec.startswith("pow(") and spec.endswith(")"):
-        args = _split_args(spec[4:-1])
+        args = split_top(spec[4:-1], ",")
         if len(args) != 2:
             raise WeightSpecError(f"pow takes a recipe and an exponent, got {spec!r}")
         return {"kind": "pow", "base": _parse_spec(args[0]), "alpha": float(args[1])}
@@ -241,13 +230,18 @@ def make_weight(dual: GroupDual, spec: str | dict) -> Weight:
     d = _parse_spec(spec) if isinstance(spec, str) else spec
     if not isinstance(d, dict):
         raise WeightSpecError(f"a weight is a recipe string or an object, got {spec!r}")
+    return dataclasses.replace(_recipe_weight(dual, d), recipe=copy.deepcopy(d))
+
+
+def _recipe_weight(dual: GroupDual, d: dict) -> Weight:
     kind = d.get("kind")
     if kind == "const":
         c = _finite(kind, "c", d["c"])
         if c < 1.0:
             raise WeightSpecError(f"const weight needs c >= 1, got {c}")
         log_c = math.log(c)
-        return Weight(dual, lambda a: c, _spec_to_str(d), log_array=lambda x: np.full(len(x), log_c))
+        return Weight(dual, lambda a: c, _spec_to_str(d), su2_monotone=True,
+                      log_array=lambda x: np.full(len(x), log_c))
     if kind == "dim":
         return Weight(dual, dual.dim, "dim", su2_monotone=True,
                       log_array=lambda x: _on_distinct(math.log, dual.dims_at(x)))
@@ -347,7 +341,10 @@ def weight_from_json(dual: GroupDual, data: str | dict) -> Weight:
 
 
 def weight_to_json(w: Weight) -> dict:
-    return _parse_spec(w.descriptor) if w.descriptor != "table(...)" else {"kind": "table"}
+    """The recipe make_weight built w from, as a JSON dict."""
+    if w.recipe is None:
+        raise WeightSpecError(f"weight {w.descriptor} was not built from a recipe")
+    return copy.deepcopy(w.recipe)
 
 
 # ---------------------------------------------------------------------------

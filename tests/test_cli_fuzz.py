@@ -154,6 +154,14 @@ REPRODUCED = [
         ("spectrum", "pow(poly:alpha=1e300,1e10)", []),
         ("growth", "pow(exp:lambda=1e300,3)", ["--label", "pi:1"]),
     ]
+] + [
+    # a negative radius certified membership, wrote an empty scan, or failed in max()
+    (["spectrum", "--group", "su2", "--weight", "poly:alpha=1", "--num", "16", "--cutoff", "-3",
+      "--membership-point", P], {"p": {"group": "su2", "euler": [0.1, 0.2, 0.3], "lambda": 3.0}}, 3),
+    (["derivation", "--group", "su2", "--weight", "poly:alpha=1", "--num", "-5",
+      "--out", f"{TMP}/d.csv"], {}, 3),
+    (["validate-weight", "--group", "su2", "--weight", "dim", "--depth", "-1"], {}, 3),
+    (["validate-weight", "--group", "prod(su2,torus:1,so3)", "--weight", "dim"], {}, 3),
 ]
 
 

@@ -170,7 +170,7 @@ def test_ball(su2, sd, t2, prod_dual):
     ball = prod_dual.ball(2)
     assert ProductLabel(Su2Spin(1), TorusChar((1,))) in ball
     assert ProductLabel(Su2Spin(2), TorusChar((1,))) not in ball
-    # generic fallback agrees
+    # the explicit-generator walk agrees
     assert su2.ball(3, S=(Su2Spin(1),)) == su2.ball(3)
 
 
@@ -357,3 +357,62 @@ def test_lattice_foreign_generator(su2, t1):
         su2.word_length(Su2Spin(2), S=foreign)
     with pytest.raises(FamilyMismatchError):
         t1.power_maxima((Su2Spin(1),), 4, lambda c: np.zeros(len(c)), 100)
+
+
+# groups and largest radius of the default-rule checks: every family, products
+# in both orders and one nested product
+DEFAULT_RULE_CASES = [
+    ("su2", 12), ("so3", 12), ("txz2", 12), ("torus:1", 12), ("torus:2", 9), ("torus:3", 9),
+    ("prod(su2,torus:1)", 12), ("prod(txz2,so3)", 12), ("prod(so3,txz2)", 12),
+    ("prod(torus:1,torus:2)", 9), ("prod(prod(su2,txz2),torus:1)", 12),
+]
+
+
+@pytest.mark.parametrize("group,radius", DEFAULT_RULE_CASES)
+def test_default_ball_and_word_length_equal_generator_walk(group, radius):
+    # the explicit-generator walk is the oracle of the per-family rule
+    dual = parse_group(group)
+    S = dual.generators()
+    for r in range(radius + 1):
+        assert dual.ball(r) == dual.ball(r, S)
+    labels = dual.ball(radius)
+    walk = [dual.word_length(a, S) for a in labels]
+    assert [dual.word_length(a) for a in labels] == walk
+    coords = np.array([dual.coords(a) for a in labels], dtype=np.int64)
+    assert dual.word_lengths_at(coords).tolist() == walk
+
+
+@pytest.mark.parametrize("group", [group for group, _ in DEFAULT_RULE_CASES])
+def test_per_label_word_length_reads_no_arrays(group, monkeypatch):
+    from bfw import make_weight
+    from bfw.duals import GroupDual
+
+    dual = parse_group(group)
+    labels = dual.ball(4)
+
+    def no_arrays(self, c):
+        raise AssertionError("per-label word length went through word_lengths_at")
+
+    monkeypatch.setattr(GroupDual, "word_lengths_at", no_arrays)
+    w = make_weight(dual, "poly:alpha=1")
+    for a in labels:
+        n = dual.word_length(a)
+        assert type(n) is int
+        assert w(a) == 1.0 + n
+
+
+def test_negative_radius_and_coordinate_rejected(su2, sd):
+    for dual in (su2, sd, parse_group("prod(su2,torus:1)")):
+        for S in (None, dual.generators()):
+            with pytest.raises(ValueError, match="radius"):
+                dual.ball(-3, S)
+    for c in ([-1], [-5]):
+        with pytest.raises(ValueError):
+            sd.label_at(c)
+
+
+def test_product_group_needs_two_factors():
+    assert parse_group(" prod(prod(su2,txz2), torus:1) ") == parse_group("prod(prod(su2,txz2),torus:1)")
+    for token in ("prod(su2,torus:1,so3)", "prod(su2)", "prod(prod(su2,so3,txz2),su2)"):
+        with pytest.raises(ValueError, match="bad product group"):
+            parse_group(token)

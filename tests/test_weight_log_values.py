@@ -10,7 +10,7 @@ from bfw import ProductDual, So3Dual, TorusDual, format_label, make_weight, quot
 from bfw.duals import parse_group
 from bfw.errors import WeightOverflowError
 from bfw.weights import Weight
-from weight_log_oracle import oracle_log_value
+from weight_log_oracle import closed_form_word_length, oracle_log_value, word_length
 
 GROUPS = ["su2", "so3", "txz2", "torus:1", "torus:2", "torus:3", "prod(su2,torus:1)", "prod(txz2,so3)"]
 
@@ -71,9 +71,18 @@ def test_word_lengths_and_dims_at_coords(group):
     coords = _coords(dual, 9090)
     labels = [dual.label_at(c) for c in coords.tolist()]
     wl, dims = dual.word_lengths_at(coords), dual.dims_at(coords)
-    assert wl.tolist() == [dual.word_length(a) for a in labels]
+    assert wl.tolist() == [word_length(dual, a) for a in labels]
     assert dims.tolist() == [dual.dim(a) for a in labels]
     assert [dual.coords(a) for a in labels] == [tuple(c) for c in coords.tolist()]
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_word_length_closed_forms_equal_walk(group):
+    # the oracle's word lengths beyond the walk radius
+    dual = parse_group(group)
+    S = dual.generators()
+    for a in dual.ball(6, S):
+        assert closed_form_word_length(dual, a) == dual.word_length(a, S=S)
 
 
 def test_weights_without_closed_form_read_labels(su2, so3, t1):

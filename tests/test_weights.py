@@ -1,5 +1,6 @@
 """Weight recipes, validation, growth certificates, restriction/quotient."""
 
+import json
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from bfw.weights import (
     growth_rate,
     validate,
     weight_from_json,
+    weight_to_json,
 )
 
 RECIPES = ["const:1", "const:1.5", "dim", "poly:alpha=1", "poly:alpha=0.5",
@@ -186,6 +188,16 @@ def test_restrict_weight_inexact_warning(su2):
     assert w.warnings and "inexact" in w.warnings[0]
 
 
+def test_const_recipes_restrict_exactly(su2):
+    # const is nondecreasing in the spin: the infimum is the value at the smallest spin
+    for spec in ("const:2", "prod(const:2,dim)"):
+        w = make_weight(su2, spec)
+        r = restrict_weight(w)
+        assert w.su2_monotone and r.warnings == ()
+        for k in (-5, -2, 0, 1, 6):
+            assert r(TorusChar((k,))) == min(w(Su2Spin(n)) for n in range(abs(k), 513, 2))
+
+
 def test_quotient_weight(su2, so3):
     wq = quotient_weight(make_weight(su2, "dim"))
     for m in range(4):
@@ -223,6 +235,34 @@ def test_weight_json_round_trip(su2):
         w2 = make_weight(su2, weight_to_json(w))
         for a in su2.ball(5):
             assert w(a) == w2(a)
+
+
+@pytest.mark.parametrize("group", ["su2", "torus:2", "prod(txz2,so3)"])
+def test_weight_json_round_trip_is_exact(group):
+    # parameters of 17 significant digits, which the six-digit descriptor drops
+    dual = parse_group(group)
+    labels = dual.ball(6)
+    poly = {"kind": "poly", "alpha": 1.2345678901234567}
+    recipes = [
+        "poly:alpha=1.2345678", "exp:lambda=2.6731234567", poly,
+        {"kind": "pow", "base": {"kind": "prod", "factors": [poly, "dim"]}, "alpha": 1.0000000000000002},
+        {"kind": "table", "base": poly, "entries": {format_label(labels[1]): 0.30000000000000004}},
+    ]
+    coords = np.array([dual.coords(a) for a in labels], dtype=np.int64)
+    for spec in recipes:
+        w = make_weight(dual, spec)
+        doc = weight_to_json(w)
+        w2 = make_weight(dual, json.loads(json.dumps(doc)))
+        assert [w2(a) for a in labels] == [w(a) for a in labels]
+        assert w2.log_values(coords).tobytes() == w.log_values(coords).tobytes()
+        doc["kind"] = "mutated"  # a copy: the weight keeps its recipe
+        assert weight_to_json(w)["kind"] != "mutated"
+    built = [Weight(dual, lambda a: 2.0, "user")]
+    if group == "su2":
+        built += [restrict_weight(make_weight(dual, "dim")), quotient_weight(make_weight(dual, "dim"))]
+    for w in built:  # no recipe to return
+        with pytest.raises(WeightSpecError):
+            weight_to_json(w)
 
 
 def test_weight_overflow_is_typed(su2, t2):
