@@ -17,7 +17,11 @@ is sequential and deterministic, and the value is only recorded as
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
+import itertools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -63,6 +67,13 @@ def _write(path, text):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_csv(path, header, rows):
+    """One line per row: floats as ``repr``, everything else as ``str``."""
+    lines = [header] + [",".join(repr(x) if isinstance(x, float) else str(x) for x in row)
+                        for row in rows]
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _load_weight(dual, spec_or_path):
@@ -156,12 +167,8 @@ def cmd_growth(args) -> int:
     }
     _emit_report(args, payload)
     if args.csv:
-        lines = ["n,root,running_inf"]
-        run = float("inf")
-        for n, root in cert.seq:
-            run = min(run, root)
-            lines.append(f"{n},{root!r},{run!r}")
-        _write(args.csv, "\n".join(lines) + "\n")
+        ns, roots = zip(*cert.seq)
+        _write_csv(args.csv, "n,root,running_inf", zip(ns, roots, itertools.accumulate(roots, min)))
     return EXIT_OK
 
 
@@ -177,19 +184,10 @@ def cmd_spectrum(args) -> int:
         if sp_dual != dual:
             raise WeightSpecError("membership point group differs from --group")
         res = spectrum.membership(dual, theta, w, cutoff=args.cutoff)
-        payload["membership"] = {
-            "margin": res.margin,
-            "member": res.member,
-            "certified": res.certified,
-            "cutoff": res.cutoff,
-            "argmax": res.argmax,
-        }
+        payload["membership"] = dataclasses.asdict(res)
     _emit_report(args, payload)
     if args.csv:
-        lines = ["probe,radius"]
-        for probe in sorted(desc.radii):
-            lines.append(f"{probe},{desc.radii[probe]!r}")
-        _write(args.csv, "\n".join(lines) + "\n")
+        _write_csv(args.csv, "probe,radius", sorted(desc.radii.items()))
     return EXIT_OK
 
 
@@ -243,8 +241,6 @@ def cmd_expcurve(args) -> int:
     dual = parse_group(args.group)
     w = _load_weight(dual, args.weight)
     u = _load_element(dual, args.u)
-    if not np.isfinite(args.tmax):
-        raise ValueError(f"--tmax must be finite, got {args.tmax!r}")
     t_list = []
     t = 1.0
     while t <= args.tmax:
@@ -272,14 +268,11 @@ def cmd_derivation(args) -> int:
     dual = parse_group(args.group)
     w = _load_weight(dual, args.weight)
     cas = calculus.CasimirData(dual)
-    if not 0 <= args.basis_index < len(cas.basis):
-        raise ValueError(f"--basis-index must lie in [0, {len(cas.basis)}), got {args.basis_index}")
-    X = cas.basis[args.basis_index]
-    rows = calculus.derivation_bound_scan(dual, X, w, args.num)
-    lines = ["n,sup"]
-    for n, sup in rows:
-        lines.append(f"{n},{sup!r}")
-    _write(args.out, "\n".join(lines) + "\n")
+    index = len(cas.basis) - 1 if args.basis_index is None else args.basis_index
+    if not 0 <= index < len(cas.basis):
+        raise ValueError(f"--basis-index must lie in [0, {len(cas.basis)}), got {index}")
+    rows = calculus.derivation_bound_scan(dual, cas.basis[index], w, args.num)
+    _write_csv(args.out, "n,sup", rows)
     return EXIT_OK
 
 
@@ -322,89 +315,92 @@ def cmd_nu_check(args) -> int:
 # wiring
 # ---------------------------------------------------------------------------
 
+def _checked(parse, ok, need):
+    """An argparse ``type``: ``parse`` the string, then require ``ok`` of the value.
+
+    A string ``parse`` rejects gets the message argparse gives for ``type=parse``.
+    """
+
+    def convert(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {parse.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
+        return value
+
+    return convert
+
+
+_count = _checked(int, lambda n: n >= 0, "an integer >= 0")
+_tolerance = _checked(float, lambda x: math.isfinite(x) and x >= 0, "finite and >= 0")
+_finite = _checked(float, math.isfinite, "finite")
+
+
+@functools.cache
 def build_parser() -> _Parser:
     p = _Parser(prog="bfw", description="weighted Fourier algebra workbench")
     sub = p.add_subparsers(dest="command", required=True)
+    group, weight, out = (_Parser(add_help=False) for _ in range(3))
+    group.add_argument("--group", required=True)
+    weight.add_argument("--weight", required=True)
+    out.add_argument("--out")
 
-    def add(name, fn, **kw):
-        sp = sub.add_parser(name, **kw)
+    def add(name, fn, *parents):
+        sp = sub.add_parser(name, parents=parents)
         sp.set_defaults(func=fn)
         return sp
 
-    sp = add("validate-weight", cmd_validate_weight)
-    sp.add_argument("--group", required=True)
-    sp.add_argument("--weight", required=True)
-    sp.add_argument("--depth", type=int, default=12)
-    sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("--out")
+    sp = add("validate-weight", cmd_validate_weight, group, weight, out)
+    sp.add_argument("--depth", type=_count, default=12)
+    sp.add_argument("--tol", type=_tolerance, default=1e-9)
 
-    sp = add("growth", cmd_growth)
-    sp.add_argument("--group", required=True)
-    sp.add_argument("--weight", required=True)
+    sp = add("growth", cmd_growth, group, weight, out)
     sp.add_argument("--label", required=True)
-    sp.add_argument("--num", type=int, default=512)
-    sp.add_argument("--out")
+    sp.add_argument("--num", type=_count, default=512)
     sp.add_argument("--csv")
 
-    sp = add("spectrum", cmd_spectrum)
-    sp.add_argument("--group", required=True)
-    sp.add_argument("--weight", required=True)
-    sp.add_argument("--num", type=int, default=None)
-    sp.add_argument("--cutoff", type=int, default=64)
+    sp = add("spectrum", cmd_spectrum, group, weight, out)
+    sp.add_argument("--num", type=_count, default=None)
+    sp.add_argument("--cutoff", type=_count, default=64)
     sp.add_argument("--membership-point")
-    sp.add_argument("--out")
     sp.add_argument("--csv")
 
-    sp = add("norm", cmd_norm)
-    sp.add_argument("--group", required=True)
-    sp.add_argument("--weight", required=True)
+    sp = add("norm", cmd_norm, group, weight, out)
     sp.add_argument("--element", required=True)
     sp.add_argument("--kind", choices=["a", "l2", "dual"], default="a")
-    sp.add_argument("--out")
 
-    sp = add("multiply", cmd_multiply)
-    sp.add_argument("--group", required=True)
+    sp = add("multiply", cmd_multiply, group, out)
     sp.add_argument("--u", required=True)
     sp.add_argument("--v", required=True)
-    sp.add_argument("--out")
 
-    sp = add("factorize", cmd_factorize)
-    sp.add_argument("--group", required=True)
+    sp = add("factorize", cmd_factorize, group, out)
     sp.add_argument("--element", required=True)
     sp.add_argument("--w1", required=True)
     sp.add_argument("--w2", required=True)
     sp.add_argument("--out-f")
     sp.add_argument("--out-g")
-    sp.add_argument("--out")
 
-    sp = add("expcurve", cmd_expcurve)
-    sp.add_argument("--group", required=True)
+    sp = add("expcurve", cmd_expcurve, group, weight, out)
     sp.add_argument("--u", required=True)
-    sp.add_argument("--weight", required=True)
-    sp.add_argument("--tmax", type=float, default=64.0)
-    sp.add_argument("--cutoff-cap", type=int, default=120)
-    sp.add_argument("--tail-tol", type=float, default=1e-6)
-    sp.add_argument("--out")
+    sp.add_argument("--tmax", type=_finite, default=64.0)
+    sp.add_argument("--cutoff-cap", type=_count, default=120)
+    sp.add_argument("--tail-tol", type=_tolerance, default=1e-6)
     sp.add_argument("--svg")
 
-    sp = add("derivation", cmd_derivation)
-    sp.add_argument("--group", required=True)
-    sp.add_argument("--weight", required=True)
-    sp.add_argument("--num", type=int, default=512)
-    sp.add_argument("--basis-index", type=int, default=2)
-    sp.add_argument("--out")
+    sp = add("derivation", cmd_derivation, group, weight, out)
+    sp.add_argument("--num", type=_count, default=512)
+    sp.add_argument("--basis-index", type=int)
 
     sp = add("synth-degree", cmd_synth_degree)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--alpha", type=float, required=True)
+    sp.add_argument("--alpha", type=_finite, required=True)
 
-    sp = add("nu-check", cmd_nu_check)
-    sp.add_argument("--group", required=True)
+    sp = add("nu-check", cmd_nu_check, group, weight, out)
     sp.add_argument("--element", required=True)
-    sp.add_argument("--weight", required=True)
     sp.add_argument("--T")
-    sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("--out")
+    sp.add_argument("--tol", type=_tolerance, default=1e-9)
 
     return p
 

@@ -190,25 +190,6 @@ def _parse_spec(spec: str) -> dict:
     raise WeightSpecError(f"cannot parse weight recipe {spec!r}")
 
 
-def _spec_to_str(d: dict) -> str:
-    k = d["kind"]
-    if k == "dim":
-        return "dim"
-    if k == "const":
-        return f"const:{d['c']:g}"
-    if k == "poly":
-        return f"poly:alpha={d['alpha']:g}"
-    if k == "exp":
-        return "exp:lambda=" + ",".join(f"{x:g}" for x in d["lam"])
-    if k == "prod":
-        return "prod(" + ",".join(_spec_to_str(f) for f in d["factors"]) + ")"
-    if k == "pow":
-        return f"pow({_spec_to_str(d['base'])},{d['alpha']:g})"
-    if k == "table":
-        return "table(...)"
-    raise WeightSpecError(f"unknown recipe kind {k!r}")
-
-
 def _finite(kind: str, name: str, x) -> float:
     try:
         x = float(x)
@@ -240,7 +221,7 @@ def _recipe_weight(dual: GroupDual, d: dict) -> Weight:
         if c < 1.0:
             raise WeightSpecError(f"const weight needs c >= 1, got {c}")
         log_c = math.log(c)
-        return Weight(dual, lambda a: c, _spec_to_str(d), su2_monotone=True,
+        return Weight(dual, lambda a: c, f"const:{d['c']:g}", su2_monotone=True,
                       log_array=lambda x: np.full(len(x), log_c))
     if kind == "dim":
         return Weight(dual, dual.dim, "dim", su2_monotone=True,
@@ -252,7 +233,7 @@ def _recipe_weight(dual: GroupDual, d: dict) -> Weight:
         return Weight(
             dual,
             lambda a: (1.0 + dual.word_length(a)) ** alpha,
-            _spec_to_str(d),
+            f"poly:alpha={d['alpha']:g}",
             su2_monotone=True,
             log_array=lambda x: alpha * _on_distinct(math.log1p, dual.word_lengths_at(x)),
         )
@@ -291,7 +272,8 @@ def _recipe_weight(dual: GroupDual, d: dict) -> Weight:
             def log_array(x, _l=math.log(base)):
                 return dual.word_lengths_at(x) * _l
 
-        return Weight(dual, fn, _spec_to_str(d), su2_monotone=True, log_array=log_array)
+        descriptor = "exp:lambda=" + ",".join(f"{x:g}" for x in d["lam"])
+        return Weight(dual, fn, descriptor, su2_monotone=True, log_array=log_array)
     if kind == "prod":
         if not isinstance(d["factors"], list) or len(d["factors"]) != 2:
             raise WeightSpecError(f"prod takes a list of two recipes, got {d['factors']!r}")

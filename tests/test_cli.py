@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, file round trips, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from bfw import OperatorField, Su2Spin
-from bfw.cli import main
+from bfw.cli import build_parser, main
 from bfw.serialize import (
     dumps,
     element_from_json,
@@ -244,6 +245,72 @@ def test_expcurve_so3(tmp_path):
     assert code == 0
     assert json.loads(out)["passed"] is True
     assert len(csv.read_text().splitlines()) == 5  # header and t = 1, 2, 4, 8
+
+
+def test_derivation_default_basis_index_is_last(tmp_path):
+    # the last Casimir basis element: i·sigma_3/(2√2) on SU(2), the last axis on a torus
+    for group, last in [("su2", "2"), ("torus:2", "1"), ("torus:1", "0")]:
+        texts = []
+        for extra in ([], ["--basis-index", last]):
+            scan = tmp_path / "scan.csv"
+            code, _ = run(["derivation", "--group", group, "--weight", "poly:alpha=1",
+                           "--num", "16", "--out", str(scan)] + extra)
+            assert code == 0
+            texts.append(scan.read_text())
+        assert texts[0] == texts[1]
+
+
+def test_parser_built_once(monkeypatch):
+    run(["synth-degree", "--m", "2", "--alpha", "1"])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argument parser rebuilt")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", refuse)
+    code, out = run(["synth-degree", "--m", "2", "--alpha", "1"])
+    assert code == 0 and out == "3\n"
+
+
+# every subcommand's parsed namespace for a minimal argv: these keys and values
+# (types included) are the "config" block of its report
+PARSED = {
+    "validate-weight": (["--group", "su2", "--weight", "dim"],
+                        {"group": "su2", "weight": "dim", "depth": 12, "tol": 1e-09, "out": None}),
+    "growth": (["--group", "su2", "--weight", "dim", "--label", "pi:1"],
+               {"group": "su2", "weight": "dim", "label": "pi:1", "num": 512, "out": None,
+                "csv": None}),
+    "spectrum": (["--group", "su2", "--weight", "dim"],
+                 {"group": "su2", "weight": "dim", "num": None, "cutoff": 64,
+                  "membership_point": None, "out": None, "csv": None}),
+    "norm": (["--group", "su2", "--weight", "dim", "--element", "char:1"],
+             {"group": "su2", "weight": "dim", "element": "char:1", "kind": "a", "out": None}),
+    "multiply": (["--group", "su2", "--u", "char:1", "--v", "char:1"],
+                 {"group": "su2", "u": "char:1", "v": "char:1", "out": None}),
+    "factorize": (["--group", "su2", "--element", "char:1", "--w1", "dim", "--w2", "dim"],
+                  {"group": "su2", "element": "char:1", "w1": "dim", "w2": "dim", "out_f": None,
+                   "out_g": None, "out": None}),
+    "expcurve": (["--group", "su2", "--u", "uchar:1", "--weight", "dim"],
+                 {"group": "su2", "u": "uchar:1", "weight": "dim", "tmax": 64.0, "cutoff_cap": 120,
+                  "tail_tol": 1e-06, "out": None, "svg": None}),
+    # None resolves to the last Casimir basis element (index 2 on SU(2) and SO(3))
+    "derivation": (["--group", "su2", "--weight", "dim"],
+                   {"group": "su2", "weight": "dim", "num": 512, "basis_index": None, "out": None}),
+    "synth-degree": (["--m", "2", "--alpha", "1"], {"m": 2, "alpha": 1.0}),
+    "nu-check": (["--group", "su2", "--element", "char:1", "--weight", "dim"],
+                 {"group": "su2", "element": "char:1", "weight": "dim", "T": None, "tol": 1e-09,
+                  "out": None}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARSED))
+def test_parsed_config_is_pinned(command):
+    argv, expected = PARSED[command]
+    parsed = vars(build_parser().parse_args([command] + argv))
+    assert parsed.pop("func").__name__ == "cmd_" + command.replace("-", "_")
+    expected = {"command": command, **expected}
+    assert {k: (type(v), v) for k, v in parsed.items()} == {
+        k: (type(v), v) for k, v in expected.items()
+    }
 
 
 # --- serialization round trips -------------------------------------------------

@@ -71,6 +71,9 @@ def small(lo, hi):
     return st.integers(lo, hi).map(str) | st.just("x")
 
 
+tols = st.sampled_from(["1e-9", "0", "nan", "inf", "-1"])
+
+
 @st.composite
 def invocations(draw):
     group = draw(st.sampled_from(GROUPS))
@@ -81,19 +84,20 @@ def invocations(draw):
         "multiply": ["--u", u, "--v", v, "--out", f"{TMP}/uv.json"],
         "factorize": ["--element", u, "--w1", weight, "--w2", draw(st.sampled_from(RECIPES)),
                       "--out-f", f"{TMP}/of.json", "--out-g", f"{TMP}/og.json"],
-        "nu-check": ["--element", u, "--weight", weight] + draw(st.sampled_from([[], ["--T", v]])),
+        "nu-check": ["--element", u, "--weight", weight, "--tol", draw(tols)]
+                    + draw(st.sampled_from([[], ["--T", v]])),
         "spectrum": ["--weight", weight, "--num", draw(small(-1, 12)), "--cutoff", draw(small(0, 6)),
                      "--membership-point", P],
         "expcurve": ["--u", u, "--weight", weight,
                      "--tmax", draw(st.sampled_from(["0.5", "2", "4", "inf", "nan"])),
-                     "--cutoff-cap", draw(small(4, 32)), "--out", f"{TMP}/c.csv"]
+                     "--cutoff-cap", draw(small(-2, 32)), "--out", f"{TMP}/c.csv"]
                     + draw(st.sampled_from([[]] + [["--tail-tol", x]
                                                    for x in ("1e-6", "nan", "-1", "0")])),
         "derivation": ["--weight", weight, "--num", draw(small(-1, 8)),
                        "--basis-index", draw(small(-3, 5)), "--out", f"{TMP}/d.csv"],
         "growth": ["--weight", weight, "--label", draw(st.sampled_from(LABELS)),
                    "--num", draw(small(-1, 12))],
-        "validate-weight": ["--weight", weight, "--depth", draw(small(0, 3))],
+        "validate-weight": ["--weight", weight, "--depth", draw(small(0, 3)), "--tol", draw(tols)],
     }
     name = draw(st.sampled_from(sorted(commands)))
     argv = [name, "--group", group] + commands[name] + draw(st.sampled_from([[], ["--bogus"]]))
@@ -162,6 +166,18 @@ REPRODUCED = [
       "--out", f"{TMP}/d.csv"], {}, 3),
     (["validate-weight", "--group", "su2", "--weight", "dim", "--depth", "-1"], {}, 3),
     (["validate-weight", "--group", "prod(su2,torus:1,so3)", "--weight", "dim"], {}, 3),
+] + [
+    # a non-finite or negative tolerance passed every weight, or printed "tol": NaN (not JSON)
+    (["validate-weight", "--group", "su2", "--weight", "dim", "--depth", "2", "--tol", tol], {}, 3)
+    for tol in ("inf", "nan", "-1")
+] + [
+    (["nu-check", "--group", "su2", "--element", "char:1", "--weight", "dim", "--tol", "nan"], {}, 3),
+    # a negative cap failed as a tail mass outside the cutoff, an infinite alpha in int()
+    (EXPCURVE + ["--tmax", "4", "--cutoff-cap", "-5"], {}, 3),
+    (["synth-degree", "--m", "1", "--alpha", "inf"], {}, 3),
+    # the default --basis-index lay outside the two-element torus:2 basis
+    (["derivation", "--group", "torus:2", "--weight", "poly:alpha=1", "--num", "16",
+      "--out", f"{TMP}/d.csv"], {}, 0),
 ]
 
 
