@@ -27,19 +27,20 @@ from .duals import (
     su2_algebra_rep,
     su2_class_angle,
 )
-from .errors import FamilyMismatchError, InsufficientCutoffError
+from .errors import FamilyMismatchError, InsufficientCutoffError, WeightOverflowError
 from .fields import (
     PRUNE_TOL,
     OperatorField,
     coefficient_field,
     evaluate,
     involution,
+    involution_blocks,
     l2_inner,
     norm_a_omega,
     norm_l2_omega,
     pair,
 )
-from .labels import IrrepLabel, Su2Spin
+from .labels import IrrepLabel, Su2Spin, format_label
 from .weights import Weight, make_weight
 
 __all__ = [
@@ -237,8 +238,19 @@ BUMP_PERIOD = 4.0  # period of the separating functions' bump series
 
 
 def _check_self_adjoint(u: OperatorField) -> None:
-    diff = involution(u) - u
-    res = max((float(np.max(np.abs(M))) for M in diff.coeffs.values()), default=0.0)
+    """Raise unless the blocks of involution(u) - u are at most 1e-10 entrywise.
+
+    The blocks are pruned and checked as from_terms would, without building
+    either field.
+    """
+    star = {a: S for a, S in involution_blocks(u).items() if np.max(np.abs(S)) > PRUNE_TOL}
+    res = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the error below
+        for a in {**star, **u.coeffs}:
+            D = star.get(a, 0.0) - u.coeffs.get(a, 0.0)
+            if not np.isfinite(D).all():
+                raise ValueError(f"coefficient at {format_label(a)} is not finite")
+            res = max(res, float(np.max(np.abs(D))))
     if res > 1e-10:
         raise ValueError(f"u is not self-adjoint (residual {res:.2e})")
 
@@ -270,13 +282,20 @@ def exp_itu(
     it.  ``t`` must be finite; a t u too large for floats raises
     ``OverflowError``.
     """
+    labels, coef, defect = _exp_coefs(dual, u, t, cutoff, tail_tol)
+    return _scalar_field(dual, labels, coef, range(coef.size)), defect
+
+
+def _exp_coefs(dual, u, t, cutoff, tail_tol):
+    """(labels, coef, defect): e^{itu} = sum coef[i] I at labels[i] up to the
+    cutoff, after exp_itu's checks in its order."""
     if not (math.isfinite(tail_tol) and tail_tol >= 0.0):
         raise ValueError(f"tail_tol must be finite and >= 0, got {tail_tol!r}")
     _check_t(t)
     _check_self_adjoint(u)
     grid = _exp_grids(dual, u)(cutoff)
     coef, defect = grid(t, tail_tol)
-    return _scalar_field(dual, grid.labels, coef, range(coef.size)), defect
+    return grid.labels, coef, defect
 
 
 def _check_t(t: float) -> None:
@@ -374,17 +393,58 @@ def _torus_values(u: OperatorField, m: int) -> np.ndarray:
     return vals
 
 
-def _scalar_field(dual, labels, coef, positions) -> OperatorField:
-    """The field with coefficient coef[i] I at labels[i], for each position i
-    in the given order whose label the dual contains.
+def _kept(dual, labels, coef, positions) -> list[int]:
+    """The positions i, in the given order, at which the scalar field with
+    coefficient coef[i] I at labels[i] keeps a block: the dual contains the
+    label and |coef[i]| > PRUNE_TOL, as from_terms prunes.  A non-finite
+    coefficient there raises from_terms' error.
 
     On SO(3) the odd spins are dropped: u is even under the center, so there
     the class-angle quadrature leaves only rounding noise (about 1e-17).
     """
-    pairs = ((labels[i], coef[i]) for i in positions)
-    return OperatorField.from_terms(
-        dual, {a: c * np.eye(dual.dim(a)) for a, c in pairs if dual.contains(a)}
-    )
+    bad = ~np.isfinite(coef)
+    live = bad | (np.abs(coef) > PRUNE_TOL)
+    pos = np.fromiter(positions, dtype=np.intp)
+    kept = []
+    for i in pos[live[pos]].tolist():
+        if dual.contains(labels[i]):
+            if bad[i]:
+                raise ValueError(f"coefficient at {format_label(labels[i])} is not finite")
+            kept.append(i)
+    return kept
+
+
+def _scalar_field(dual, labels, coef, positions) -> OperatorField:
+    """The field with coefficient coef[i] I at labels[i] for each position i
+    :func:`_kept` keeps, in the given order.  Its blocks are those of
+    from_terms, read-only and byte for byte, built without its per-label checks.
+    """
+    coeffs = {}
+    for i in _kept(dual, labels, coef, positions):
+        M = coef[i] * np.eye(dual.dim(labels[i]))
+        M.flags.writeable = False
+        coeffs[labels[i]] = M
+    return OperatorField(dual, coeffs)
+
+
+def _scalar_norm(dual, labels, coef, w: Weight) -> float:
+    """norm_a_omega of _scalar_field(dual, labels, coef, range(coef.size))
+    without building it: the sum of (d |c|) d w(a) over the kept positions in
+    order, with |c| as LAPACK's SVD gives the one singular value of [c]
+    (dlapy3), so rank-one labels match the dense norm bit for bit; a d x d
+    block c I differs from it in the last bits."""
+    kept = _kept(dual, labels, coef, range(coef.size))
+    c = coef[kept]
+    re, im = np.abs(c.real), np.abs(c.imag)
+    top = np.maximum(re, im)  # > PRUNE_TOL at kept positions
+    mod = top * np.sqrt((re / top) ** 2 + (im / top) ** 2 + 0.0)
+    total = 0.0
+    for i, m in zip(kept, mod.tolist()):
+        d = dual.dim(labels[i])
+        total += (d * m) * d * w(labels[i])
+    if not math.isfinite(total):
+        raise WeightOverflowError(f"A_omega norm under {w.descriptor} overflows")
+    return total
 
 
 def exp_itu_auto(
@@ -396,12 +456,17 @@ def exp_itu_auto(
 ) -> tuple[OperatorField, float, int]:
     """Adaptive cutoff: grows with |t| (ceil(1.2 |t| sup|u|) + 24), doubling
     on defect failures up to the cap."""
-    _check_t(t)
-    sup = _sup_abs(dual, u)
-    (fld, defect), n = _with_doubling(
-        lambda n: exp_itu(dual, u, t, n, tail_tol), t, sup, cutoff_cap
+    (fld, defect), n = _at_auto_cutoff(
+        lambda n: exp_itu(dual, u, t, n, tail_tol), dual, u, t, cutoff_cap
     )
     return fld, defect, n
+
+
+def _at_auto_cutoff(attempt, dual, u, t, cutoff_cap):
+    """(attempt(n), n) at exp_itu_auto's cutoff n: t is checked and sup|u|
+    estimated before the first attempt."""
+    _check_t(t)
+    return _with_doubling(attempt, t, _sup_abs(dual, u), cutoff_cap)
 
 
 def _with_doubling(attempt, t, sup, cutoff_cap):
@@ -472,22 +537,32 @@ def growth_curve(
 ) -> GrowthCurve:
     """Weighted norms of e^{itu} with the polynomial reference bound.
 
-    The log-log slope is fitted over the largest decade of t; the pass flag
-    compares it against (group dimension)/2 + alpha + SLOPE_SLACK.
+    The log-log slope is fitted over the largest decade of t, [max/10, max],
+    which must hold two distinct times (else ``ValueError``); the pass flag
+    compares it against (group dimension)/2 + alpha + SLOPE_SLACK.  Norms are
+    taken from the coefficient vectors of exp_itu_auto, whose cutoffs and
+    errors they share; no field is built.
     """
     alpha = _poly_alpha(w)
     exponent = dual.lie_dim() / 2.0 + alpha
+    times = [float(t) for t in t_list]
+    # a non-finite t is left to the e^{itu} checks, which reject it in list order
+    top = max((t for t in times if math.isfinite(t)), default=math.nan)
+    if len({t for t in times if top / 10.0 <= t <= top}) < 2:
+        raise ValueError(
+            f"a growth curve needs two distinct sample times in its fit window "
+            f"[max/10, max], got {times!r}"
+        )
     rows = []
-    for t in t_list:
-        fld, defect, used = exp_itu_auto(dual, u, float(t), cutoff_cap, tail_tol)
-        rows.append((float(t), norm_a_omega(fld, w), (1.0 + abs(t)) ** exponent, used, defect))
-    ts = np.array([r[0] for r in rows])
+    for t in times:
+        (labels, coef, defect), used = _at_auto_cutoff(
+            lambda n: _exp_coefs(dual, u, t, n, tail_tol), dual, u, t, cutoff_cap
+        )
+        rows.append((t, _scalar_norm(dual, labels, coef, w), (1.0 + abs(t)) ** exponent, used, defect))
+    ts = np.array(times)
     norms = np.array([r[1] for r in rows])
     sel = ts >= ts.max() / 10.0
-    if np.count_nonzero(sel) >= 2:
-        slope = float(np.polyfit(np.log1p(ts[sel]), np.log(norms[sel]), 1)[0])
-    else:
-        slope = float("nan")
+    slope = float(np.polyfit(np.log1p(ts[sel]), np.log(norms[sel]), 1)[0])
     passed = bool(slope <= exponent + SLOPE_SLACK)
     return GrowthCurve(tuple(rows), slope, exponent, passed)
 

@@ -246,8 +246,6 @@ def cmd_expcurve(args) -> int:
     while t <= args.tmax:
         t_list.append(t)
         t *= 2.0
-    if not t_list:
-        raise ValueError(f"--tmax {args.tmax} leaves no sample times >= 1")
     curve = calculus.growth_curve(
         dual, u, w, t_list, cutoff_cap=args.cutoff_cap, tail_tol=args.tail_tol
     )

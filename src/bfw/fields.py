@@ -51,6 +51,7 @@ __all__ = [
     "pair",
     "translate",
     "involution",
+    "involution_blocks",
     "factorize",
     "convolve",
     "scale_diag",
@@ -312,6 +313,11 @@ def translate(u: OperatorField, t, side: str = "right") -> OperatorField:
 
 def involution(u: OperatorField) -> OperatorField:
     """Pointwise complex conjugate, computed through conjugation intertwiners."""
+    return OperatorField.from_terms(u.dual, involution_blocks(u))
+
+
+def involution_blocks(u: OperatorField) -> dict:
+    """The blocks of :func:`involution` before from_terms checks and prunes them."""
     out: dict = {}
     for a, M in u.coeffs.items():
         abar, J = u.dual.conj_intertwiner(a)
@@ -321,7 +327,7 @@ def involution(u: OperatorField) -> OperatorField:
             out[abar] = out[abar] + block
         else:
             out[abar] = block
-    return OperatorField.from_terms(u.dual, out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,13 @@ from bfw.calculus import (
     smooth_embedding_check,
     synthesis_degree,
     _exp_grids,
+    _scalar_field,
     _torus_values,
 )
 from bfw.duals import TorusDual, parse_group, su2_algebra_rep, su2_irrep
+from bfw import calculus
 from bfw.errors import InsufficientCutoffError
+from bfw.fields import PRUNE_TOL
 from bfw.quadrature import HaarGrid, grid_values
 from bfw.spectrum import Su2SpectrumPoint, char_eval, membership
 
@@ -237,6 +240,156 @@ def test_growth_curve_torus_bessel_scale(t1):
     w = make_weight(t1, "poly:alpha=0.001")  # essentially the plain algebra norm
     curve = growth_curve(t1, u, w, [2, 4, 8, 16, 32], cutoff_cap=256)
     assert curve.slope <= 1.0
+
+
+# --- growth curves from coefficient vectors, against the dense fields ---------------
+
+EPS = np.finfo(float).eps
+
+
+def _dense_rows(dual, u, weights, ts, cutoff_cap):
+    """Rows of each weight's growth curve through the dense fields of
+    exp_itu_auto and the SVD norms of norm_a_omega."""
+    rows = {w.descriptor: [] for w in weights}
+    for t in ts:
+        fld, defect, used = exp_itu_auto(dual, u, float(t), cutoff_cap)
+        for w in weights:
+            bound = (1.0 + abs(t)) ** (dual.lie_dim() / 2.0 + calculus._poly_alpha(w))
+            rows[w.descriptor].append((float(t), norm_a_omega(fld, w), bound, used, defect))
+    return rows
+
+
+@pytest.mark.parametrize("group,spin", [("su2", 1), ("so3", 2)])
+def test_growth_curve_su2_rows_equal_dense_oracle(group, spin):
+    dual = parse_group(group)
+    u = character_field(dual, Su2Spin(spin)) * (1.0 / (spin + 1))
+    weights = [make_weight(dual, f"poly:alpha={a:g}") for a in (0.5, 1, 1.5, 2)]
+    ts = [1, 2, 3, 4, 8, 16, 32, 64, 100, 128]
+    want = _dense_rows(dual, u, weights, ts, 400)
+    for w in weights:
+        got = growth_curve(dual, u, w, ts, cutoff_cap=400).rows
+        for (t, norm, bound, used, tail), row in zip(got, want[w.descriptor]):
+            assert (t, bound, used, tail) == (row[0], row[2], row[3], row[4])
+            # d |c| against the SVD of c I, summed: a last-bit difference
+            assert abs(norm - row[1]) <= 4 * EPS * row[1]
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_growth_curve_torus_rows_equal_dense_oracle(rank):
+    dual = TorusDual(rank)
+    u = _half_cos(dual) * 2.0 + one_field(dual) * 0.5
+    weights = [make_weight(dual, f"poly:alpha={a:g}") for a in (0.5, 1, 2)]
+    ts = [1, 2, 3, 5, 8] if rank == 2 else [1, 2, 3, 4, 8, 16, 32]
+    want = _dense_rows(dual, u, weights, ts, 256)
+    for w in weights:
+        assert list(growth_curve(dual, u, w, ts, cutoff_cap=256).rows) == want[w.descriptor]
+
+
+def _from_terms_scalar_field(dual, labels, coef, positions):
+    """The field _scalar_field builds, through from_terms label by label."""
+    pairs = ((labels[i], coef[i]) for i in positions)
+    return OperatorField.from_terms(
+        dual, {a: c * np.eye(dual.dim(a)) for a, c in pairs if dual.contains(a)}
+    )
+
+
+def _scalar_coefs(n):
+    """Coefficients at, just below and just above PRUNE_TOL, with negative
+    real parts (their blocks hold -0.0 off the diagonal), pure imaginary and
+    zero ones."""
+    above = np.nextafter(PRUNE_TOL, 1.0)
+    pool = [PRUNE_TOL, above, -above, np.nextafter(PRUNE_TOL, 0.0), 1j * above,
+            -PRUNE_TOL * 1j, -0.3 + 0.2j, 0.7 - 1e-16j, -2.5, 0.0, -0.0, 1e-300j, 0.4j]
+    return np.array([pool[i % len(pool)] for i in range(n)], dtype=complex)
+
+
+def _assert_bytes_equal(got, want):
+    assert list(got.coeffs) == list(want.coeffs)
+    for a, M in want.coeffs.items():
+        G = got.coeffs[a]
+        assert (G.dtype, G.shape, G.flags.writeable, G.flags.c_contiguous) == (
+            M.dtype, M.shape, M.flags.writeable, M.flags.c_contiguous)
+        assert G.tobytes() == M.tobytes()
+
+
+@pytest.mark.parametrize("group", ["su2", "so3", "torus:1", "torus:2"])
+def test_scalar_field_equals_from_terms(group):
+    dual = parse_group(group)
+    labels = [Su2Spin(n) for n in range(30)] if dual.family in ("su2", "so3") else list(dual.ball(6))
+    coef = _scalar_coefs(len(labels))
+    rng = np.random.default_rng(7)
+    for positions in (range(len(labels)), dict.fromkeys(rng.permutation(len(labels))[:20].tolist()), []):
+        want = _from_terms_scalar_field(dual, labels, coef, positions)
+        _assert_bytes_equal(_scalar_field(dual, labels, coef, positions), want)
+    full = _from_terms_scalar_field(dual, labels, coef, range(len(labels)))
+    assert any(np.signbit(M.real).any() for M in full.coeffs.values())
+    # a non-finite coefficient raises from_terms' error at the first label it keeps
+    for bad in (np.nan, complex(np.inf, 0.0), complex(0.0, np.nan)):
+        c = coef.copy()
+        c[[4, 9]] = bad  # spins 4 and 9: SO(3) drops the odd one
+        with pytest.raises(ValueError) as want, np.errstate(invalid="ignore"):  # inf * 0
+            _from_terms_scalar_field(dual, labels, c, range(len(labels))[::-1])
+        with pytest.raises(ValueError) as got:
+            _scalar_field(dual, labels, c, range(len(labels))[::-1])
+        assert str(got.value) == str(want.value)
+    if group == "so3":  # at a dropped odd spin alone, a NaN is dropped with it
+        c = coef.copy()
+        c[9] = np.nan
+        _assert_bytes_equal(_scalar_field(dual, labels, c, range(len(labels))),
+                            _from_terms_scalar_field(dual, labels, c, range(len(labels))))
+
+
+def test_growth_curve_builds_no_field_and_no_svd(su2, monkeypatch):
+    u = character_field(su2, Su2Spin(1)) * 0.5
+    w = make_weight(su2, "poly:alpha=1")
+    want = growth_curve(su2, u, w, [1, 2, 4, 8, 16, 32])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("growth_curve built a field or took an SVD")
+
+    monkeypatch.setattr(OperatorField, "from_terms", staticmethod(forbidden))
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    monkeypatch.setattr(calculus, "_scalar_field", forbidden)
+    assert growth_curve(su2, u, w, [1, 2, 4, 8, 16, 32]) == want
+
+
+# (u, t values, keywords, exception type, message): each written from the
+# dense growth curve, where the error was raised by exp_itu_auto
+GROWTH_ERRORS = [
+    ("non-central", [1.0, 2.0], {}, ValueError, "sup estimate needs a central u on SU(2)"),
+    ("i chi_1/2", [1.0, 2.0], {}, ValueError, "u is not self-adjoint (residual 5.00e-01)"),
+    ("chi_1/2", [1e308, 2e307], {}, InsufficientCutoffError, "tail mass 6.681e-01 outside cutoff 120"),
+    ("chi_1", [1e308, 2e307], {}, OverflowError,
+     "e^{itu} has no finite cutoff at t=1e+308: 1.2 |t| sup|u| overflows"),
+    ("chi_1/2", [math.nan, 1.0, 2.0], {}, ValueError, "t must be finite, got nan"),
+    ("chi_1/2", [1.0, 2.0, math.inf], {}, ValueError, "t must be finite, got inf"),
+    ("chi_1/2", [1.0, 2.0], {"tail_tol": -1}, ValueError, "tail_tol must be finite and >= 0, got -1"),
+    ("chi_1/2", [1.0, 2.0, 4.0, 8.0], {"cutoff_cap": 4}, InsufficientCutoffError,
+     "tail mass 5.358e-05 outside cutoff 4"),
+]
+
+
+@pytest.mark.parametrize("name,ts,kwargs,etype,message", GROWTH_ERRORS)
+def test_growth_curve_errors_as_dense_path(su2, name, ts, kwargs, etype, message):
+    chi = character_field(su2, Su2Spin(1))
+    u = {
+        "non-central": coefficient_field(su2, Su2Spin(1), [1, 0], [1, 0]),
+        "i chi_1/2": chi * 0.5j,
+        "chi_1/2": chi * 0.5,
+        "chi_1": chi,
+    }[name]
+    with pytest.raises(etype) as err:
+        growth_curve(su2, u, make_weight(su2, "poly:alpha=1"), ts, **kwargs)
+    assert type(err.value) is etype and str(err.value) == message
+
+
+@pytest.mark.parametrize("ts", [[], [1.0], [1, 1, 1], [-1.0, -2.0], [0.0, 0.5], [1.0, 100.0],
+                                [math.nan, math.nan], [math.inf, 1.0]])
+def test_growth_curve_rejects_unfittable_times(su2, monkeypatch, ts):
+    monkeypatch.setattr(calculus, "_exp_coefs", None)  # rejected before any e^{itu} work
+    with pytest.raises(ValueError, match="two distinct sample times"):
+        growth_curve(su2, character_field(su2, Su2Spin(1)) * 0.5,
+                     make_weight(su2, "poly:alpha=1"), ts)
 
 
 # --- smoothing kernels ---------------------------------------------------------------

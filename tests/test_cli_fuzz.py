@@ -178,6 +178,9 @@ REPRODUCED = [
     # the default --basis-index lay outside the two-element torus:2 basis
     (["derivation", "--group", "torus:2", "--weight", "poly:alpha=1", "--num", "16",
       "--out", f"{TMP}/d.csv"], {}, 0),
+    # one sample time printed "slope": NaN (not JSON); none failed in max() of an empty array
+    (EXPCURVE + ["--tmax", "1.5"], {}, 3),
+    (EXPCURVE + ["--tmax", "0.5"], {}, 3),
 ]
 
 
