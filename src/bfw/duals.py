@@ -107,6 +107,13 @@ def _union(parts):
     return out, lo
 
 
+def _grid_degree(degree) -> int:
+    """A Haar grid degree: an integer >= 0, else ValueError."""
+    if not isinstance(degree, (int, np.integer)) or degree < 0:
+        raise ValueError(f"a Haar grid degree is an integer >= 0, got {degree!r}")
+    return int(degree)
+
+
 # ---------------------------------------------------------------------------
 # SU(2) representation matrices
 # ---------------------------------------------------------------------------
@@ -166,6 +173,47 @@ def su2_euler_point(alpha: float, beta: float, gamma: float) -> np.ndarray:
     cg, sg = np.exp(-0.5j * gamma), np.exp(0.5j * gamma)
     cb, sb = math.cos(beta / 2.0), math.sin(beta / 2.0)
     return np.array([[ca * cb * cg, -ca * sb * sg], [sa * sb * cg, sa * cb * sg]])
+
+
+# ---------------------------------------------------------------------------
+# the SU(2) Euler grid and its separated transform
+# ---------------------------------------------------------------------------
+# The degree-D grid is su2_euler_point(alpha, beta, gamma) over k = D + 1
+# angles alpha = 4 pi m_a / k, q = (D + 6) // 4 Gauss-Legendre middle angles
+# beta_j and k angles gamma = 4 pi m_g / k, in that (alpha, beta, gamma)
+# order.  The diagonal torus acts on the monomial basis diagonally, so
+#   pi_n(g)[i, l] = e^{-2 pi i m_a (n-2i)/k} d_n(beta_j)[i, l] e^{-2 pi i m_g (n-2l)/k}
+# with d_n(beta) = pi_n(rot(beta/2)) real: a transform is FFTs over the two
+# circle axes and small-d stacks over the q middle angles (Kostelec and
+# Rockmore, "FFTs on the rotation group", J. Fourier Anal. Appl. 14, 2008).
+
+def _su2_grid_axes(degree: int):
+    """(k, betas, Gauss-Legendre weights of the betas) of the degree-``degree`` grid."""
+    k, q = degree + 1, (degree + 6) // 4
+    xs, ws = np.polynomial.legendre.leggauss(q)
+    return k, np.arccos(xs), ws
+
+
+def _su2_small_d(n_max: int, betas: np.ndarray) -> list[np.ndarray]:
+    """Real arrays (q, n+1, n+1), n = 0..n_max: the irreps at rot(beta/2) for each beta."""
+    c, s = np.cos(betas / 2.0), np.sin(betas / 2.0)
+    rots = np.zeros((len(betas), 2, 2), dtype=complex)
+    rots[:, 0, 0], rots[:, 0, 1], rots[:, 1, 0], rots[:, 1, 1] = c, -s, s, c
+    return [d.real for d in su2_irrep_stack(n_max, rots)]
+
+
+def _su2_euler_data(grid, n_max: int):
+    """(k, small-d stacks up to at least n_max) of an SU(2) grid, kept in its memo."""
+    hit = grid.memo.get("su2_euler")
+    if hit is None or len(hit[1]) <= n_max:
+        k, betas, _ = _su2_grid_axes(grid.degree)
+        hit = grid.memo["su2_euler"] = (k, _su2_small_d(n_max, betas))
+    return hit
+
+
+def _su2_freqs(n: int, k: int) -> np.ndarray:
+    """Circle frequencies n - 2i (i = 0..n) of the spin-n weights, folded mod k."""
+    return (n - 2 * np.arange(n + 1)) % k
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +614,44 @@ class GroupDual:
 
     def haar_grid(self, degree: int):
         """(points, weights) integrating exactly all products of matrix entries
-        whose label indices total at most ``degree``."""
+        whose grid indices total at most ``degree``.
+
+        The grid index is the family's own: |m| per axis of a torus character,
+        m of the circle-with-flip pi_m, the spin n (not the word length) on
+        SU(2) and SO(3), each factor's on a product.
+        """
+        degree = _grid_degree(degree)
+        return self._haar_points(degree), self._haar_weights(degree)
+
+    def haar_weights(self, degree: int) -> np.ndarray:
+        """The weights of :meth:`haar_grid`, without building its points."""
+        return self._haar_weights(_grid_degree(degree))
+
+    def _haar_points(self, degree):
         raise NotImplementedError
+
+    def _haar_weights(self, degree):
+        raise NotImplementedError
+
+    def haar_values(self, grid, coeffs) -> np.ndarray:
+        """Values of sum_a d_a tr(a(g) M_a) at the points of ``grid``, a
+        :class:`~bfw.quadrature.HaarGrid` of this family, for the map
+        ``coeffs`` of labels a to matrices M_a.
+
+        This default sums over the grid's per-label (G, d, d) stacks.
+        """
+        grid._fill(coeffs)
+        vals = np.zeros(len(grid.weights), dtype=complex)
+        for a, M in coeffs.items():
+            vals += self.dim(a) * np.einsum("gij,ji->g", grid.rep_stack(a), M)
+        return vals
+
+    def haar_coefficients(self, grid, wf: np.ndarray, labels) -> dict:
+        """u^(a) = sum_g wf_g a(g)^* for each label a, from the weighted values
+        wf at the points of ``grid``.  This default sums over the grid's stacks."""
+        grid._fill(labels)
+        # entrywise (i,j) -> conj(P[g, j, i])
+        return {a: np.einsum("g,gji->ij", wf, grid.rep_stack(a).conj()) for a in labels}
 
     # --- intertwiners -------------------------------------------------------
     def intertwiners(self, a: IrrepLabel, b: IrrepLabel) -> IntertwinerSet:
@@ -686,11 +770,14 @@ class TorusDual(GroupDual):
         self._check(a)
         return self.conjugate(a), np.ones((1, 1), dtype=complex)
 
-    def haar_grid(self, degree):
+    def _haar_points(self, degree):
         m = degree + 1
         axis = 2.0 * np.pi * np.arange(m) / m
-        pts = [np.array(p) for p in itertools.product(axis, repeat=self.n)]
-        return pts, np.full(len(pts), 1.0 / m**self.n)
+        return [np.array(p) for p in itertools.product(axis, repeat=self.n)]
+
+    def _haar_weights(self, degree):
+        m = degree + 1
+        return np.full(m**self.n, 1.0 / m**self.n)
 
     def _build_intertwiners(self, a, b):
         (sigma, _), = self.fuse(a, b)
@@ -793,19 +880,46 @@ class Su2Dual(GroupDual):
         # polynomials in the entries of g, so the relation lifts verbatim.
         return a, su2_irrep(a.n, _EPS_FLIP).real.astype(complex)
 
-    def haar_grid(self, degree):
-        k = degree + 1
-        q = (degree + 6) // 4
+    def _haar_points(self, degree):
+        # su2_euler_point broadcast over the (alpha, beta, gamma) axes; entries
+        # may differ from the scalar products in the last bit
+        k, betas, _ = _su2_grid_axes(degree)
         axis = 4.0 * np.pi * np.arange(k) / k
-        xs, ws = np.polynomial.legendre.leggauss(q)
-        betas = np.arccos(xs)
-        pts, wts = [], []
-        for alpha in axis:
-            for beta, wb in zip(betas, ws):
-                for gamma in axis:
-                    pts.append(su2_euler_point(alpha, beta, gamma))
-                    wts.append(wb / (2.0 * k * k))
-        return pts, np.array(wts)
+        a_m, a_p = np.exp(-0.5j * axis)[:, None, None], np.exp(0.5j * axis)[:, None, None]
+        g_m, g_p = a_m.reshape(1, 1, k), a_p.reshape(1, 1, k)
+        cb, sb = np.cos(betas / 2.0)[:, None], np.sin(betas / 2.0)[:, None]
+        pts = np.empty((k, len(betas), k, 2, 2), dtype=complex)
+        pts[..., 0, 0] = a_m * cb * g_m
+        pts[..., 0, 1] = -a_m * sb * g_p
+        pts[..., 1, 0] = a_p * sb * g_m
+        pts[..., 1, 1] = a_p * cb * g_p
+        return list(pts.reshape(-1, 2, 2))
+
+    def _haar_weights(self, degree):
+        k, betas, ws = _su2_grid_axes(degree)
+        return np.repeat(np.tile(ws / (2.0 * k * k), k), k)
+
+    def haar_values(self, grid, coeffs):
+        # (n+1) M^T o d_n(beta) at the folded frequencies, then one FFT over both circle axes
+        self._check(*coeffs)
+        k, d = _su2_euler_data(grid, max((a.n for a in coeffs), default=0))
+        spec = np.zeros((len(d[0]), k, k), dtype=complex)
+        for a, M in coeffs.items():
+            f = _su2_freqs(a.n, k)
+            np.add.at(spec, (slice(None), f[:, None], f), (a.n + 1) * M.T * d[a.n])
+        return np.fft.fft2(spec).transpose(1, 0, 2).ravel()
+
+    def haar_coefficients(self, grid, wf, labels):
+        # F = unscaled inverse FFT over both circle axes per beta, then
+        # u^(n)[i, j] = sum_beta d_n(beta)[j, i] F[beta, (n-2j) mod k, (n-2i) mod k]
+        self._check(*labels)
+        k, d = _su2_euler_data(grid, max((a.n for a in labels), default=0))
+        spec = np.fft.ifft2(wf.reshape(k, len(d[0]), k), axes=(0, 2), norm="forward").transpose(1, 0, 2)
+        out = {}
+        for a in labels:
+            f = _su2_freqs(a.n, k)
+            out[a] = np.einsum("bji,bji->ij", d[a.n], spec[:, f[:, None], f])
+        return out
 
     def _build_intertwiners(self, a, b):
         isos = _su2_cg_pair(a.n, b.n)
@@ -1028,14 +1142,13 @@ class SemidirectDual(GroupDual):
             return a, _SWAP2.copy()
         return a, np.ones((1, 1), dtype=complex)
 
-    def haar_grid(self, degree):
+    def _haar_points(self, degree):
         m = degree + 1
-        pts = [
-            SemidirectPoint(2.0 * np.pi * j / m, flip)
-            for flip in (False, True)
-            for j in range(m)
-        ]
-        return pts, np.full(len(pts), 0.5 / m)
+        return [SemidirectPoint(2.0 * np.pi * j / m, flip) for flip in (False, True) for j in range(m)]
+
+    def _haar_weights(self, degree):
+        m = degree + 1
+        return np.full(2 * m, 0.5 / m)
 
     def _build_intertwiners(self, a, b):
         one = np.ones((1, 1), dtype=complex)
@@ -1178,11 +1291,12 @@ class ProductDual(GroupDual):
         cr, Jr = self.right.conj_intertwiner(a.right)
         return ProductLabel(cl, cr), np.kron(Jl, Jr)
 
-    def haar_grid(self, degree):
-        lp, lw = self.left.haar_grid(degree)
-        rp, rw = self.right.haar_grid(degree)
-        pts = [(p, q) for p in lp for q in rp]
-        return pts, np.outer(lw, rw).ravel()
+    def _haar_points(self, degree):
+        rp = self.right._haar_points(degree)
+        return [(p, q) for p in self.left._haar_points(degree) for q in rp]
+
+    def _haar_weights(self, degree):
+        return np.outer(self.left._haar_weights(degree), self.right._haar_weights(degree)).ravel()
 
     def _build_intertwiners(self, a, b):
         iwl = self.left.intertwiners(a.left, b.left)

@@ -1,19 +1,31 @@
 """Haar-measure quadrature: function values -> operator-field coefficients.
 
 Grids come from :meth:`GroupDual.haar_grid` and are exact on matrix entries
-whose label indices total at most the grid degree:
+whose grid indices total at most the grid degree.  The degree counts each
+family's grid index, not word length: |m| per torus axis, m of the
+circle-with-flip pi_m, and the spin n on SU(2) and SO(3) (twice the word
+length on SO(3)).
 
 * torus: uniform product grid;
-* SU(2): uniform angles over the doubled period for the two circle factors
-  times Gauss-Legendre in the cosine of the middle angle (after the circle
-  sums only even entry-products survive, and those are polynomials there);
+* SU(2), SO(3): uniform angles over the doubled period for the two circle
+  factors times Gauss-Legendre in the cosine of the middle angle (after the
+  circle sums only even entry-products survive, and those are polynomials
+  there);
 * circle-with-flip: a circle grid on each of the two components, averaged.
+
+Each family transforms through its dual's hooks :meth:`GroupDual.haar_values`
+and :meth:`GroupDual.haar_coefficients`.  SU(2) and SO(3) separate the
+Euler angles: FFTs over the two circle axes and small real stacks
+d_n(beta) over the middle angles, with no per-label (G, d, d) stack.  The
+other families sum over per-label stacks of the grid (:meth:`HaarGrid.rep_stack`).
 
 Grid evaluation reduces in a fixed order, so results are reproducible
 bit-for-bit for a given grid.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -27,13 +39,22 @@ __all__ = ["HaarGrid", "quadrature_coeffs", "grid_values"]
 
 
 class HaarGrid:
-    """A quadrature rule on one group with cached representation stacks."""
+    """A quadrature rule on one group, of one degree (see the module docstring).
+
+    The points are built on first access; the SU(2)/SO(3) transform never
+    reads them.  Representation stacks are built per label on demand and cached.
+    """
 
     def __init__(self, dual: GroupDual, degree: int):
         self.dual = dual
         self.degree = degree
-        self.points, self.weights = dual.haar_grid(degree)
+        self.weights = dual.haar_weights(degree)
         self._stacks: dict[IrrepLabel, np.ndarray] = {}
+        self.memo: dict = {}  # per-grid data of the dual's transform hooks
+
+    @cached_property
+    def points(self) -> list:
+        return self.dual.haar_grid(self.degree)[0]
 
     def rep_stack(self, a: IrrepLabel) -> np.ndarray:
         """Array (G, d, d) of the irrep a at every grid point."""
@@ -49,23 +70,12 @@ class HaarGrid:
     def coefficients(self, values: np.ndarray, labels) -> OperatorField:
         """Transform of the function with the given grid values, per label."""
         wf = self.weights * np.asarray(values, dtype=complex)
-        labels = tuple(labels)
-        self._fill(labels)
-        out = {}
-        for a in labels:
-            P = self.rep_stack(a)
-            # u^(a) = sum_g w_g f(g) a(g)^*, entrywise (i,j) -> conj(P[g, j, i])
-            out[a] = np.einsum("g,gji->ij", wf, P.conj())
-        return OperatorField.from_terms(self.dual, out)
+        return OperatorField.from_terms(self.dual, self.dual.haar_coefficients(self, wf, tuple(labels)))
 
 
 def grid_values(u: OperatorField, grid: HaarGrid) -> np.ndarray:
     """Values of the represented function at every grid point."""
-    vals = np.zeros(len(grid.points), dtype=complex)
-    grid._fill(u.coeffs)
-    for a, M in u.coeffs.items():
-        vals += u.dual.dim(a) * np.einsum("gij,ji->g", grid.rep_stack(a), M)
-    return vals
+    return grid.dual.haar_values(grid, u.coeffs)
 
 
 def quadrature_coeffs(
@@ -78,14 +88,16 @@ def quadrature_coeffs(
     """Coefficients of ``fn`` on all labels of word length <= cutoff.
 
     ``fn`` is a callable on group points or an :class:`OperatorField` (then
-    its exact values are used).  The default grid degree ``2 * cutoff`` is
-    exact whenever fn is a trigonometric polynomial within the cutoff.  With
-    ``check_refine`` the transform is recomputed on a finer grid and a
-    mismatch above 1e-9 raises, reporting both estimates.
+    its exact values are used).  The default grid degree is twice the largest
+    absolute lattice coordinate over those labels, which bounds each family's
+    grid index (the spin on SU(2) and SO(3)); it is exact whenever fn is a
+    trigonometric polynomial within the cutoff.  With ``check_refine`` the
+    transform is recomputed on a finer grid and a mismatch above 1e-9 raises,
+    reporting both estimates.
     """
-    if degree is None:
-        degree = 2 * cutoff
     labels = dual.ball(cutoff)
+    if degree is None:
+        degree = 2 * max(abs(c) for a in labels for c in dual.coords(a))
 
     def run(deg):
         g = HaarGrid(dual, deg)

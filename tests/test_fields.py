@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from bfw import (
     OperatorField,
+    ProductDual,
     SemidirectLabel,
     Su2Dual,
     Su2Spin,
@@ -352,11 +353,13 @@ def test_quadrature_constant(su2, sd, t2):
         assert abs(co[dual.trivial][0, 0] - 1.0) < 1e-12
 
 
-def test_quadrature_roundtrip(su2, sd, t2, rng):
-    for dual in (su2, sd, t2):
-        u = random_field(dual, 4, rng, n_terms=3)
-        co = quadrature_coeffs(u, dual, cutoff=4)
-        assert fields_close(co, u, tol=1e-12)
+def test_quadrature_roundtrip(su2, sd, t2, so3, rng):
+    # the default degree counts each family's grid index: the spin, twice the word length, on SO(3)
+    prod = ProductDual(sd, so3)
+    for dual, cutoff in ((su2, 4), (sd, 4), (t2, 4), (so3, 2), (so3, 3), (prod, 2)):
+        u = random_field(dual, cutoff, rng, n_terms=3)
+        co = quadrature_coeffs(u, dual, cutoff=cutoff)
+        assert fields_close(co, u, tol=1e-12), (dual, cutoff)
 
 
 def test_quadrature_callable_and_inversion(su2, rng):
@@ -379,7 +382,7 @@ def test_quadrature_product_oracle(su2, rng):
     assert fields_close(co, uv, tol=1e-10)
 
 
-def test_quadrature_refinement_error(t1):
+def test_quadrature_refinement_error(t1, so3, sd, rng):
     from bfw.errors import QuadratureConvergenceError
 
     # a function far outside the requested cutoff: refinement disagrees
@@ -388,6 +391,10 @@ def test_quadrature_refinement_error(t1):
         quadrature_coeffs(fn, t1, cutoff=1, degree=4, check_refine=True)
     # within the cutoff the refinement agrees
     quadrature_coeffs(lambda p: np.exp(1j * p[0]), t1, cutoff=1, check_refine=True)
+    for dual, cutoff in ((so3, 2), (so3, 3), (ProductDual(sd, so3), 1)):
+        u = random_field(dual, cutoff, rng, n_terms=3)
+        co = quadrature_coeffs(u, dual, cutoff=cutoff, check_refine=True)
+        assert fields_close(co, u, tol=1e-12), (dual, cutoff)
 
 
 def test_dual_norm_report_records_cutoff(su2, rng):
