@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -279,28 +280,22 @@ def exp_itu(
     ``u`` must be self-adjoint (checked), and central on SU(2) and SO(3).
     The defect |1 - sum d ||coef||_2^2| measures the mass outside the cutoff;
     above ``tail_tol`` (finite and >= 0) an insufficient-cutoff error carries
-    it.  ``t`` must be finite; a t u too large for floats raises
-    ``OverflowError``.
+    it.  ``t`` must be finite and the cutoff an integer >= 0; a t u too large
+    for floats raises ``OverflowError``.
     """
-    labels, coef, defect = _exp_coefs(dual, u, t, cutoff, tail_tol)
+    labels, coef, defect = _ExpItu(dual, u).coefs(t, cutoff, tail_tol)
     return _scalar_field(dual, labels, coef, range(coef.size)), defect
-
-
-def _exp_coefs(dual, u, t, cutoff, tail_tol):
-    """(labels, coef, defect): e^{itu} = sum coef[i] I at labels[i] up to the
-    cutoff, after exp_itu's checks in its order."""
-    if not (math.isfinite(tail_tol) and tail_tol >= 0.0):
-        raise ValueError(f"tail_tol must be finite and >= 0, got {tail_tol!r}")
-    _check_t(t)
-    _check_self_adjoint(u)
-    grid = _exp_grids(dual, u)(cutoff)
-    coef, defect = grid(t, tail_tol)
-    return grid.labels, coef, defect
 
 
 def _check_t(t: float) -> None:
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
+
+
+def _check_count(name: str, n) -> int:
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {n!r}")
+    return int(n)
 
 
 def _defect_error(defect: float, t: float, cutoff: int) -> Exception:
@@ -311,16 +306,86 @@ def _defect_error(defect: float, t: float, cutoff: int) -> Exception:
     return InsufficientCutoffError(defect, cutoff)
 
 
-def _exp_grids(dual: GroupDual, u: OperatorField):
-    """The function cutoff -> e^{itu} grid of that cutoff for this u."""
-    if isinstance(dual, TorusDual):
-        return lambda cutoff: _TorusExpGrid(dual, u, cutoff)
-    if isinstance(dual, Su2Dual):
-        parts = _su2_central_parts(u)
+class _ExpItu:
+    """e^{itu} for one u at any t and cutoff.  What depends on u alone is
+    resolved once, on first use: the family (u's trace weights on SU(2)/SO(3),
+    ``None`` on a torus), the sup|u| estimate that sets adaptive cutoffs, and
+    the self-adjointness check.  Only the last cutoff's grid is kept."""
+
+    def __init__(self, dual: GroupDual, u: OperatorField):
+        self.dual, self.u = dual, u
+        self._adjoint = False  # u passed the self-adjointness check
+        self._grid = None
+
+    @cached_property
+    def _parts(self):
+        if isinstance(self.dual, TorusDual):
+            return None
+        if not isinstance(self.dual, Su2Dual):
+            raise FamilyMismatchError(f"e^{{itu}} not implemented on {self.dual!r}")
+        parts = _su2_central_parts(self.u)
         if parts is None:
-            raise ValueError("the SU(2) path needs a central u (a series in characters)")
-        return lambda cutoff: _Su2ExpGrid(parts, cutoff)
-    raise FamilyMismatchError(f"e^{{itu}} not implemented on {dual!r}")
+            raise ValueError("sup estimate needs a central u on SU(2)")
+        return parts
+
+    @cached_property
+    def sup(self) -> float:
+        """max |u| over 256 angles per torus axis or 512 class-angle midpoints."""
+        if self._parts is None:
+            return float(np.max(np.abs(_torus_values(self.u, 256))))
+        return float(np.max(np.abs(_class_values(self._parts, np.pi * (np.arange(512) + 0.5) / 512))))
+
+    def check_self_adjoint(self) -> None:
+        if not self._adjoint:
+            _check_self_adjoint(self.u)
+            self._adjoint = True
+
+    def coefs(self, t: float, cutoff: int, tail_tol: float):
+        """(labels, coef, defect): e^{itu} = sum coef[i] I at labels[i] up to
+        the cutoff.  Checks tail_tol, t, self-adjointness, then the family
+        and centrality."""
+        if not (math.isfinite(tail_tol) and tail_tol >= 0.0):
+            raise ValueError(f"tail_tol must be finite and >= 0, got {tail_tol!r}")
+        _check_t(t)
+        self.check_self_adjoint()
+        parts = self._parts
+        cutoff = _check_count("cutoff", cutoff)
+        if self._grid is None or self._grid.cutoff != cutoff:
+            self._grid = None  # drop the old grid before building the next
+            self._grid = (_TorusExpGrid(self.dual, self.u, cutoff) if parts is None
+                          else _Su2ExpGrid(parts, cutoff))
+        coef, defect = self._grid(t, tail_tol)
+        return self._grid.labels, coef, defect
+
+    def auto(self, t: float, cutoff_cap: int, attempt):
+        """(attempt(n), n) at the first cutoff n without an insufficient-cutoff
+        error, from ceil(CUTOFF_RATE |t| sup) + CUTOFF_MARGIN doubling up to
+        the cap.  Checks t, the family and centrality, then the first cutoff."""
+        _check_t(t)
+        need = CUTOFF_RATE * abs(float(t)) * self.sup  # a float overflows to inf, unwarned
+        if not math.isfinite(need):
+            raise OverflowError(f"e^{{itu}} has no finite cutoff at t={t!r}: "
+                                f"{CUTOFF_RATE} |t| sup|u| overflows")
+        cutoff_cap = _check_count("cutoff_cap", cutoff_cap)
+        n = min(cutoff_cap, int(math.ceil(need)) + CUTOFF_MARGIN)
+        while True:
+            try:
+                return attempt(n), n
+            except InsufficientCutoffError:
+                if n >= cutoff_cap:
+                    raise
+                n = min(cutoff_cap, 2 * n)
+
+
+def _class_values(parts: dict, theta) -> np.ndarray:
+    """sum_n b_n chi_n(theta) at class angles theta, for the trace weights b_n
+    in parts: chi_n = sin((n+1) theta)/sin theta, and chi_0 = 1."""
+    theta = np.asarray(theta, dtype=float)
+    vals = np.zeros(theta.shape, dtype=complex)
+    sin_t = np.sin(theta)
+    for n, b in parts.items():
+        vals += b if n == 0 else b * (np.sin((n + 1) * theta) / sin_t)
+    return vals
 
 
 class _Su2ExpGrid:
@@ -337,16 +402,10 @@ class _Su2ExpGrid:
         self.cutoff = cutoff
         m = 2 * (cutoff + max(GRID_PAD, cutoff // 2)) + 2
         theta = 2.0 * np.pi * (np.arange(m) + 0.5) / m
-        self.vals = np.zeros(m, dtype=complex)
-        sin_t = np.sin(theta)
-        for n, b in parts.items():
-            self.vals += b * (np.sin((n + 1) * theta) / sin_t)
+        self.vals = _class_values(parts, theta)
         ns = np.arange(cutoff + 1)
-        self.kernel = (2.0 / m) * (np.sin(np.outer(ns + 1, theta)) * sin_t)  # (cutoff+1, m)
-
-    @property
-    def labels(self):
-        return [Su2Spin(n) for n in range(self.cutoff + 1)]
+        self.kernel = (2.0 / m) * (np.sin(np.outer(ns + 1, theta)) * np.sin(theta))  # (cutoff+1, m)
+        self.labels = [Su2Spin(n) for n in ns.tolist()]
 
     def __call__(self, t: float, tail_tol: float):
         # one matrix-vector product per t: stacking several t into one matrix
@@ -455,51 +514,10 @@ def exp_itu_auto(
     tail_tol: float = 1e-6,
 ) -> tuple[OperatorField, float, int]:
     """Adaptive cutoff: grows with |t| (ceil(1.2 |t| sup|u|) + 24), doubling
-    on defect failures up to the cap."""
-    (fld, defect), n = _at_auto_cutoff(
-        lambda n: exp_itu(dual, u, t, n, tail_tol), dual, u, t, cutoff_cap
-    )
+    on defect failures up to the cap, an integer >= 0."""
+    # each attempt is a call of exp_itu, which the benchmark's tracer counts
+    (fld, defect), n = _ExpItu(dual, u).auto(t, cutoff_cap, lambda n: exp_itu(dual, u, t, n, tail_tol))
     return fld, defect, n
-
-
-def _at_auto_cutoff(attempt, dual, u, t, cutoff_cap):
-    """(attempt(n), n) at exp_itu_auto's cutoff n: t is checked and sup|u|
-    estimated before the first attempt."""
-    _check_t(t)
-    return _with_doubling(attempt, t, _sup_abs(dual, u), cutoff_cap)
-
-
-def _with_doubling(attempt, t, sup, cutoff_cap):
-    """(attempt(n), n) for the first cutoff n that raises no insufficient-cutoff
-    error, from ceil(CUTOFF_RATE |t| sup) + CUTOFF_MARGIN doubling up to the cap."""
-    need = CUTOFF_RATE * abs(t) * sup
-    if not math.isfinite(need):
-        raise OverflowError(
-            f"e^{{itu}} has no finite cutoff at t={t!r}: {CUTOFF_RATE} |t| sup|u| overflows"
-        )
-    n = min(cutoff_cap, int(math.ceil(need)) + CUTOFF_MARGIN)
-    while True:
-        try:
-            return attempt(n), n
-        except InsufficientCutoffError:
-            if n >= cutoff_cap:
-                raise
-            n = min(cutoff_cap, 2 * n)
-
-
-def _sup_abs(dual, u) -> float:
-    if isinstance(dual, TorusDual):
-        return float(np.max(np.abs(_torus_values(u, 256))))
-    if not isinstance(dual, Su2Dual):
-        raise FamilyMismatchError(f"e^{{itu}} not implemented on {dual!r}")
-    parts = _su2_central_parts(u)
-    if parts is None:
-        raise ValueError("sup estimate needs a central u on SU(2)")
-    theta = np.pi * (np.arange(512) + 0.5) / 512
-    vals = np.zeros(512, dtype=complex)
-    for n, b in parts.items():
-        vals += b * np.sin((n + 1) * theta) / np.sin(theta)
-    return float(np.max(np.abs(vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -553,11 +571,10 @@ def growth_curve(
             f"a growth curve needs two distinct sample times in its fit window "
             f"[max/10, max], got {times!r}"
         )
+    exp = _ExpItu(dual, u)
     rows = []
     for t in times:
-        (labels, coef, defect), used = _at_auto_cutoff(
-            lambda n: _exp_coefs(dual, u, t, n, tail_tol), dual, u, t, cutoff_cap
-        )
+        (labels, coef, defect), used = exp.auto(t, cutoff_cap, lambda n: exp.coefs(t, n, tail_tol))
         rows.append((t, _scalar_norm(dual, labels, coef, w), (1.0 + abs(t)) ** exponent, used, defect))
     ts = np.array(times)
     norms = np.array([r[1] for r in rows])
@@ -618,22 +635,13 @@ def central_values(dual: GroupDual, u: OperatorField, angles: np.ndarray) -> np.
     parts = _su2_central_parts(u)
     if parts is None:
         raise ValueError("central evaluation needs scalar coefficients")
-    angles = np.asarray(angles, dtype=float)
-    vals = np.zeros(angles.shape, dtype=complex)
-    sin_t = np.sin(angles)
-    for n, b in parts.items():
-        if n == 0:
-            vals += b
-        else:
-            vals += b * np.sin((n + 1) * angles) / sin_t
-    return vals
+    return _class_values(parts, angles)
 
 
 def separating_function(
     dual: GroupDual,
     u0: OperatorField,
     smoothness: int | None = None,
-    alpha: float = 1.0,
     n_modes: int = 160,
     cutoff_cap: int = 512,
     sample_points: int = 1000,
@@ -644,10 +652,11 @@ def separating_function(
     periodized with period P = 4; since u0 takes values well inside a period,
     the periodization is exact and v(x) = bump(u0(x)) up to the dropped-mode
     tail.  Each exponential gets the cutoff :func:`exp_itu_auto` would give
-    it, and the field equals the sum of those fields bit for bit.
+    it, and the field equals the sum of those fields bit for bit.  The bump
+    is C^k with k = ``smoothness``, by default ceil(dim/2 + 3).
     """
     if smoothness is None:
-        smoothness = math.ceil(dual.lie_dim() / 2.0 + alpha + 2.0)
+        smoothness = math.ceil(dual.lie_dim() / 2.0 + 3.0)
     bump = SplineBump(smoothness)
     ms, coefs = bump.fourier_series(n_modes=n_modes)
     tail = _bump_tail_estimate(bump, n_modes)
@@ -668,34 +677,22 @@ def _separating_field(dual, u0, modes, cutoff_cap) -> OperatorField:
     the largest cutoff used; each smaller cutoff's labels are a prefix of them
     (spins 0..n, or a torus ball sorted by word length).
     """
-    sup = _sup_abs(dual, u0)
-    _check_self_adjoint(u0)
-    grid_of = _exp_grids(dual, u0)
-    # the exponentials, the modes +-m together: they start from the same cutoff
-    # and share its grid; a failing mode raises when the sum reaches it
-    by_size: dict[int, list[int]] = {}
-    for i, (mm, _) in enumerate(modes):
-        by_size.setdefault(abs(int(mm)), []).append(i)
+    exp = _ExpItu(dual, u0)
+    exp.sup  # the family and centrality, then self-adjointness, before any mode
+    exp.check_self_adjoint()
+    # larger |m| first, the modes +-m together: they start from the same
+    # cutoff and share its grid; a failing mode raises when the sum reaches it
     exps: list = [None] * len(modes)
-    top = None  # the grid of the largest cutoff used
-    for same_size in by_size.values():
-        grids = {}
-        for i in same_size:
-            t = 2.0 * np.pi * modes[i][0] / BUMP_PERIOD
-
-            def attempt(n):
-                if n not in grids:
-                    grids[n] = grid_of(n)
-                return grids[n](t, 1e-6)[0]
-
-            try:
-                exps[i], n = _with_doubling(attempt, t, sup, cutoff_cap)
-            except InsufficientCutoffError as exc:
-                exps[i] = exc
-                continue
-            if top is None or n > top.cutoff:
-                top = grids[n]
-    labels = top.labels if top is not None else []
+    labels, top = [], -1  # the labels of the largest cutoff used
+    for i in sorted(range(len(modes)), key=lambda i: -abs(int(modes[i][0]))):
+        t = 2.0 * np.pi * modes[i][0] / BUMP_PERIOD
+        try:
+            (grid_labels, exps[i], _), n = exp.auto(t, cutoff_cap, lambda n: exp.coefs(t, n, 1e-6))
+        except InsufficientCutoffError as exc:
+            exps[i] = exc
+            continue
+        if n > top:
+            labels, top = grid_labels, n
     acc = np.zeros(len(labels), dtype=complex)  # 0 at positions not in the sum
     order: dict[int, None] = {}  # positions in the sum, in insertion order
     for (_, c), coef in zip(modes, exps):

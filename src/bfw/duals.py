@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -132,8 +133,13 @@ def su2_irrep(n: int, g: np.ndarray) -> np.ndarray:
 def su2_irrep_stack(n_max: int, gs: np.ndarray) -> list[np.ndarray]:
     """All irreps 0..n_max at a batch of 2x2 matrices, shape (G,2,2) -> (G,k+1,k+1)."""
     gs = np.asarray(gs, dtype=complex)
-    out = [np.ones(gs.shape[:1] + (1, 1), dtype=complex)]
-    for n in range(1, n_max + 1):
+    return _su2_extend_stack([np.ones(gs.shape[:1] + (1, 1), dtype=complex)], n_max, gs)
+
+
+def _su2_extend_stack(out: list, n_max: int, gs: np.ndarray) -> list:
+    """Append the levels len(out)..n_max of su2_irrep_stack at gs to out, its
+    levels 0..len(out)-1 there; level n depends only on level n-1."""
+    for n in range(len(out), n_max + 1):
         prev = out[-1]
         j = np.arange(n + 1)
         cur = np.zeros(gs.shape[:1] + (n + 1, n + 1), dtype=complex)
@@ -187,28 +193,34 @@ def su2_euler_point(alpha: float, beta: float, gamma: float) -> np.ndarray:
 # circle axes and small-d stacks over the q middle angles (Kostelec and
 # Rockmore, "FFTs on the rotation group", J. Fourier Anal. Appl. 14, 2008).
 
+@lru_cache(maxsize=16)
 def _su2_grid_axes(degree: int):
-    """(k, betas, Gauss-Legendre weights of the betas) of the degree-``degree`` grid."""
+    """(k, betas, Gauss-Legendre weights of the betas) of the degree-``degree``
+    grid, read-only and computed once per degree."""
     k, q = degree + 1, (degree + 6) // 4
     xs, ws = np.polynomial.legendre.leggauss(q)
-    return k, np.arccos(xs), ws
-
-
-def _su2_small_d(n_max: int, betas: np.ndarray) -> list[np.ndarray]:
-    """Real arrays (q, n+1, n+1), n = 0..n_max: the irreps at rot(beta/2) for each beta."""
-    c, s = np.cos(betas / 2.0), np.sin(betas / 2.0)
-    rots = np.zeros((len(betas), 2, 2), dtype=complex)
-    rots[:, 0, 0], rots[:, 0, 1], rots[:, 1, 0], rots[:, 1, 1] = c, -s, s, c
-    return [d.real for d in su2_irrep_stack(n_max, rots)]
+    betas = np.arccos(xs)
+    betas.flags.writeable = ws.flags.writeable = False
+    return k, betas, ws
 
 
 def _su2_euler_data(grid, n_max: int):
-    """(k, small-d stacks up to at least n_max) of an SU(2) grid, kept in its memo."""
-    hit = grid.memo.get("su2_euler")
-    if hit is None or len(hit[1]) <= n_max:
+    """(k, small-d stacks up to at least n_max) of an SU(2) grid.
+
+    The small-d stack of spin n is the real array (q, n+1, n+1) of the irrep
+    at rot(beta/2) for each middle angle beta.  The grid's memo keeps the
+    recursion, and a call for a higher spin extends it from its last level.
+    """
+    memo = grid.memo.get("su2_euler")
+    if memo is None:
         k, betas, _ = _su2_grid_axes(grid.degree)
-        hit = grid.memo["su2_euler"] = (k, _su2_small_d(n_max, betas))
-    return hit
+        c, s = np.cos(betas / 2.0), np.sin(betas / 2.0)
+        rots = np.zeros((len(betas), 2, 2), dtype=complex)
+        rots[:, 0, 0], rots[:, 0, 1], rots[:, 1, 0], rots[:, 1, 1] = c, -s, s, c
+        memo = grid.memo["su2_euler"] = (k, rots, su2_irrep_stack(n_max, rots))
+    k, rots, stack = memo
+    _su2_extend_stack(stack, n_max, rots)
+    return k, [level.real for level in stack]
 
 
 def _su2_freqs(n: int, k: int) -> np.ndarray:

@@ -158,15 +158,18 @@ def _exact_inverse(theta):
 # membership and bounds
 # ---------------------------------------------------------------------------
 
-def membership(dual: GroupDual, theta, w: Weight, cutoff: int = 64, tol: float = 1e-9) -> MembershipResult:
+MEMBER_TOL = 1e-9  # a margin within this of 1 counts as a member
+
+
+def membership(dual: GroupDual, theta, w: Weight, cutoff: int = 64) -> MembershipResult:
     """Margin sup_{labels <= cutoff} ||pi(theta)|| / w(pi) and the verdict.
 
-    Boundary points (margin within tol of 1) count as members.  A margin
+    Boundary points (margin within MEMBER_TOL of 1) count as members.  A margin
     above 1 certifies non-membership; a margin below 1 is evidence bounded
     by the truncation.
     """
     best, arg = point_margin(dual, theta, w, cutoff)
-    member = best <= 1.0 + tol
+    member = best <= 1.0 + MEMBER_TOL
     return MembershipResult(best, member, not member, cutoff, format_label(arg))
 
 

@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 EPS_CLASS = 1e-3  # growth-classification threshold on the estimated rate
+LABEL_CAP = 200_000  # the largest tensor-power support a growth certificate steps through
 
 
 @dataclass(frozen=True)
@@ -362,9 +363,9 @@ def validate(dual: GroupDual, w: Weight, depth: int = 12, tol: float = 1e-9) -> 
 # growth
 # ---------------------------------------------------------------------------
 
-def _certificate(dual, w, label, n_max, cap):
+def _certificate(dual, w, label, n_max):
     # log w of the k-fold tensor powers of the label, k = 1..n_max (max over support)
-    logs = dual.power_maxima((label,), n_max, w.log_values, cap)
+    logs = dual.power_maxima((label,), n_max, w.log_values, LABEL_CAP)
 
     def exp(x):
         try:
@@ -394,7 +395,6 @@ def growth_rate(
     w: Weight,
     label: IrrepLabel,
     n_max: int,
-    cap: int = 200_000,
 ) -> GrowthCertificate:
     """Certificate for the limit of w(pi^(x n))^(1/n).
 
@@ -407,7 +407,7 @@ def growth_rate(
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     dual._check(label)
-    return _certificate(dual, w, label, n_max, cap)
+    return _certificate(dual, w, label, n_max)
 
 
 def classify_growth(
@@ -415,11 +415,10 @@ def classify_growth(
     w: Weight,
     S=None,
     n_max: int = 2048,
-    cap: int = 200_000,
 ) -> GrowthClassification:
     """Evidence-level growth classification over a generating set."""
     S = tuple(S) if S is not None else dual.generators()
-    certs = tuple(_certificate(dual, w, s, n_max, cap) for s in S)
+    certs = tuple(_certificate(dual, w, s, n_max) for s in S)
     for cert in certs:
         if cert.tag == "exponential-witness":
             return GrowthClassification("exponential-witness", cert.label, cert.rho_hat, certs)

@@ -38,13 +38,13 @@ from bfw.calculus import (
     series_tail,
     smooth_embedding_check,
     synthesis_degree,
-    _exp_grids,
+    _ExpItu,
     _scalar_field,
     _torus_values,
 )
 from bfw.duals import TorusDual, parse_group, su2_algebra_rep, su2_irrep
 from bfw import calculus
-from bfw.errors import InsufficientCutoffError
+from bfw.errors import FamilyMismatchError, InsufficientCutoffError
 from bfw.fields import PRUNE_TOL
 from bfw.quadrature import HaarGrid, grid_values
 from bfw.spectrum import Su2SpectrumPoint, char_eval, membership
@@ -386,10 +386,155 @@ def test_growth_curve_errors_as_dense_path(su2, name, ts, kwargs, etype, message
 @pytest.mark.parametrize("ts", [[], [1.0], [1, 1, 1], [-1.0, -2.0], [0.0, 0.5], [1.0, 100.0],
                                 [math.nan, math.nan], [math.inf, 1.0]])
 def test_growth_curve_rejects_unfittable_times(su2, monkeypatch, ts):
-    monkeypatch.setattr(calculus, "_exp_coefs", None)  # rejected before any e^{itu} work
+    monkeypatch.setattr(calculus, "_ExpItu", None)  # rejected before any e^{itu} work
     with pytest.raises(ValueError, match="two distinct sample times"):
         growth_curve(su2, character_field(su2, Su2Spin(1)) * 0.5,
                      make_weight(su2, "poly:alpha=1"), ts)
+
+
+def test_growth_curve_resolves_u_once(su2, monkeypatch):
+    # the family, trace weights, sup|u| and self-adjointness depend on u alone:
+    # a 7-point curve works them out once, not once per t
+    u = character_field(su2, Su2Spin(1)) * 0.5
+    w = make_weight(su2, "poly:alpha=1")
+    ts = [1, 2, 4, 8, 16, 32, 64]
+    want = growth_curve(su2, u, w, ts)
+    calls = {"_su2_central_parts": 0, "_check_self_adjoint": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(calculus, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(calculus, name, counted)
+    assert growth_curve(su2, u, w, ts) == want
+    assert calls == {"_su2_central_parts": 1, "_check_self_adjoint": 1}
+    for (t, norm, _, cutoff, tail) in want.rows:
+        fld, defect, n = exp_itu_auto(su2, u, t, 120)
+        assert (cutoff, tail) == (n, defect)
+        assert norm == pytest.approx(norm_a_omega(fld, w), rel=1e-12)
+
+
+def _two_fault_inputs():
+    from bfw.labels import SemidirectLabel
+
+    su2, t1, sd = Su2Dual(), TorusDual(1), parse_group("txz2")
+    chi = character_field(su2, Su2Spin(1))
+    nonc = coefficient_field(su2, Su2Spin(1), [1, 0], [0, 1])  # neither central nor self-adjoint
+    i_pi1 = character_field(sd, SemidirectLabel("pi", 1)) * 1j
+    t_nonsa = OperatorField.from_terms(t1, {TorusChar((1,)): np.array([[1.0]])})
+    w = make_weight(su2, "poly:alpha=1")
+    return {
+        "exp_itu non-central, not self-adjoint": lambda: exp_itu(su2, nonc, 1.0, 8),
+        "exp_itu t, tail_tol": lambda: exp_itu(su2, nonc, math.nan, 8, tail_tol=-1),
+        "exp_itu t, not self-adjoint": lambda: exp_itu(su2, nonc, math.nan, 8),
+        "exp_itu txz2, not self-adjoint": lambda: exp_itu(sd, i_pi1, 1.0, 8),
+        "exp_itu txz2, t": lambda: exp_itu(sd, i_pi1, math.nan, 8),
+        "exp_itu torus t, not self-adjoint": lambda: exp_itu(t1, t_nonsa, math.nan, 8),
+        "auto non-central, not self-adjoint": lambda: exp_itu_auto(su2, nonc, 1.0, 64),
+        "auto txz2, not self-adjoint": lambda: exp_itu_auto(sd, i_pi1, 1.0, 64),
+        "auto t, non-central": lambda: exp_itu_auto(su2, nonc, math.inf, 8),
+        "auto tail_tol, non-central": lambda: exp_itu_auto(su2, nonc, 1.0, 8, tail_tol=-1),
+        "auto tail_tol, not self-adjoint": lambda: exp_itu_auto(su2, chi * 0.5j, 1.0, 8, tail_tol=-1),
+        "auto overflow, tail_tol": lambda: exp_itu_auto(su2, chi, 1e308, 8, tail_tol=-1),
+        "auto torus t, not self-adjoint": lambda: exp_itu_auto(t1, t_nonsa, math.nan, 8),
+        "curve non-central, not self-adjoint": lambda: growth_curve(su2, nonc, w, [1.0, 2.0]),
+        "curve t, non-central": lambda: growth_curve(su2, nonc, w, [math.nan, 1.0, 2.0]),
+        "curve tail_tol, non-central": lambda: growth_curve(su2, nonc, w, [1.0, 2.0], tail_tol=-1),
+        "curve overflow, tail_tol": lambda: growth_curve(su2, chi, w, [1e308, 2e307], tail_tol=-1),
+        "curve large t, not self-adjoint": lambda: growth_curve(su2, chi * 0.5j, w, [1e308, 2e307]),
+        "separating non-central, not self-adjoint":
+            lambda: separating_function(su2, nonc, n_modes=4, sample_points=0),
+        "separating txz2, not self-adjoint":
+            lambda: separating_function(sd, i_pi1, n_modes=4, sample_points=0),
+        "separating overflow, not self-adjoint":
+            lambda: separating_function(su2, chi * 1e307j, n_modes=8, sample_points=0),
+        "separating overflow, larger |m| first":
+            lambda: separating_function(su2, chi * 1e307, n_modes=8, sample_points=0),
+    }
+
+
+# (entry point and faults, exception type, message): each written from the
+# helper-per-check code this engine replaced
+TWO_FAULTS = [
+    ("exp_itu non-central, not self-adjoint", ValueError, "u is not self-adjoint (residual 5.00e-01)"),
+    ("exp_itu t, tail_tol", ValueError, "tail_tol must be finite and >= 0, got -1"),
+    ("exp_itu t, not self-adjoint", ValueError, "t must be finite, got nan"),
+    ("exp_itu txz2, not self-adjoint", ValueError, "u is not self-adjoint (residual 1.00e+00)"),
+    ("exp_itu txz2, t", ValueError, "t must be finite, got nan"),
+    ("exp_itu torus t, not self-adjoint", ValueError, "t must be finite, got nan"),
+    ("auto non-central, not self-adjoint", ValueError, "sup estimate needs a central u on SU(2)"),
+    ("auto txz2, not self-adjoint", FamilyMismatchError, "e^{itu} not implemented on txz2"),
+    ("auto t, non-central", ValueError, "t must be finite, got inf"),
+    ("auto tail_tol, non-central", ValueError, "sup estimate needs a central u on SU(2)"),
+    ("auto tail_tol, not self-adjoint", ValueError, "tail_tol must be finite and >= 0, got -1"),
+    ("auto overflow, tail_tol", OverflowError,
+     "e^{itu} has no finite cutoff at t=1e+308: 1.2 |t| sup|u| overflows"),
+    ("auto torus t, not self-adjoint", ValueError, "t must be finite, got nan"),
+    ("curve non-central, not self-adjoint", ValueError, "sup estimate needs a central u on SU(2)"),
+    ("curve t, non-central", ValueError, "t must be finite, got nan"),
+    ("curve tail_tol, non-central", ValueError, "sup estimate needs a central u on SU(2)"),
+    ("curve overflow, tail_tol", OverflowError,
+     "e^{itu} has no finite cutoff at t=1e+308: 1.2 |t| sup|u| overflows"),
+    ("curve large t, not self-adjoint", ValueError, "u is not self-adjoint (residual 5.00e-01)"),
+    ("separating non-central, not self-adjoint", ValueError, "sup estimate needs a central u on SU(2)"),
+    ("separating txz2, not self-adjoint", FamilyMismatchError, "e^{itu} not implemented on txz2"),
+    ("separating overflow, not self-adjoint", ValueError, "u is not self-adjoint (residual 1.00e+307)"),
+    ("separating overflow, larger |m| first", OverflowError,
+     f"e^{{itu}} has no finite cutoff at t={np.float64(2.0 * np.pi * -7 / 4.0)!r}: "
+     "1.2 |t| sup|u| overflows"),
+]
+
+
+@pytest.mark.parametrize("name,etype,message", TWO_FAULTS)
+def test_e_itu_check_order(name, etype, message):
+    with pytest.raises(etype) as err:
+        _two_fault_inputs()[name]()
+    assert type(err.value) is etype and str(err.value) == message
+
+
+def _product_then_quotient_sup(parts):
+    """sup|u| on 512 class-angle midpoints, summed as (b sin((n+1) theta)) / sin theta."""
+    theta = np.pi * (np.arange(512) + 0.5) / 512
+    vals = np.zeros(512, dtype=complex)
+    for n, b in parts.items():
+        vals += b * np.sin((n + 1) * theta) / np.sin(theta)
+    return float(np.max(np.abs(vals)))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_exp_itu_auto_first_cutoff(su2, monkeypatch, seed):
+    # the first cutoff is ceil(1.2 t sup|u|) + 24; each attempt is replaced by
+    # a stub, so no grid is built at t up to 4096
+    rng = np.random.default_rng(seed)
+    spins = rng.choice(9, size=int(rng.integers(1, 5)), replace=False)
+    parts = {int(n): float(rng.normal()) for n in spins}
+    u = OperatorField.from_terms(su2, {Su2Spin(n): b / (n + 1) * np.eye(n + 1) for n, b in parts.items()})
+    monkeypatch.setattr(calculus, "exp_itu", lambda *args: (None, 0.0))
+    sup = _product_then_quotient_sup(calculus._su2_central_parts(u))
+    for k in range(13):
+        t = 2.0**k
+        assert exp_itu_auto(su2, u, t, 10**9)[2] == math.ceil(1.2 * t * sup) + 24
+
+
+@pytest.mark.parametrize("group", ["su2", "so3", "torus:1", "torus:2"])
+def test_e_itu_rejects_bad_cutoffs_and_caps(group):
+    dual = parse_group(group)
+    if isinstance(dual, TorusDual):
+        axis = (0,) * (dual.n - 1)
+        u = OperatorField.from_terms(dual, {TorusChar((s,) + axis): np.array([[0.5]]) for s in (1, -1)})
+    else:
+        u = character_field(dual, Su2Spin(2)) * 0.5
+    for cutoff in (-1, 2.5, 30.0):
+        with pytest.raises(ValueError, match=rf"^cutoff must be an integer >= 0, got {cutoff!r}$"):
+            exp_itu(dual, u, 1.0, cutoff)
+    w = make_weight(dual, "poly:alpha=1")
+    for cap in (-5, 2.5):
+        with pytest.raises(ValueError, match=rf"^cutoff_cap must be an integer >= 0, got {cap!r}$"):
+            exp_itu_auto(dual, u, 1.0, cap)
+        with pytest.raises(ValueError, match=rf"^cutoff_cap must be an integer >= 0, got {cap!r}$"):
+            growth_curve(dual, u, w, [1.0, 2.0], cutoff_cap=cap)
+        with pytest.raises(ValueError, match=rf"^cutoff_cap must be an integer >= 0, got {cap!r}$"):
+            separating_function(dual, u, n_modes=4, cutoff_cap=cap, sample_points=0)
+    assert exp_itu(dual, u, 1.0, np.int64(12))[1] == exp_itu(dual, u, 1.0, 12)[1]
 
 
 # --- smoothing kernels ---------------------------------------------------------------
@@ -808,7 +953,7 @@ def test_exp_itu_so3_is_su2_at_even_spins(t, cutoff):
     assert d3 == d2
     assert list(f3.coeffs) == [a for a in f2.coeffs if a.n % 2 == 0]
     assert all(np.array_equal(f3.coeffs[a], f2.coeffs[a]) for a in f3.coeffs)
-    b = _exp_grids(su2, u2)(cutoff)(t, 1e-6)[0] * np.arange(1, cutoff + 2)  # trace weights
+    b = _ExpItu(su2, u2).coefs(t, cutoff, 1e-6)[1] * np.arange(1, cutoff + 2)  # trace weights
     assert np.max(np.abs(b[1::2])) < 1e-14
     assert np.min(np.abs(b[0:8:2])) > 1e-6
 

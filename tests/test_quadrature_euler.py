@@ -15,6 +15,7 @@ import pytest
 import bfw
 import quadrature_oracle
 from bfw import OperatorField, Su2Spin, multiply, parse_group
+from bfw import duals
 from bfw.duals import GroupDual, Su2Dual, su2_euler_point
 from bfw.fields import evaluate
 from bfw.quadrature import HaarGrid, grid_values
@@ -81,6 +82,44 @@ def test_euler_transform_builds_no_stack(monkeypatch):
     assert "points" not in vars(grid)
     assert list(got.coeffs) == list(want.coeffs)
     assert all(np.array_equal(got[a], want[a]) for a in want.coeffs)
+
+
+def test_small_d_stacks_extend_bit_for_bit(monkeypatch):
+    # values at spins <= 4 fill the small-d stacks to spin 4; coefficients at
+    # spins <= 8 then extend them from there, bit for bit as a grid whose
+    # stacks were built to spin 8 at once, with one leggauss and one
+    # su2_irrep_stack call per grid
+    rng = np.random.default_rng(48)
+    su2 = Su2Dual()
+    u = OperatorField.from_terms(su2, random_terms(su2, su2.ball(4), rng))
+    fresh = HaarGrid(su2, 16)
+    want_coefs = fresh.coefficients(np.ones(len(fresh.weights)), su2.ball(8))
+    want_vals = grid_values(u, fresh)
+    calls = {"leggauss": 0, "su2_irrep_stack": 0}
+
+    def counted(module, name):
+        f = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(np.polynomial.legendre, "leggauss")
+    counted(duals, "su2_irrep_stack")
+    duals._su2_grid_axes.cache_clear()
+    grid = HaarGrid(su2, 16)
+    vals = grid_values(u, grid)
+    got = grid.coefficients(np.ones(len(grid.weights)), su2.ball(8))
+    assert calls == {"leggauss": 1, "su2_irrep_stack": 1}
+    assert vals.tobytes() == want_vals.tobytes()
+    assert list(got.coeffs) == list(want_coefs.coeffs)
+    assert all(got[a].tobytes() == want_coefs[a].tobytes() for a in got.coeffs)
+    stack, fresh_stack = grid.memo["su2_euler"][-1], fresh.memo["su2_euler"][-1]
+    assert len(stack) == len(fresh_stack) == 9
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(stack, fresh_stack))
+    _, betas, ws = duals._su2_grid_axes(16)
+    assert not betas.flags.writeable and not ws.flags.writeable
 
 
 def test_bulk_grid_points_equal_scalar_euler_points():
