@@ -939,8 +939,9 @@ class Su2Dual(GroupDual):
         return IntertwinerSet(a, b, tuple(blocks))
 
 
-def _jplus(j: float, m: float) -> float:
-    return math.sqrt(max(j * (j + 1) - m * (m + 1), 0.0))
+def _jplus(j, m):
+    """J_+ coefficient sqrt(j(j+1) - m(m+1)); m may be an array of weights."""
+    return np.sqrt(np.maximum(j * (j + 1) - m * (m + 1), 0.0))
 
 
 def _su2_cg_top(n1: int, n2: int, n: int) -> np.ndarray:
@@ -955,18 +956,18 @@ def _su2_cg_top(n1: int, n2: int, n: int) -> np.ndarray:
     m1_hi = min(j1, j + j2)
     m1_lo = max(-j1, j - j2)
     count = int(round(m1_hi - m1_lo)) + 1
-    coeff = np.zeros(count)
-    coeff[0] = 1.0  # index i corresponds to m1 = m1_hi - i
-    for i in range(count - 1):
-        p = m1_hi - i
-        coeff[i + 1] = -coeff[i] * _jplus(j2, j - p) / _jplus(j1, p - 1)
+    p = m1_hi - np.arange(count - 1)  # index i corresponds to m1 = m1_hi - i
+    c, coeff = 1.0, [1.0]
+    for up, down in zip(_jplus(j2, j - p).tolist(), _jplus(j1, p - 1).tolist()):
+        c = -c * up / down
+        coeff.append(c)
+    coeff = np.array(coeff)
     coeff /= math.sqrt(float(np.dot(coeff, coeff)))
     if coeff[0] < 0:
         coeff = -coeff
     top = np.zeros((n1 + 1, n2 + 1))
-    for i in range(count):
-        m1 = m1_hi - i
-        top[int(round(j1 - m1)), int(round(j2 - (j - m1)))] = coeff[i]
+    i = np.arange(count)
+    top[int(round(j1 - m1_hi)) + i, int(round(j2 - j + m1_hi)) - i] = coeff
     return top
 
 
@@ -979,26 +980,34 @@ def _su2_cg_pair(n1: int, n2: int) -> dict:
     All components are lowered together, highest spin first; a component drops
     out of the stack once its columns are done.  An entry of J_- v is the
     first-factor term plus the second-factor term, added in that order.
+
+    Each block is checked on its own: every entry of |V^H V - I| must be at
+    most 1e-10 + 1e-5 |I|.
     """
     j1, j2 = n1 / 2.0, n2 / 2.0
     d1, d2 = n1 + 1, n2 + 1
     spins = range(n1 + n2, abs(n1 - n2) - 1, -2)
-    a1 = np.array([_jplus(j1, j1 - k - 1) for k in range(n1)])[:, None]
-    a2 = np.array([_jplus(j2, j2 - k - 1) for k in range(n2)])
+    a1 = _jplus(j1, j1 - np.arange(n1) - 1)[:, None]
+    a2 = _jplus(j2, j2 - np.arange(n2) - 1)
+    div = np.ones((len(spins), n1 + n2 + 1))  # div[k, col]: J_-(m) taking component k's column col to col + 1
+    for k, n in enumerate(spins):
+        div[k, :n] = _jplus(n / 2.0, n / 2.0 - np.arange(n) - 1)
     vec = np.stack([_su2_cg_top(n1, n2, n) for n in spins])  # (components, d1, d2)
-    out = {n: np.zeros((d1 * d2, n + 1), dtype=complex) for n in spins}
+    cols = np.zeros((len(spins), n1 + n2 + 1, d1, d2))
     for col in range(n1 + n2 + 1):
-        for n, v in zip(spins, vec):  # vec holds the components with a column col
-            out[n][:, col] = v.ravel()
-        live = [n for n in spins if n > col]
-        vec = vec[: len(live)]
+        cols[: len(vec), col] = vec  # vec holds the components with a column col
+        vec = vec[: sum(n > col for n in spins)]
         nxt = np.zeros_like(vec)
         nxt[:, 1:, :] = vec[:, :-1, :] * a1
         nxt[:, :, 1:] += vec[:, :, :-1] * a2
-        vec = nxt / np.array([_jplus(n / 2.0, n / 2.0 - col - 1) for n in live])[:, None, None]
-    for n, V in out.items():
-        if not np.allclose(V.conj().T @ V, np.eye(n + 1), atol=1e-10):
+        vec = nxt / div[: len(vec), col, None, None]
+    out = {}
+    for k, n in enumerate(spins):
+        rows = cols[k, : n + 1].reshape(n + 1, d1 * d2)  # the columns of V, which is real
+        eye = np.eye(n + 1)
+        if not (np.abs(rows @ rows.T - eye) <= 1e-10 + 1e-5 * eye).all():
             raise IntertwinerSynthesisError(f"CG isometry residual too large for ({n1},{n2})->{n}")
+        out[n] = np.ascontiguousarray(rows.T, dtype=complex)
     return out
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -57,11 +58,9 @@ __all__ = [
     "scale_diag",
     "l2_inner",
     "PRUNE_TOL",
-    "SVD_RANK_TOL",
 ]
 
 PRUNE_TOL = 1e-15  # matrices with max |entry| below this are dropped
-SVD_RANK_TOL = 1e-14  # relative singular-value cutoff in the product
 
 
 @dataclass(frozen=True)
@@ -120,6 +119,11 @@ class OperatorField:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    @cached_property
+    def trace_norms(self) -> dict:
+        """Trace norm ||u^(pi)||_1 of each block, in coefficient order, taken once per field."""
+        return {a: float(np.sum(np.linalg.svd(M, compute_uv=False))) for a, M in self.coeffs.items()}
+
 
 def zero_field(dual: GroupDual) -> OperatorField:
     return OperatorField.from_terms(dual, {})
@@ -150,8 +154,8 @@ def coefficient_field(dual: GroupDual, a: IrrepLabel, xi, eta) -> OperatorField:
 def norm_a_omega(u: OperatorField, w: Weight) -> float:
     """Weighted trace-norm sum: sum over the support of ||u^(pi)||_1 d_pi w(pi)."""
     total = 0.0
-    for a, M in u.coeffs.items():
-        total += float(np.sum(np.linalg.svd(M, compute_uv=False))) * u.dual.dim(a) * w(a)
+    for a, t in u.trace_norms.items():
+        total += t * u.dual.dim(a) * w(a)
     if not math.isfinite(total):
         raise WeightOverflowError(f"A_omega norm under {w.descriptor} overflows")
     return total
@@ -228,41 +232,31 @@ def dual_norm(T, w: Weight, cutoff: int | None = None, dual: GroupDual | None = 
 # product
 # ---------------------------------------------------------------------------
 
-def _rank_one_parts(dual, a, M):
-    """Vectors (eta_k, xi_k) with M = sum eta_k xi_k* / d, small ranks pruned."""
-    U, s, Vh = np.linalg.svd(M)
-    keep = s > SVD_RANK_TOL * s[0] if s.size and s[0] > 0 else np.zeros_like(s, bool)
-    d = dual.dim(a)
-    return (d * s[keep]) * U[:, keep], Vh[keep].conj().T  # columns eta_k, xi_k
-
-
 def multiply(u: OperatorField, v: OperatorField) -> OperatorField:
     """Pointwise product of the represented functions.
 
-    Rank-one pieces of each coefficient are routed through the fusion
-    intertwiners: a pair (eta, xi) x (eta', xi') contributes
-    (V*(eta (x) eta'))(V*(xi (x) xi'))* / d_sigma at each component sigma.
+    Each component sigma of a (x) b gets (d_a d_b / d_sigma) V*(u^(a) (x) v^(b))V
+    for every isometry V of the fusion intertwiners.  u^(a) (x) v^(b) acts on
+    all the pair's isometry columns at once: a column, read as a d_a x d_b
+    matrix X, maps to u^(a) X v^(b)^T.
     """
     u._same_dual(v)
     dual = u.dual
     acc: dict = {}
-    v_parts = [(b, _rank_one_parts(dual, b, Mb)) for b, Mb in v.coeffs.items()]
     for a, Ma in u.coeffs.items():
-        Ea, Xa = _rank_one_parts(dual, a, Ma)
-        if Ea.shape[1] == 0:
-            continue
-        for b, (Eb, Xb) in v_parts:
-            if Eb.shape[1] == 0:
-                continue
-            # all Kronecker pairs at once: columns are eta_k (x) eta'_l
-            EE = np.einsum("ak,bl->abkl", Ea, Eb).reshape(Ea.shape[0] * Eb.shape[0], -1)
-            XX = np.einsum("ak,bl->abkl", Xa, Xb).reshape(Xa.shape[0] * Xb.shape[0], -1)
-            for sigma, isos in dual.intertwiners(a, b):
+        d_a = dual.dim(a)
+        for b, Mb in v.coeffs.items():
+            d_b = dual.dim(b)
+            iw = dual.intertwiners(a, b)
+            W = np.concatenate([V for _, isos in iw for V in isos], axis=1)
+            Y = (Ma @ W.reshape(d_a, -1)).reshape(d_a, d_b, -1)
+            Y = np.matmul(Mb, Y).reshape(d_a * d_b, -1)
+            col = 0
+            for sigma, isos in iw:
                 d_s = dual.dim(sigma)
                 for V in isos:
-                    P = V.conj().T @ EE
-                    Q = V.conj().T @ XX
-                    block = (P @ Q.conj().T) / d_s
+                    block = (V.conj().T @ Y[:, col:col + d_s]) * (d_a * d_b / d_s)
+                    col += d_s
                     if sigma in acc:
                         acc[sigma] = acc[sigma] + block
                     else:

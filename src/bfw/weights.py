@@ -366,28 +366,19 @@ def validate(dual: GroupDual, w: Weight, depth: int = 12, tol: float = 1e-9) -> 
 def _certificate(dual, w, label, n_max):
     # log w of the k-fold tensor powers of the label, k = 1..n_max (max over support)
     logs = dual.power_maxima((label,), n_max, w.log_values, LABEL_CAP)
-
-    def exp(x):
-        try:
-            return math.exp(x)
-        except OverflowError:
-            raise WeightOverflowError(
-                f"growth rate of weight {w.descriptor} along {format_label(label)} overflows"
-            ) from None
-
-    seq = []
-    rho_hat = math.inf
-    for n, lv in enumerate(logs, start=1):
-        root = exp(lv / n)
-        rho_hat = min(rho_hat, root)
-        seq.append((n, root))
     half = max(1, n_max // 2)
-    if n_max > 1:
-        rho_slope = exp((logs[n_max - 1] - logs[half - 1]) / (n_max - half))
-    else:
-        rho_slope = seq[0][1]
+    slope = (logs[n_max - 1] - logs[half - 1]) / (n_max - half) if n_max > 1 else logs[0]
+    try:
+        roots = list(map(math.exp, [lv / n for n, lv in enumerate(logs, start=1)]))
+        rho_slope = math.exp(slope)
+    except OverflowError:
+        raise WeightOverflowError(
+            f"growth rate of weight {w.descriptor} along {format_label(label)} overflows"
+        ) from None
+    seq = tuple(enumerate(roots, start=1))
+    rho_hat = min(roots)
     tag = "nonexponential-evidence" if rho_slope <= 1.0 + EPS_CLASS else "exponential-witness"
-    return GrowthCertificate(label, tuple(seq), rho_hat, rho_slope, tag, n_max)
+    return GrowthCertificate(label, seq, rho_hat, rho_slope, tag, n_max)
 
 
 def growth_rate(

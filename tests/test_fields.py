@@ -31,11 +31,13 @@ from bfw import (
     translate,
     zero_field,
 )
+from bfw.duals import parse_group
 from bfw.errors import FamilyMismatchError, WeightOverflowError
 from bfw.quadrature import HaarGrid, grid_values, quadrature_coeffs
 from bfw.weights import Weight, validate
 
-from conftest import fields_close, random_field
+import product_oracle
+from conftest import field_max_abs, fields_close, random_field
 
 
 # --- construction -----------------------------------------------------------
@@ -199,6 +201,72 @@ def test_submultiplicativity(su2, sd, t1, rng):
                 lhs = norm_a_omega(multiply(u, v), w)
                 rhs = norm_a_omega(u, w) * norm_a_omega(v, w)
                 assert lhs <= rhs * (1.0 + 1e-9), (dual.family, spec, lhs, rhs)
+
+
+# radius of the ball whose labels carry random full blocks, per family: every
+# spin up to 8 on SU(2) and SO(3), pi_m up to m = 8 on T x| Z_2
+ORACLE_BALLS = {"su2": 8, "so3": 4, "txz2": 8, "torus:2": 3, "prod(su2,torus:1)": 4}
+
+
+def _full_field(dual, radius, rng, scale):
+    terms = {}
+    for a in dual.ball(radius):
+        d = dual.dim(a)
+        terms[a] = scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return OperatorField.from_terms(dual, terms)
+
+
+@pytest.mark.parametrize("group", list(ORACLE_BALLS))
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e5])
+def test_multiply_equals_rank_one_oracle(group, scale):
+    dual = parse_group(group)
+    rng = np.random.default_rng(7)
+    r = ORACLE_BALLS[group]
+    u = _full_field(dual, r, rng, scale)
+    v = _full_field(dual, r // 2, rng, scale)
+    for x, y in ((u, v), (v, u), (u, u)):
+        got, want = multiply(x, y), product_oracle.multiply(x, y)
+        assert list(got.coeffs) == list(want.coeffs)  # same support, same term order
+        top = max(float(np.max(np.abs(M))) for M in want.coeffs.values())
+        err = max(float(np.max(np.abs(got.coeffs[a] - M))) for a, M in want.coeffs.items())
+        assert err <= 1e-13 * top, (group, err / top)
+
+
+def test_multiply_keeps_rank_deficient_blocks(su2, rng):
+    # rank-one and rank-two blocks take the same path as full ones
+    eta, xi = rng.standard_normal(5) + 1j * rng.standard_normal(5), rng.standard_normal(5)
+    u = coefficient_field(su2, Su2Spin(4), xi, eta) + coefficient_field(su2, Su2Spin(4), eta, xi)
+    v = coefficient_field(su2, Su2Spin(3), xi[:4], eta[:4])
+    got, want = multiply(u, v), product_oracle.multiply(u, v)
+    assert list(got.coeffs) == list(want.coeffs)
+    assert field_max_abs(got - want) <= 1e-13 * field_max_abs(want)
+
+
+@pytest.mark.parametrize("group", list(ORACLE_BALLS) + ["torus:1"])
+def test_norm_a_omega_equals_per_block_svd_sum(group):
+    dual = parse_group(group)
+    rng = np.random.default_rng(11)
+    u = _full_field(dual, 3, rng, 1.0)
+    uv = multiply(u, u)
+    for spec in ("const:1", "dim", "poly:alpha=1", "exp:lambda=2"):
+        w = make_weight(dual, spec)
+        for f in (u, uv):
+            assert norm_a_omega(f, w) == product_oracle.norm_a_omega(f, w), (group, spec)
+
+
+def test_trace_norms_taken_once_per_field(su2, rng, monkeypatch):
+    u = random_field(su2, 4, rng, n_terms=3)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    norms = u.trace_norms
+    assert list(norms) == list(u.coeffs) and len(calls) == 3
+    for spec in ("const:1", "dim", "exp:lambda=2"):
+        norm_a_omega(u, make_weight(su2, spec))
+    assert u.trace_norms is norms and len(calls) == 3
+    # a new field takes its own norms
+    norm_a_omega(2.0 * u, make_weight(su2, "dim"))
+    assert len(calls) == 6
 
 
 # --- evaluation, pairing -----------------------------------------------------

@@ -175,3 +175,34 @@ def test_cg_residual_check_catches_corrupted_lowering(monkeypatch):
     monkeypatch.setattr(duals, "_jplus", corrupted)
     with pytest.raises(IntertwinerSynthesisError, match=r"\(8,8\)->16"):
         _su2_cg_pair(8, 8)
+
+
+@pytest.mark.parametrize("eps", [1e-7, 2.5e-7, 2.9e-7, 3.4e-7, 4e-7, 1e-6])
+def test_cg_residual_check_agrees_with_allclose(monkeypatch, eps):
+    # divisors scaled by 1 + eps push the last diagonal entry of V^H V about
+    # 32 eps away from 1, across the 1e-5 allowance near eps = 3.1e-7; the
+    # library's per-block check raises exactly when the oracle's
+    # np.allclose(V^H V, I, atol=1e-10) fails on some block
+    import bfw.duals as duals
+    import cg_oracle
+
+    jplus = duals._jplus
+
+    def corrupted(j, m):
+        return jplus(j, m) * (1.0 if j == 4.0 else 1.0 + eps)
+
+    monkeypatch.setattr(duals, "_jplus", corrupted)
+    monkeypatch.setattr(cg_oracle, "_jplus", corrupted)
+    oracle_fails = False
+    for n in range(0, 17, 2):
+        try:
+            _su2_cg_isometry(8, 8, n)
+        except IntertwinerSynthesisError:
+            oracle_fails = True
+    try:
+        _su2_cg_pair(8, 8)
+        fails = False
+    except IntertwinerSynthesisError:
+        fails = True
+    assert fails == oracle_fails
+    assert fails == (eps > 3.1e-7)

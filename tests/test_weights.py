@@ -440,3 +440,66 @@ def test_growth_foreign_generator(su2, t1):
         growth_rate(su2, w, TorusChar((1,)), 8)
     with pytest.raises(FamilyMismatchError):
         classify_growth(su2, w, S=(TorusChar((1,)),), n_max=8)
+
+
+# --- certificates against the per-root loop ------------------------------------
+
+def _loop_certificate(dual, w, label, n_max):
+    """The certificate with one guarded math.exp call per root, in scan order."""
+    from bfw.weights import EPS_CLASS, LABEL_CAP, GrowthCertificate
+
+    logs = dual.power_maxima((label,), n_max, w.log_values, LABEL_CAP)
+
+    def exp(x):
+        try:
+            return math.exp(x)
+        except OverflowError:
+            raise WeightOverflowError(
+                f"growth rate of weight {w.descriptor} along {format_label(label)} overflows"
+            ) from None
+
+    seq = []
+    rho_hat = math.inf
+    for n, lv in enumerate(logs, start=1):
+        root = exp(lv / n)
+        rho_hat = min(rho_hat, root)
+        seq.append((n, root))
+    half = max(1, n_max // 2)
+    if n_max > 1:
+        rho_slope = exp((logs[n_max - 1] - logs[half - 1]) / (n_max - half))
+    else:
+        rho_slope = seq[0][1]
+    tag = "nonexponential-evidence" if rho_slope <= 1.0 + EPS_CLASS else "exponential-witness"
+    return GrowthCertificate(label, tuple(seq), rho_hat, rho_slope, tag, n_max)
+
+
+@pytest.mark.parametrize("group,probe", [
+    ("su2", "pi:1"), ("so3", "pi:2"), ("txz2", "pi:1"), ("txz2", "sgn"), ("torus:1", "t:(1)"),
+    ("torus:2", "t:(1,-2)"), ("prod(su2,torus:1)", "pi:1×t:(1)"),
+])
+@pytest.mark.parametrize("n_max", [1, 2, 7, 64])
+def test_certificate_equals_per_root_loop(group, probe, n_max):
+    dual = parse_group(group)
+    label = parse_label(dual, probe)
+    for spec in RECIPES + ["exp:lambda=2.6731234567", "poly:alpha=1.2345678"]:
+        w = make_weight(dual, spec)
+        # repr shows every bit of each float, and the sign of zero
+        assert repr(growth_rate(dual, w, label, n_max)) == repr(_loop_certificate(dual, w, label, n_max))
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 9])
+def test_certificate_overflow_equals_per_root_loop(su2, n_max):
+    w = make_weight(su2, "exp:lambda=1e300")
+    for probe in ("pi:1", "pi:2"):
+        label = parse_label(su2, probe)
+        try:
+            want = repr(_loop_certificate(su2, w, label, n_max))
+        except WeightOverflowError as err:
+            want = str(err)
+        try:
+            got = repr(growth_rate(su2, w, label, n_max))
+        except WeightOverflowError as err:
+            got = str(err)
+        assert got == want
+    with pytest.raises(WeightOverflowError, match=r"along pi:2 overflows"):
+        growth_rate(su2, w, parse_label(su2, "pi:2"), n_max)
