@@ -41,7 +41,7 @@ from .fields import (
     norm_l2_omega,
     pair,
 )
-from .labels import IrrepLabel, Su2Spin, format_label
+from .labels import IrrepLabel, format_label
 from .weights import Weight, make_weight
 
 __all__ = [
@@ -283,8 +283,8 @@ def exp_itu(
     it.  ``t`` must be finite and the cutoff an integer >= 0; a t u too large
     for floats raises ``OverflowError``.
     """
-    labels, coef, defect = _ExpItu(dual, u).coefs(t, cutoff, tail_tol)
-    return _scalar_field(dual, labels, coef, range(coef.size)), defect
+    coords, coef, defect = _ExpItu(dual, u).coefs(t, cutoff, tail_tol)
+    return _scalar_field(dual, coords, coef, range(coef.size)), defect
 
 
 def _check_t(t: float) -> None:
@@ -302,7 +302,7 @@ def _defect_error(defect: float, t: float, cutoff: int) -> Exception:
     """The error for a Parseval defect above tail_tol: a non-finite one means
     e^{itu} overflowed, which no cutoff mends."""
     if not math.isfinite(defect):
-        return OverflowError(f"e^{{itu}} is not finite at t={t!r}")
+        return OverflowError(f"e^{{itu}} is not finite at t={float(t)!r}")
     return InsufficientCutoffError(defect, cutoff)
 
 
@@ -341,9 +341,9 @@ class _ExpItu:
             self._adjoint = True
 
     def coefs(self, t: float, cutoff: int, tail_tol: float):
-        """(labels, coef, defect): e^{itu} = sum coef[i] I at labels[i] up to
-        the cutoff.  Checks tail_tol, t, self-adjointness, then the family
-        and centrality."""
+        """(coords, coef, defect): e^{itu} = sum coef[i] I at the label with
+        lattice coordinates coords[i], up to the cutoff.  Checks tail_tol, t,
+        self-adjointness, then the family and centrality."""
         if not (math.isfinite(tail_tol) and tail_tol >= 0.0):
             raise ValueError(f"tail_tol must be finite and >= 0, got {tail_tol!r}")
         _check_t(t)
@@ -355,7 +355,7 @@ class _ExpItu:
             self._grid = (_TorusExpGrid(self.dual, self.u, cutoff) if parts is None
                           else _Su2ExpGrid(parts, cutoff))
         coef, defect = self._grid(t, tail_tol)
-        return self._grid.labels, coef, defect
+        return self._grid.coords, coef, defect
 
     def auto(self, t: float, cutoff_cap: int, attempt):
         """(attempt(n), n) at the first cutoff n without an insufficient-cutoff
@@ -364,7 +364,7 @@ class _ExpItu:
         _check_t(t)
         need = CUTOFF_RATE * abs(float(t)) * self.sup  # a float overflows to inf, unwarned
         if not math.isfinite(need):
-            raise OverflowError(f"e^{{itu}} has no finite cutoff at t={t!r}: "
+            raise OverflowError(f"e^{{itu}} has no finite cutoff at t={float(t)!r}: "
                                 f"{CUTOFF_RATE} |t| sup|u| overflows")
         cutoff_cap = _check_count("cutoff_cap", cutoff_cap)
         n = min(cutoff_cap, int(math.ceil(need)) + CUTOFF_MARGIN)
@@ -392,26 +392,30 @@ class _Su2ExpGrid:
     """e^{itu} for a central u on SU(2) and SO(3), spins 0..cutoff; called at
     (t, tail_tol), it gives the coefficient per spin and the Parseval defect.
 
-    ``vals`` holds u at the midpoint class angles theta_j of a uniform grid
-    over the doubled period; ``kernel[n, j] = (2/m) sin((n+1) theta_j)
-    sin(theta_j)`` maps the values of a class function there to its trace
-    weights b_n.  Both are independent of t.
+    The trace weights of a class function g are the quadrature sums
+    b_n = (2/m) sum_j g(theta_j) sin((n+1) theta_j) sin(theta_j) over the m
+    midpoint class angles theta_j = 2 pi (j + 1/2)/m of the doubled period.
+    With h = g sin(theta) and F its length-m FFT, each is one read of F:
+    b_n = (e^{i pi k/m} F[(m-k) mod m] - e^{-i pi k/m} F[k])/(i m), k = n + 1.
+    The grid keeps u's values, sin(theta_j) and the phases e^{i pi k/m}, all
+    O(m) and independent of t.
     """
 
     def __init__(self, parts: dict, cutoff: int):
         self.cutoff = cutoff
-        m = 2 * (cutoff + max(GRID_PAD, cutoff // 2)) + 2
+        self.m = m = 2 * (cutoff + max(GRID_PAD, cutoff // 2)) + 2
         theta = 2.0 * np.pi * (np.arange(m) + 0.5) / m
         self.vals = _class_values(parts, theta)
-        ns = np.arange(cutoff + 1)
-        self.kernel = (2.0 / m) * (np.sin(np.outer(ns + 1, theta)) * np.sin(theta))  # (cutoff+1, m)
-        self.labels = [Su2Spin(n) for n in ns.tolist()]
+        self.sin = np.sin(theta)
+        self.phase = np.exp(1j * np.pi * np.arange(1, cutoff + 2) / m)
+        self.coords = np.arange(cutoff + 1)[:, None]  # spins 0..cutoff
 
     def __call__(self, t: float, tail_tol: float):
-        # one matrix-vector product per t: stacking several t into one matrix
-        # product changes the last bits of the result
+        n = self.cutoff + 1
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the defect
-            b = self.kernel @ np.exp(1j * t * self.vals)
+            F = np.fft.fft(np.exp(1j * t * self.vals) * self.sin)
+            # F[::-1][k - 1] is F[m - k]
+            b = (self.phase * F[::-1][:n] - self.phase.conj() * F[1:n + 1]) / (1j * self.m)
             defect = abs(1.0 - float(np.sum(np.abs(b) ** 2)))
         if not defect <= tail_tol:
             raise _defect_error(defect, t, self.cutoff)
@@ -420,15 +424,15 @@ class _Su2ExpGrid:
 
 
 class _TorusExpGrid:
-    """e^{itu} on a torus, labels ball(cutoff): the FFT of e^{itu} on the
-    product grid of m uniform angles per axis, read at each label."""
+    """e^{itu} on a torus, at the coordinates of ball(cutoff): the FFT of
+    e^{itu} on the product grid of m uniform angles per axis, read there."""
 
     def __init__(self, dual: TorusDual, u: OperatorField, cutoff: int):
         m = 2 * (cutoff + max(GRID_PAD, cutoff)) + 1
         self.cutoff = cutoff
         self.vals = _torus_values(u, m)
-        self.labels = dual.ball(cutoff)
-        self.index = tuple((np.array([a.mu for a in self.labels]) % m).T)
+        self.coords = dual.ball_coords(cutoff)
+        self.index = tuple((self.coords % m).T)
 
     def __call__(self, t: float, tail_tol: float):
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the defect
@@ -452,11 +456,13 @@ def _torus_values(u: OperatorField, m: int) -> np.ndarray:
     return vals
 
 
-def _kept(dual, labels, coef, positions) -> list[int]:
-    """The positions i, in the given order, at which the scalar field with
-    coefficient coef[i] I at labels[i] keeps a block: the dual contains the
-    label and |coef[i]| > PRUNE_TOL, as from_terms prunes.  A non-finite
-    coefficient there raises from_terms' error.
+def _kept(dual, coords, coef, positions) -> list[tuple[int, IrrepLabel]]:
+    """(i, label) for the positions i, in the given order, at which the scalar
+    field with coefficient coef[i] I at the label with coordinates coords[i]
+    keeps a block: |coef[i]| > PRUNE_TOL, as from_terms prunes, and the dual
+    contains the label.  A label is built only where coef[i] passes the
+    first test, and once.  A non-finite coefficient there raises from_terms'
+    error.
 
     On SO(3) the odd spins are dropped: u is even under the center, so there
     the class-angle quadrature leaves only rounding noise (about 1e-17).
@@ -464,43 +470,53 @@ def _kept(dual, labels, coef, positions) -> list[int]:
     bad = ~np.isfinite(coef)
     live = bad | (np.abs(coef) > PRUNE_TOL)
     pos = np.fromiter(positions, dtype=np.intp)
+    pos = pos[live[pos]]
     kept = []
-    for i in pos[live[pos]].tolist():
-        if dual.contains(labels[i]):
+    for i, c in zip(pos.tolist(), coords[pos].tolist()):
+        a = dual.label_at(c)
+        if dual.contains(a):
             if bad[i]:
-                raise ValueError(f"coefficient at {format_label(labels[i])} is not finite")
-            kept.append(i)
+                raise ValueError(f"coefficient at {format_label(a)} is not finite")
+            kept.append((i, a))
     return kept
 
 
-def _scalar_field(dual, labels, coef, positions) -> OperatorField:
-    """The field with coefficient coef[i] I at labels[i] for each position i
-    :func:`_kept` keeps, in the given order.  Its blocks are those of
-    from_terms, read-only and byte for byte, built without its per-label checks.
+def _scalar_field(dual, coords, coef, positions) -> OperatorField:
+    """The field with coefficient coef[i] I at the label with coordinates
+    coords[i] for each position i :func:`_kept` keeps, in the given order.
+    Its blocks are those of from_terms, byte for byte, built without its
+    per-label checks: the blocks of one dimension d are read-only views of
+    one product coef[idx, None, None] * eye(d).
     """
-    coeffs = {}
-    for i in _kept(dual, labels, coef, positions):
-        M = coef[i] * np.eye(dual.dim(labels[i]))
-        M.flags.writeable = False
-        coeffs[labels[i]] = M
-    return OperatorField(dual, coeffs)
+    kept = _kept(dual, coords, coef, positions)
+    pos = np.array([i for i, _ in kept], dtype=np.intp)
+    dims = dual.dims_at(coords[pos])
+    order = np.argsort(dims, kind="stable")
+    ds, starts = np.unique(dims[order], return_index=True)
+    blocks = [None] * len(kept)
+    for d, at in zip(ds.tolist(), np.split(order, starts[1:])):
+        stack = coef[pos[at], None, None] * np.eye(d)
+        stack.flags.writeable = False
+        for j, M in zip(at.tolist(), stack):
+            blocks[j] = M
+    return OperatorField(dual, {a: M for (_, a), M in zip(kept, blocks)})
 
 
-def _scalar_norm(dual, labels, coef, w: Weight) -> float:
-    """norm_a_omega of _scalar_field(dual, labels, coef, range(coef.size))
+def _scalar_norm(dual, coords, coef, w: Weight) -> float:
+    """norm_a_omega of _scalar_field(dual, coords, coef, range(coef.size))
     without building it: the sum of (d |c|) d w(a) over the kept positions in
     order, with |c| as LAPACK's SVD gives the one singular value of [c]
     (dlapy3), so rank-one labels match the dense norm bit for bit; a d x d
     block c I differs from it in the last bits."""
-    kept = _kept(dual, labels, coef, range(coef.size))
-    c = coef[kept]
+    kept = _kept(dual, coords, coef, range(coef.size))
+    pos = np.array([i for i, _ in kept], dtype=np.intp)
+    c = coef[pos]
     re, im = np.abs(c.real), np.abs(c.imag)
     top = np.maximum(re, im)  # > PRUNE_TOL at kept positions
     mod = top * np.sqrt((re / top) ** 2 + (im / top) ** 2 + 0.0)
     total = 0.0
-    for i, m in zip(kept, mod.tolist()):
-        d = dual.dim(labels[i])
-        total += (d * m) * d * w(labels[i])
+    for (_, a), d, m in zip(kept, dual.dims_at(coords[pos]).tolist(), mod.tolist()):
+        total += (d * m) * d * w(a)
     if not math.isfinite(total):
         raise WeightOverflowError(f"A_omega norm under {w.descriptor} overflows")
     return total
@@ -574,8 +590,8 @@ def growth_curve(
     exp = _ExpItu(dual, u)
     rows = []
     for t in times:
-        (labels, coef, defect), used = exp.auto(t, cutoff_cap, lambda n: exp.coefs(t, n, tail_tol))
-        rows.append((t, _scalar_norm(dual, labels, coef, w), (1.0 + abs(t)) ** exponent, used, defect))
+        (coords, coef, defect), used = exp.auto(t, cutoff_cap, lambda n: exp.coefs(t, n, tail_tol))
+        rows.append((t, _scalar_norm(dual, coords, coef, w), (1.0 + abs(t)) ** exponent, used, defect))
     ts = np.array(times)
     norms = np.array([r[1] for r in rows])
     sel = ts >= ts.max() / 10.0
@@ -594,6 +610,7 @@ class SplineBump:
 
     def __init__(self, k: int):
         self.k = int(k)
+        self._spectra: dict[int, np.ndarray] = {}  # samples -> FFT of the samples / samples
 
     def _step(self, x):
         # regularized incomplete-beta smoothstep of order k on [0, 1]
@@ -615,8 +632,10 @@ class SplineBump:
 
     def fourier_series(self, n_modes: int = 256, samples: int = 1 << 16):
         """Coefficients c_m of the periodization: phi(x) = sum c_m e^{2 pi i m x / BUMP_PERIOD}."""
-        xs = -BUMP_PERIOD / 2.0 + BUMP_PERIOD * np.arange(samples) / samples
-        spec = np.fft.fft(self(xs)) / samples
+        spec = self._spectra.get(samples)
+        if spec is None:  # one transform per sample count, sliced for every n_modes
+            xs = -BUMP_PERIOD / 2.0 + BUMP_PERIOD * np.arange(samples) / samples
+            spec = self._spectra[samples] = np.fft.fft(self(xs)) / samples
         ms = np.arange(-n_modes, n_modes + 1)
         # grid starts at -period/2: undo the translation phase
         coefs = spec[ms % samples] * np.exp(2.0j * np.pi * ms * (-0.5))
@@ -673,9 +692,9 @@ def _separating_field(dual, u0, modes, cutoff_cap) -> OperatorField:
     entry matters: the coefficient in the exponential, c_m times that in the
     piece, and a running sum in the accumulator.  The same PRUNE_TOL test
     drops a label at each of those three points, and labels enter the result
-    in the order the field sums insert them.  A position indexes the labels of
-    the largest cutoff used; each smaller cutoff's labels are a prefix of them
-    (spins 0..n, or a torus ball sorted by word length).
+    in the order the field sums insert them.  A position indexes the label
+    coordinates of the largest cutoff used; each smaller cutoff's are a prefix
+    of them (spins 0..n, or a torus ball sorted by word length).
     """
     exp = _ExpItu(dual, u0)
     exp.sup  # the family and centrality, then self-adjointness, before any mode
@@ -683,17 +702,17 @@ def _separating_field(dual, u0, modes, cutoff_cap) -> OperatorField:
     # larger |m| first, the modes +-m together: they start from the same
     # cutoff and share its grid; a failing mode raises when the sum reaches it
     exps: list = [None] * len(modes)
-    labels, top = [], -1  # the labels of the largest cutoff used
+    coords, top = np.zeros((0, 1), dtype=np.int64), -1  # the label coordinates of the largest cutoff used
     for i in sorted(range(len(modes)), key=lambda i: -abs(int(modes[i][0]))):
         t = 2.0 * np.pi * modes[i][0] / BUMP_PERIOD
         try:
-            (grid_labels, exps[i], _), n = exp.auto(t, cutoff_cap, lambda n: exp.coefs(t, n, 1e-6))
+            (grid_coords, exps[i], _), n = exp.auto(t, cutoff_cap, lambda n: exp.coefs(t, n, 1e-6))
         except InsufficientCutoffError as exc:
             exps[i] = exc
             continue
         if n > top:
-            labels, top = grid_labels, n
-    acc = np.zeros(len(labels), dtype=complex)  # 0 at positions not in the sum
+            coords, top = grid_coords, n
+    acc = np.zeros(len(coords), dtype=complex)  # 0 at positions not in the sum
     order: dict[int, None] = {}  # positions in the sum, in insertion order
     for (_, c), coef in zip(modes, exps):
         if isinstance(coef, InsufficientCutoffError):
@@ -706,7 +725,7 @@ def _separating_field(dual, u0, modes, cutoff_cap) -> OperatorField:
             order.pop(i, None)
         acc[pos[~kept]] = 0.0
         order.update(dict.fromkeys(pos[kept].tolist()))
-    return _scalar_field(dual, labels, acc, order)
+    return _scalar_field(dual, coords, acc, order)
 
 
 def _sampled_error(dual, v, u0, bump, sample_points) -> float:

@@ -422,17 +422,10 @@ class GroupDual:
         label reach when a step moves each coordinate at most as far as some
         generator lies from the trivial label.
         """
+        if S is None:
+            return self.mask_labels(*self._ball_mask(radius))
         if radius < 0:
             raise ValueError(f"ball radius must be >= 0, got {radius}")
-        if S is None:
-            triv = np.array(self.coords(self.trivial), dtype=np.int64)
-            off = np.array([self.coords(s) for s in self.generators()], dtype=np.int64) - triv
-            lo = triv + radius * np.minimum(off.min(axis=0), 0)
-            hi = triv + radius * np.maximum(off.max(axis=0), 0)
-            shape = tuple((hi - lo + 1).tolist())
-            box = np.indices(shape).reshape(len(shape), -1).T + lo
-            inside = self.word_lengths_at(box).reshape(shape) <= radius
-            return tuple(a for a in self.mask_labels(inside, lo) if self.contains(a))
         S = tuple(S)
         acc = supp = self.mask((self.trivial,))
         if radius > 0:
@@ -491,9 +484,22 @@ class GroupDual:
         return arr, tuple(lo.tolist())
 
     def mask_labels(self, arr, lo) -> tuple[IrrepLabel, ...]:
-        """The labels of a support, sorted by label_key."""
+        """The labels of a support that the family contains, sorted by label_key."""
         pts = (np.argwhere(arr) + np.array(lo, dtype=np.int64)).tolist()
-        return tuple(sorted((self.label_at(p) for p in pts), key=label_key))
+        return tuple(sorted((a for a in map(self.label_at, pts) if self.contains(a)), key=label_key))
+
+    def _ball_mask(self, radius: int):
+        """The support of the default ball(radius): a box of coordinates,
+        marked where :meth:`word_lengths_at` is at most radius."""
+        if radius < 0:
+            raise ValueError(f"ball radius must be >= 0, got {radius}")
+        triv = np.array(self.coords(self.trivial), dtype=np.int64)
+        off = np.array([self.coords(s) for s in self.generators()], dtype=np.int64) - triv
+        lo = triv + radius * np.minimum(off.min(axis=0), 0)
+        hi = triv + radius * np.maximum(off.max(axis=0), 0)
+        shape = tuple((hi - lo + 1).tolist())
+        box = np.indices(shape).reshape(len(shape), -1).T + lo
+        return self.word_lengths_at(box).reshape(shape) <= radius, tuple(lo.tolist())
 
     def lattice_step(self, supp, S):
         """One tensor-power step on a support: the OR over the generators in S."""
@@ -750,6 +756,19 @@ class TorusDual(GroupDual):
 
     def dims_at(self, c):
         return np.ones(len(c), dtype=np.int64)
+
+    def ball_coords(self, radius: int) -> np.ndarray:
+        """The coordinates mu of ball(radius) as a (k, n) int64 array, in
+        label_key order: word length |mu|_1, then mu lexicographically."""
+        return self._key_sorted(*self._ball_mask(radius))
+
+    def mask_labels(self, arr, lo):
+        return tuple(map(self.label_at, self._key_sorted(arr, lo).tolist()))
+
+    def _key_sorted(self, arr, lo) -> np.ndarray:
+        """The coordinates of a support, sorted as label_key sorts their labels."""
+        pts = np.argwhere(arr) + np.array(lo, dtype=np.int64)
+        return pts[np.lexsort((*pts.T[::-1], np.abs(pts).sum(axis=1)))]
 
     def _step_mask(self, arr, lo, s, ax):
         # a pure translation: the window moves and the mask is not copied

@@ -50,6 +50,7 @@ from bfw.quadrature import HaarGrid, grid_values
 from bfw.spectrum import Su2SpectrumPoint, char_eval, membership
 
 from conftest import field_max_abs, fields_close, random_field
+from exp_oracle import su2_exp_kernel
 
 
 def bessel_series(k, x, terms=80):
@@ -285,9 +286,9 @@ def test_growth_curve_torus_rows_equal_dense_oracle(rank):
         assert list(growth_curve(dual, u, w, ts, cutoff_cap=256).rows) == want[w.descriptor]
 
 
-def _from_terms_scalar_field(dual, labels, coef, positions):
+def _from_terms_scalar_field(dual, coords, coef, positions):
     """The field _scalar_field builds, through from_terms label by label."""
-    pairs = ((labels[i], coef[i]) for i in positions)
+    pairs = ((dual.label_at(coords[i].tolist()), coef[i]) for i in positions)
     return OperatorField.from_terms(
         dual, {a: c * np.eye(dual.dim(a)) for a, c in pairs if dual.contains(a)}
     )
@@ -315,28 +316,41 @@ def _assert_bytes_equal(got, want):
 @pytest.mark.parametrize("group", ["su2", "so3", "torus:1", "torus:2"])
 def test_scalar_field_equals_from_terms(group):
     dual = parse_group(group)
-    labels = [Su2Spin(n) for n in range(30)] if dual.family in ("su2", "so3") else list(dual.ball(6))
-    coef = _scalar_coefs(len(labels))
+    coords = np.arange(30)[:, None] if dual.family in ("su2", "so3") else dual.ball_coords(6)
+    coef = _scalar_coefs(len(coords))
     rng = np.random.default_rng(7)
-    for positions in (range(len(labels)), dict.fromkeys(rng.permutation(len(labels))[:20].tolist()), []):
-        want = _from_terms_scalar_field(dual, labels, coef, positions)
-        _assert_bytes_equal(_scalar_field(dual, labels, coef, positions), want)
-    full = _from_terms_scalar_field(dual, labels, coef, range(len(labels)))
+    for positions in (range(len(coords)), dict.fromkeys(rng.permutation(len(coords))[:20].tolist()), []):
+        want = _from_terms_scalar_field(dual, coords, coef, positions)
+        _assert_bytes_equal(_scalar_field(dual, coords, coef, positions), want)
+    # the coordinates and coefficient vectors of an e^{itu} grid, plus the
+    # coefficients above spread over the grid
+    if dual.family == "torus":
+        u, cutoff = _half_cos(dual) * 2.0 + one_field(dual) * 0.5, 40
+    else:
+        u, cutoff = character_field(dual, Su2Spin(2)) * (1.0 / 3.0) + one_field(dual) * 0.2, 60
+    grid_coords, grid_coef, _ = _ExpItu(dual, u).coefs(3.0, cutoff, 1e-6)
+    mixed = grid_coef.copy()
+    mixed[::3] = _scalar_coefs(mixed[::3].size)
+    for c in (grid_coef, mixed, -grid_coef):
+        for positions in (range(c.size), rng.permutation(c.size).tolist()):
+            want = _from_terms_scalar_field(dual, grid_coords, c, positions)
+            _assert_bytes_equal(_scalar_field(dual, grid_coords, c, positions), want)
+    full = _from_terms_scalar_field(dual, coords, coef, range(len(coords)))
     assert any(np.signbit(M.real).any() for M in full.coeffs.values())
     # a non-finite coefficient raises from_terms' error at the first label it keeps
     for bad in (np.nan, complex(np.inf, 0.0), complex(0.0, np.nan)):
         c = coef.copy()
         c[[4, 9]] = bad  # spins 4 and 9: SO(3) drops the odd one
         with pytest.raises(ValueError) as want, np.errstate(invalid="ignore"):  # inf * 0
-            _from_terms_scalar_field(dual, labels, c, range(len(labels))[::-1])
+            _from_terms_scalar_field(dual, coords, c, range(len(coords))[::-1])
         with pytest.raises(ValueError) as got:
-            _scalar_field(dual, labels, c, range(len(labels))[::-1])
+            _scalar_field(dual, coords, c, range(len(coords))[::-1])
         assert str(got.value) == str(want.value)
     if group == "so3":  # at a dropped odd spin alone, a NaN is dropped with it
         c = coef.copy()
         c[9] = np.nan
-        _assert_bytes_equal(_scalar_field(dual, labels, c, range(len(labels))),
-                            _from_terms_scalar_field(dual, labels, c, range(len(labels))))
+        _assert_bytes_equal(_scalar_field(dual, coords, c, range(len(coords))),
+                            _from_terms_scalar_field(dual, coords, c, range(len(coords))))
 
 
 def test_growth_curve_builds_no_field_and_no_svd(su2, monkeypatch):
@@ -479,7 +493,7 @@ TWO_FAULTS = [
     ("separating txz2, not self-adjoint", FamilyMismatchError, "e^{itu} not implemented on txz2"),
     ("separating overflow, not self-adjoint", ValueError, "u is not self-adjoint (residual 1.00e+307)"),
     ("separating overflow, larger |m| first", OverflowError,
-     f"e^{{itu}} has no finite cutoff at t={np.float64(2.0 * np.pi * -7 / 4.0)!r}: "
+     f"e^{{itu}} has no finite cutoff at t={2.0 * np.pi * -7 / 4.0!r}: "
      "1.2 |t| sup|u| overflows"),
 ]
 
@@ -535,6 +549,65 @@ def test_e_itu_rejects_bad_cutoffs_and_caps(group):
         with pytest.raises(ValueError, match=rf"^cutoff_cap must be an integer >= 0, got {cap!r}$"):
             separating_function(dual, u, n_modes=4, cutoff_cap=cap, sample_points=0)
     assert exp_itu(dual, u, 1.0, np.int64(12))[1] == exp_itu(dual, u, 1.0, 12)[1]
+
+
+# --- the class-angle FFT against the dense kernel ----------------------------------
+
+def _central_u(group):
+    """u = chi_1/2 on SU(2) and chi_2/3 on SO(3), as `uchar:1` and `uchar:2` build them."""
+    dual = parse_group(group)
+    spin = 1 if group == "su2" else 2
+    return dual, character_field(dual, Su2Spin(spin)) * (1.0 / (spin + 1))
+
+
+@pytest.mark.parametrize("group", ["su2", "so3"])
+@pytest.mark.parametrize("t", [0.0, 0.5, -0.5, 3.0, 17.0, 128.0])
+def test_su2_exp_fft_equals_kernel_oracle(group, t):
+    # coefficient vectors, not supports: a label within rounding of PRUNE_TOL may flip
+    dual, u = _central_u(group)
+    cutoff = exp_itu_auto(dual, u, t, 512)[2]
+    coords, coef, defect = _ExpItu(dual, u).coefs(t, cutoff, 1e-6)
+    want, want_defect = su2_exp_kernel(calculus._su2_central_parts(u), t, cutoff)
+    assert coords.tolist() == [[n] for n in range(cutoff + 1)]
+    assert np.max(np.abs(coef - want)) <= 1e-13
+    assert abs(defect - want_defect) <= 1e-13
+
+
+def _uchar1_curve(alpha, top):
+    su2, u = _central_u("su2")
+    w = make_weight(su2, f"poly:alpha={alpha:g}")
+    return growth_curve(su2, u, w, [2.0**j for j in range(top + 1)], cutoff_cap=24000)
+
+
+def test_su2_curve_parseval_to_2_14():
+    curve = _uchar1_curve(1, 14)
+    assert [r[0] for r in curve.rows] == [2.0**j for j in range(15)]
+    assert max(r[4] for r in curve.rows) <= 1e-12
+    assert curve.rows[-1][3] == math.ceil(1.2 * 2.0**14) + 24  # no doubling: sup|chi_1/2| = 1
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_su2_curve_slope_converges(alpha):
+    # the fitted slope approaches dim/2 + alpha as t grows
+    gap = abs(_uchar1_curve(alpha, 14).slope - (1.5 + alpha))
+    assert gap <= 0.02
+    assert gap < abs(_uchar1_curve(alpha, 10).slope - (1.5 + alpha))
+
+
+def test_e_itu_errors_print_t_as_a_float():
+    # separating_function passes NumPy scalars to the e^{itu} engine
+    su2 = Su2Dual()
+    chi = character_field(su2, Su2Spin(1))
+    with pytest.raises(OverflowError) as err:
+        separating_function(su2, chi * 1e307, n_modes=8, sample_points=0)
+    assert str(err.value) == ("e^{itu} has no finite cutoff at t=-10.995574287564276: "
+                              "1.2 |t| sup|u| overflows")
+    with pytest.raises(OverflowError) as err:
+        exp_itu_auto(su2, chi, np.float64(1e308), 8)
+    assert str(err.value) == "e^{itu} has no finite cutoff at t=1e+308: 1.2 |t| sup|u| overflows"
+    with pytest.raises(OverflowError) as err:
+        exp_itu(su2, chi, np.float64(1e308), 8)
+    assert str(err.value) == "e^{itu} is not finite at t=1e+308"
 
 
 # --- smoothing kernels ---------------------------------------------------------------
@@ -600,6 +673,28 @@ def test_bump_fourier_decay(k):
     # the constant is witnessed at small frequencies
     prods = mags[sel] * (1.0 + ms[sel] / 4.0) ** k
     assert prods.max() <= prods[:20].max() + 1e-12
+
+
+def test_bump_spectrum_taken_once(su2, monkeypatch):
+    # separating_function reads n_modes and, for its tail estimate, 4 n_modes
+    # modes of one bump: one transform of the samples serves both, bit for bit
+    fresh = {n: SplineBump(5).fourier_series(n_modes=n) for n in (96, 384)}
+    lengths = []
+    fft = np.fft.fft
+
+    def counted(a, *args, **kwargs):
+        lengths.append(len(a))
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    u0 = character_field(su2, Su2Spin(1)) * 0.25 + one_field(su2) * 0.5
+    rep = separating_function(su2, u0, smoothness=5, n_modes=96, sample_points=0)
+    assert lengths.count(1 << 16) == 1
+    bump = SplineBump(5)
+    for n in (96, 384, 96):
+        ms, coefs = bump.fourier_series(n_modes=n)
+        assert np.array_equal(ms, fresh[n][0]) and coefs.tobytes() == fresh[n][1].tobytes()
+    assert rep.series_tail == calculus._bump_tail_estimate(SplineBump(5), 96)
 
 
 def test_separating_function_su2(su2):

@@ -5,6 +5,8 @@ m(sigma, a (x) b) is the Haar integral of chi_a chi_b conj(chi_sigma),
 computed on an exact quadrature grid.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -315,6 +317,22 @@ def test_tensor_power_support_matches_oracle(group, gens):
         assert dual.mask_labels(*next(walk)) == want
         assert dual.tensor_power_support(S, k) == want
         supp = dual.support_step(supp, S)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_torus_ball_equals_sorted_mask_labels(rank):
+    # the oracle is the label sort the lexsort of ball_coords replaced: every
+    # point of the box [-r, r]^rank with |mu|_1 <= r, sorted by label_key
+    dual = TorusDual(rank)
+    for r in range(13):
+        box = itertools.product(range(-r, r + 1), repeat=rank)
+        want = tuple(sorted((TorusChar(mu) for mu in box if sum(map(abs, mu)) <= r), key=label_key))
+        coords = dual.ball_coords(r)
+        assert coords.dtype == np.int64 and coords.shape == (len(want), rank)
+        assert dual.ball(r) == want
+        assert [TorusChar(c) for c in coords.tolist()] == list(want)
+    with pytest.raises(ValueError, match="ball radius must be >= 0, got -1"):
+        dual.ball_coords(-1)
 
 
 @pytest.mark.parametrize("group,gens", LATTICE_CASES)
