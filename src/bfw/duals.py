@@ -51,7 +51,6 @@ __all__ = [
     "Su2SpectrumPoint",
     "SemidirectSpectrumPoint",
     "ProductSpectrumPoint",
-    "IntertwinerSet",
     "su2_irrep",
     "su2_euler_point",
     "su2_irrep_stack",
@@ -296,23 +295,6 @@ class ProductSpectrumPoint:
     right: object
 
 
-@dataclass(frozen=True)
-class IntertwinerSet:
-    """Isometries embedding each fusion component into a tensor product.
-
-    ``blocks`` maps a component label sigma to a list of isometries
-    V: C^{d_sigma} -> C^{d_a d_b}, one per multiplicity, with orthogonal
-    ranges; together the ranges fill the whole product space.
-    """
-
-    a: IrrepLabel
-    b: IrrepLabel
-    blocks: tuple[tuple[IrrepLabel, tuple[np.ndarray, ...]], ...]
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-
 # ---------------------------------------------------------------------------
 # base class
 # ---------------------------------------------------------------------------
@@ -378,6 +360,8 @@ class GroupDual:
 
     def tensor_power_support(self, S, k: int) -> tuple[IrrepLabel, ...]:
         """Labels occurring in some k-fold tensor product of members of S."""
+        if k < 0:
+            raise ValueError(f"tensor power must be >= 0, got {k}")
         if k == 0:
             return (self.trivial,)
         S = tuple(S)
@@ -672,16 +656,24 @@ class GroupDual:
         return {a: np.einsum("g,gji->ij", wf, grid.rep_stack(a).conj()) for a in labels}
 
     # --- intertwiners -------------------------------------------------------
-    def intertwiners(self, a: IrrepLabel, b: IrrepLabel) -> IntertwinerSet:
+    def intertwiners(self, a: IrrepLabel, b: IrrepLabel) -> np.ndarray:
+        """The unitary W of a (x) b: a read-only complex (d_a d_b, d_a d_b) matrix.
+
+        Its columns are the components of ``fuse(a, b)`` in order.  A component
+        sigma of multiplicity m takes m consecutive blocks of d_sigma columns,
+        and each block is an isometry C^{d_sigma} -> C^{d_a d_b} onto one copy
+        of sigma.
+        """
         self._check(a, b)
         key = (a, b)
         hit = self._iw_cache.get(key)
         if hit is None:
             hit = self._build_intertwiners(a, b)
+            hit.flags.writeable = False
             self._iw_cache[key] = hit
         return hit
 
-    def _build_intertwiners(self, a, b) -> IntertwinerSet:
+    def _build_intertwiners(self, a, b) -> np.ndarray:
         raise NotImplementedError
 
     def __eq__(self, other):
@@ -811,8 +803,7 @@ class TorusDual(GroupDual):
         return np.full(m**self.n, 1.0 / m**self.n)
 
     def _build_intertwiners(self, a, b):
-        (sigma, _), = self.fuse(a, b)
-        return IntertwinerSet(a, b, ((sigma, (np.ones((1, 1), dtype=complex),)),))
+        return np.ones((1, 1), dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -953,9 +944,7 @@ class Su2Dual(GroupDual):
         return out
 
     def _build_intertwiners(self, a, b):
-        isos = _su2_cg_pair(a.n, b.n)
-        blocks = [(sigma, (isos[sigma.n],)) for sigma, _ in self.fuse(a, b)]
-        return IntertwinerSet(a, b, tuple(blocks))
+        return _su2_cg_pair(a.n, b.n)
 
 
 def _jplus(j, m):
@@ -990,18 +979,18 @@ def _su2_cg_top(n1: int, n2: int, n: int) -> np.ndarray:
     return top
 
 
-def _su2_cg_pair(n1: int, n2: int) -> dict:
-    """Clebsch-Gordan isometries onto every component of n1 (x) n2, keyed by
-    the component's spin index n.
+def _su2_cg_pair(n1: int, n2: int) -> np.ndarray:
+    """The Clebsch-Gordan unitary of n1 (x) n2: one block of n + 1 columns per
+    component of spin index n, lowest spin first.
 
-    Each isometry has the component's highest-weight vector (:func:`_su2_cg_top`)
+    Each block has the component's highest-weight vector (:func:`_su2_cg_top`)
     as its first column and the lowered vector J_- v / J_-(m) as each next one.
     All components are lowered together, highest spin first; a component drops
     out of the stack once its columns are done.  An entry of J_- v is the
     first-factor term plus the second-factor term, added in that order.
 
-    Each block is checked on its own: every entry of |V^H V - I| must be at
-    most 1e-10 + 1e-5 |I|.
+    Each block is checked on its own, highest spin first, before it is written:
+    every entry of |V^H V - I| must be at most 1e-10 + 1e-5 |I|.
     """
     j1, j2 = n1 / 2.0, n2 / 2.0
     d1, d2 = n1 + 1, n2 + 1
@@ -1020,14 +1009,16 @@ def _su2_cg_pair(n1: int, n2: int) -> dict:
         nxt[:, 1:, :] = vec[:, :-1, :] * a1
         nxt[:, :, 1:] += vec[:, :, :-1] * a2
         vec = nxt / div[: len(vec), col, None, None]
-    out = {}
+    W = np.empty((d1 * d2, d1 * d2), dtype=complex)
+    end = d1 * d2  # the highest spin's block is last
     for k, n in enumerate(spins):
         rows = cols[k, : n + 1].reshape(n + 1, d1 * d2)  # the columns of V, which is real
         eye = np.eye(n + 1)
         if not (np.abs(rows @ rows.T - eye) <= 1e-10 + 1e-5 * eye).all():
             raise IntertwinerSynthesisError(f"CG isometry residual too large for ({n1},{n2})->{n}")
-        out[n] = np.ascontiguousarray(rows.T, dtype=complex)
-    return out
+        W[:, end - n - 1:end] = rows.T
+        end -= n + 1
+    return W
 
 
 # ---------------------------------------------------------------------------
@@ -1191,41 +1182,25 @@ class SemidirectDual(GroupDual):
         return np.full(2 * m, 0.5 / m)
 
     def _build_intertwiners(self, a, b):
-        one = np.ones((1, 1), dtype=complex)
-        sgn_twist = np.diag([1.0, -1.0]).astype(complex)
-        ka, kb = a.kind, b.kind
-        if ka != "pi" and kb != "pi":
-            (sigma, _), = self.fuse(a, b)
-            return IntertwinerSet(a, b, ((sigma, (one,)),))
-        if ka != "pi" or kb != "pi":
-            scalar_is_sgn = (a if ka != "pi" else b).kind == "sgn"
-            (sigma, _), = self.fuse(a, b)
-            V = sgn_twist if scalar_is_sgn else np.eye(2, dtype=complex)
-            return IntertwinerSet(a, b, ((sigma, (V,)),))
-        # pi_n (x) pi_m on basis (++, +-, -+, --) of weights n+m, n-m, m-n, -(n-m)
-        top = np.zeros((4, 2), dtype=complex)
-        top[0, 0] = 1.0
-        top[3, 1] = 1.0
-        blocks = [(SemidirectLabel("pi", a.m + b.m), (top,))]
-        if a.m != b.m:
-            mid = np.zeros((4, 2), dtype=complex)
-            if a.m > b.m:
-                mid[1, 0] = 1.0
-                mid[2, 1] = 1.0
-            else:
-                mid[2, 0] = 1.0
-                mid[1, 1] = 1.0
-            blocks.append((SemidirectLabel("pi", abs(a.m - b.m)), (mid,)))
+        if a.kind != "pi" and b.kind != "pi":
+            return np.ones((1, 1), dtype=complex)
+        if a.kind != "pi" or b.kind != "pi":
+            # a scalar times pi_m is pi_m, twisted by diag(1, -1) when the scalar is sgn
+            sign = -1.0 if "sgn" in (a.kind, b.kind) else 1.0
+            return np.diag([1.0, sign]).astype(complex)
+        # pi_n (x) pi_m on the basis (++, +-, -+, --) of weights n+m, n-m, m-n, -(n+m):
+        # columns triv, sgn (n = m) or pi_|n-m|, then pi_{n+m}
+        W = np.zeros((4, 4), dtype=complex)
+        W[0, 2] = W[3, 3] = 1.0
+        if a.m == b.m:
+            r = 1.0 / math.sqrt(2.0)
+            W[1, 0] = W[2, 0] = W[1, 1] = r
+            W[2, 1] = -r
+        elif a.m > b.m:
+            W[1, 0] = W[2, 1] = 1.0
         else:
-            plus = np.zeros((4, 1), dtype=complex)
-            plus[1, 0] = plus[2, 0] = 1.0 / math.sqrt(2.0)
-            minus = np.zeros((4, 1), dtype=complex)
-            minus[1, 0] = 1.0 / math.sqrt(2.0)
-            minus[2, 0] = -1.0 / math.sqrt(2.0)
-            blocks.append((SemidirectLabel("triv"), (plus,)))
-            blocks.append((SemidirectLabel("sgn"), (minus,)))
-        blocks.sort(key=lambda p: label_key(p[0]))
-        return IntertwinerSet(a, b, tuple(blocks))
+            W[2, 0] = W[1, 1] = 1.0
+        return W
 
 
 # ---------------------------------------------------------------------------
@@ -1339,24 +1314,36 @@ class ProductDual(GroupDual):
         return np.outer(self.left._haar_weights(degree), self.right._haar_weights(degree)).ravel()
 
     def _build_intertwiners(self, a, b):
-        iwl = self.left.intertwiners(a.left, b.left)
-        iwr = self.right.intertwiners(a.right, b.right)
-        da1, da2 = self.left.dim(a.left), self.right.dim(a.right)
-        db1, db2 = self.left.dim(b.left), self.right.dim(b.right)
-        blocks = []
-        for sl, Vls in iwl:
-            for sr, Vrs in iwr:
-                sigma = ProductLabel(sl, sr)
-                vs = []
-                for Vl in Vls:
-                    for Vr in Vrs:
-                        W = np.kron(Vl, Vr)  # (da1 db1 da2 db2, ds1 ds2)
-                        W = W.reshape(da1, db1, da2, db2, -1)
-                        W = W.transpose(0, 2, 1, 3, 4).reshape(da1 * da2 * db1 * db2, -1)
-                        vs.append(W)
-                blocks.append((sigma, tuple(vs)))
-        blocks.sort(key=lambda p: label_key(p[0]))
-        return IntertwinerSet(a, b, tuple(blocks))
+        Wl = self.left.intertwiners(a.left, b.left)
+        Wr = self.right.intertwiners(a.right, b.right)
+        da1, db1 = self.left.dim(a.left), self.left.dim(b.left)
+        da2, db2 = self.right.dim(a.right), self.right.dim(b.right)
+        # kron(Wl, Wr), one multiplication per entry as in np.kron, on axes
+        # (a_l, a_r, b_l, b_r, left column, right column): the rows of
+        # kron's order (a_l, b_l, a_r, b_r) reordered to (a_l, a_r, b_l, b_r)
+        K = Wl.reshape(da1, 1, db1, 1, -1, 1) * Wr.reshape(1, da2, 1, db2, 1, -1)
+        K = K.reshape(-1, Wl.shape[1], Wr.shape[1])
+        # each (sigma_l, sigma_r) block made contiguous, in the order fuse(a, b) sorts them
+        left = _copy_columns(self.left, a.left, b.left)
+        right = _copy_columns(self.right, a.right, b.right)
+        blocks = [
+            K[:, l, r].reshape(len(K), -1)
+            for sigma, _ in self.fuse(a, b)
+            for l in left[sigma.left]
+            for r in right[sigma.right]
+        ]
+        return np.concatenate(blocks, axis=1)
+
+
+def _copy_columns(dual: GroupDual, a, b) -> dict:
+    """Each component sigma of a (x) b mapped to the column slices of its
+    copies in ``dual.intertwiners(a, b)``, one slice per copy."""
+    out, col = {}, 0
+    for sigma, mult in dual.fuse(a, b):
+        d = dual.dim(sigma)
+        out[sigma] = [slice(col + i * d, col + (i + 1) * d) for i in range(mult)]
+        col += mult * d
+    return out
 
 
 # ---------------------------------------------------------------------------

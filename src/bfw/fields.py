@@ -236,9 +236,9 @@ def multiply(u: OperatorField, v: OperatorField) -> OperatorField:
     """Pointwise product of the represented functions.
 
     Each component sigma of a (x) b gets (d_a d_b / d_sigma) V*(u^(a) (x) v^(b))V
-    for every isometry V of the fusion intertwiners.  u^(a) (x) v^(b) acts on
-    all the pair's isometry columns at once: a column, read as a d_a x d_b
-    matrix X, maps to u^(a) X v^(b)^T.
+    for every column block V of the pair's unitary W, walked in ``fuse(a, b)``
+    order.  u^(a) (x) v^(b) acts on all of W's columns at once: a column, read
+    as a d_a x d_b matrix X, maps to u^(a) X v^(b)^T.
     """
     u._same_dual(v)
     dual = u.dual
@@ -247,15 +247,15 @@ def multiply(u: OperatorField, v: OperatorField) -> OperatorField:
         d_a = dual.dim(a)
         for b, Mb in v.coeffs.items():
             d_b = dual.dim(b)
-            iw = dual.intertwiners(a, b)
-            W = np.concatenate([V for _, isos in iw for V in isos], axis=1)
+            W = dual.intertwiners(a, b)
             Y = (Ma @ W.reshape(d_a, -1)).reshape(d_a, d_b, -1)
             Y = np.matmul(Mb, Y).reshape(d_a * d_b, -1)
+            Wh = W.conj().T  # row block [col, col + d_s) is V^H
             col = 0
-            for sigma, isos in iw:
+            for sigma, mult in dual.fuse(a, b):
                 d_s = dual.dim(sigma)
-                for V in isos:
-                    block = (V.conj().T @ Y[:, col:col + d_s]) * (d_a * d_b / d_s)
+                for _ in range(mult):
+                    block = (Wh[col:col + d_s] @ Y[:, col:col + d_s]) * (d_a * d_b / d_s)
                     col += d_s
                     if sigma in acc:
                         acc[sigma] = acc[sigma] + block

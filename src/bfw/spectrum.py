@@ -251,8 +251,14 @@ def strip_bracket(
 
     Returns the widest [lo, hi] found on the step grid; outside exponents had
     margin > 1 at the cutoff (certified non-members), inside ones passed the
-    truncated membership test.
+    truncated membership test.  Each side tests at most about s_max / step
+    exponents, so ``step`` must be finite and > 0 and ``s_max`` finite and >= 0.
     """
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"strip_bracket step must be finite and > 0, got {step}")
+    if not (math.isfinite(s_max) and s_max >= 0):
+        raise ValueError(f"strip_bracket s_max must be finite and >= 0, got {s_max}")
+
     def power(s):
         if isinstance(theta, Su2SpectrumPoint):
             return Su2SpectrumPoint(np.eye(2), theta.lam**s)

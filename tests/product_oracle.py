@@ -2,7 +2,8 @@
 
 Each coefficient is split by an SVD into rank-one pieces (eta_k, xi_k) with
 u^(a) = sum_k eta_k xi_k* / d_a, singular values below 1e-14 of the largest
-pruned, and every pair of pieces is routed through the fusion intertwiners:
+pruned, and every pair of pieces is routed through each column block V of the
+pair's intertwiner unitary:
 (eta (x) eta', xi (x) xi') contributes (V*(eta (x) eta'))(V*(xi (x) xi'))* / d_sigma
 at each component sigma.
 """
@@ -10,6 +11,7 @@ at each component sigma.
 import numpy as np
 
 from bfw import OperatorField
+from intertwiner_oracle import column_blocks
 
 SVD_RANK_TOL = 1e-14  # relative singular-value cutoff
 
@@ -37,16 +39,14 @@ def multiply(u: OperatorField, v: OperatorField) -> OperatorField:
             # all Kronecker pairs at once: columns are eta_k (x) eta'_l
             EE = np.einsum("ak,bl->abkl", Ea, Eb).reshape(Ea.shape[0] * Eb.shape[0], -1)
             XX = np.einsum("ak,bl->abkl", Xa, Xb).reshape(Xa.shape[0] * Xb.shape[0], -1)
-            for sigma, isos in dual.intertwiners(a, b):
-                d_s = dual.dim(sigma)
-                for V in isos:
-                    P = V.conj().T @ EE
-                    Q = V.conj().T @ XX
-                    block = (P @ Q.conj().T) / d_s
-                    if sigma in acc:
-                        acc[sigma] = acc[sigma] + block
-                    else:
-                        acc[sigma] = block
+            for sigma, V in column_blocks(dual, a, b):
+                P = V.conj().T @ EE
+                Q = V.conj().T @ XX
+                block = (P @ Q.conj().T) / dual.dim(sigma)
+                if sigma in acc:
+                    acc[sigma] = acc[sigma] + block
+                else:
+                    acc[sigma] = block
     return OperatorField.from_terms(dual, acc)
 
 

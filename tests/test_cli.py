@@ -4,10 +4,15 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bfw
 from bfw import OperatorField, Su2Spin
 from bfw.cli import build_parser, main
 from bfw.serialize import (
@@ -311,6 +316,23 @@ def test_parsed_config_is_pinned(command):
     assert {k: (type(v), v) for k, v in parsed.items()} == {
         k: (type(v), v) for k, v in expected.items()
     }
+
+
+def test_import_loads_only_stdlib_and_numpy():
+    # start-up cost: importing the library and its CLI pulls in no third-party
+    # package but NumPy (no SciPy, no hypothesis); modules the interpreter
+    # loaded before the import, such as site hooks, do not count
+    src = Path(bfw.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import bfw, bfw.cli\n"
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(new - set(sys.stdlib_module_names) - {'numpy', 'bfw'}))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]", out.stdout
 
 
 # --- serialization round trips -------------------------------------------------

@@ -135,6 +135,14 @@ def test_tensor_power_support(su2, t1, sd):
     )
 
 
+def test_tensor_power_support_rejects_negative_powers(su2, t1):
+    # k = -3 used to return the k = 1 support
+    for dual, S in ((su2, (Su2Spin(1),)), (t1, (TorusChar((1,)),))):
+        for k in (-1, -3):
+            with pytest.raises(ValueError, match=f"tensor power must be >= 0, got {k}"):
+                dual.tensor_power_support(S, k)
+
+
 def test_word_length(su2, t2, sd):
     assert su2.word_length(Su2Spin(0)) == 0
     for n in (1, 2, 7):

@@ -1,24 +1,35 @@
 """Isometry, orthogonality, equivariance, and completeness of the fusion
-intertwiners, plus the phase convention."""
+intertwiners, plus the phase convention.  Each pair's intertwiners are one
+unitary W whose column blocks follow ``fuse``; the tests slice it with
+:func:`intertwiner_oracle.column_blocks`."""
 
 import numpy as np
 import pytest
 
-from bfw import ProductLabel, SemidirectLabel, Su2Spin, TorusChar
-from bfw.duals import _su2_cg_pair
+from bfw import (
+    ProductDual,
+    ProductLabel,
+    SemidirectDual,
+    SemidirectLabel,
+    So3Dual,
+    Su2Dual,
+    Su2Spin,
+    TorusChar,
+    TorusDual,
+)
+from bfw.duals import _su2_cg_pair, parse_group
 from bfw.errors import IntertwinerSynthesisError
 from cg_oracle import su2_cg_isometry as _su2_cg_isometry
+from intertwiner_oracle import column_blocks, oracle_blocks
 
 
 def _check_intertwiner_set(dual, a, b, rng, eq_tol=1e-10):
-    iw = dual.intertwiners(a, b)
     da, db = dual.dim(a), dual.dim(b)
     all_vs = []
-    for sigma, isos in iw:
-        for V in isos:
-            assert V.shape == (da * db, dual.dim(sigma))
-            assert np.max(np.abs(V.conj().T @ V - np.eye(dual.dim(sigma)))) < 1e-12
-            all_vs.append((sigma, V))
+    for sigma, V in column_blocks(dual, a, b):
+        assert V.shape == (da * db, dual.dim(sigma))
+        assert np.max(np.abs(V.conj().T @ V - np.eye(dual.dim(sigma)))) < 1e-12
+        all_vs.append((sigma, V))
     # pairwise orthogonal ranges
     for i, (s1, V1) in enumerate(all_vs):
         for s2, V2 in all_vs[i + 1:]:
@@ -42,7 +53,7 @@ def test_su2_intertwiners(su2, rng, n, m):
 def test_su2_condon_shortley_phase(su2):
     # highest-weight coefficient at maximal first-factor exponent is positive
     for (n1, n2) in [(1, 1), (3, 2), (2, 2)]:
-        for sigma, (V,) in su2.intertwiners(Su2Spin(n1), Su2Spin(n2)):
+        for sigma, V in column_blocks(su2, Su2Spin(n1), Su2Spin(n2)):
             d2 = n2 + 1
             k2 = (n2 - (sigma.n - n1)) // 2  # m1 = j1 row in the top column
             entry = V[0 * d2 + k2, 0]
@@ -51,12 +62,12 @@ def test_su2_condon_shortley_phase(su2):
 
 def test_su2_singlet_values(su2):
     # spin-1/2 pair: singlet (e0 x e1 - e1 x e0)/sqrt(2), triplet standard
-    iw = dict(su2.intertwiners(Su2Spin(1), Su2Spin(1)))
-    (V0,) = iw[Su2Spin(0)]
+    iw = dict(column_blocks(su2, Su2Spin(1), Su2Spin(1)))
+    V0 = iw[Su2Spin(0)]
     np.testing.assert_allclose(
         V0.ravel(), np.array([0, 1, -1, 0]) / np.sqrt(2), atol=1e-14
     )
-    (V2,) = iw[Su2Spin(2)]
+    V2 = iw[Su2Spin(2)]
     np.testing.assert_allclose(V2[:, 0], [1, 0, 0, 0], atol=1e-14)
     np.testing.assert_allclose(V2[:, 1], np.array([0, 1, 1, 0]) / np.sqrt(2), atol=1e-14)
 
@@ -107,11 +118,11 @@ def test_cg_moderate_spins(su2, rng):
     from bfw.duals import su2_irrep
 
     g = su2.random_point(rng)
-    iw = su2.intertwiners(Su2Spin(8), Su2Spin(12))
-    comp = sum(V @ V.conj().T for _, isos in iw for V in isos)
+    iw = column_blocks(su2, Su2Spin(8), Su2Spin(12))
+    comp = sum(V @ V.conj().T for _, V in iw)
     assert np.max(np.abs(comp - np.eye(9 * 13))) < 1e-10
     big = np.kron(su2_irrep(8, g), su2_irrep(12, g))
-    for sigma, (V,) in iw:
+    for sigma, V in iw:
         assert np.max(np.abs(big @ V - V @ su2_irrep(sigma.n, g))) < 1e-10
 
 
@@ -121,20 +132,22 @@ def _bit_equal(V, W):
     return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
 
 
+def _cg_oracle_unitary(n1, n2):
+    # the scalar loop's isometries side by side, lowest spin first
+    return np.hstack([_su2_cg_isometry(n1, n2, n) for n in range(abs(n1 - n2), n1 + n2 + 1, 2)])
+
+
 def test_cg_pair_equals_scalar_oracle():
     for n1 in range(17):
         for n2 in range(17):
-            isos = _su2_cg_pair(n1, n2)
-            assert sorted(isos) == list(range(abs(n1 - n2), n1 + n2 + 1, 2))
-            for n, V in isos.items():
-                assert V.dtype == complex and V.flags.c_contiguous
-                assert _bit_equal(V, _su2_cg_isometry(n1, n2, n)), (n1, n2, n)
+            W = _su2_cg_pair(n1, n2)
+            assert W.dtype == complex and W.flags.c_contiguous
+            assert _bit_equal(W, _cg_oracle_unitary(n1, n2)), (n1, n2)
 
 
 @pytest.mark.parametrize("n1,n2", [(32, 0), (1, 32), (32, 5), (17, 32), (25, 24)])
 def test_cg_pair_equals_scalar_oracle_large(n1, n2):
-    for n, V in _su2_cg_pair(n1, n2).items():
-        assert _bit_equal(V, _su2_cg_isometry(n1, n2, n)), n
+    assert _bit_equal(_su2_cg_pair(n1, n2), _cg_oracle_unitary(n1, n2))
 
 
 @pytest.mark.parametrize("family", ["su2", "so3"])
@@ -142,9 +155,9 @@ def test_intertwiner_blocks_in_fuse_order_equal_oracle(family, su2, so3):
     dual = su2 if family == "su2" else so3
     for n1, n2 in [(0, 0), (2, 4), (6, 2), (8, 8), (10, 4)]:
         a, b = Su2Spin(n1), Su2Spin(n2)
-        iw = dual.intertwiners(a, b)
+        iw = column_blocks(dual, a, b)
         assert [sigma for sigma, _ in iw] == [sigma for sigma, _ in dual.fuse(a, b)]
-        for sigma, (V,) in iw:
+        for sigma, V in iw:
             assert _bit_equal(V, _su2_cg_isometry(n1, n2, sigma.n))
 
 
@@ -153,7 +166,7 @@ def test_cg_pair_stacked_unitary():
     worst = 0.0
     for n1 in range(17):
         for n2 in range(17):
-            U = np.hstack(list(_su2_cg_pair(n1, n2).values()))
+            U = _su2_cg_pair(n1, n2)
             assert U.shape == ((n1 + 1) * (n2 + 1),) * 2
             worst = max(worst, np.max(np.abs(U.conj().T @ U - np.eye(U.shape[1]))))
     assert worst < 1e-10
@@ -206,3 +219,49 @@ def test_cg_residual_check_agrees_with_allclose(monkeypatch, eps):
         fails = True
     assert fails == oracle_fails
     assert fails == (eps > 3.1e-7)
+
+
+def _assert_blocks_equal_oracle(dual, a, b):
+    got, want = column_blocks(dual, a, b), oracle_blocks(dual, a, b)
+    assert [sigma for sigma, _ in got] == [sigma for sigma, _ in want], (a, b)
+    for (sigma, V), (_, U) in zip(got, want):
+        assert _bit_equal(V, U), (a, b, sigma)
+
+
+def test_txz2_blocks_equal_oracle():
+    # every pair of labels up to pi_6, against the hand-built block lists
+    labels = [SemidirectLabel("triv"), SemidirectLabel("sgn")] + [SemidirectLabel("pi", m) for m in range(1, 7)]
+    dual = SemidirectDual()
+    for a in labels:
+        for b in labels:
+            _assert_blocks_equal_oracle(dual, a, b)
+
+
+@pytest.mark.parametrize("group", ["prod(su2,torus:1)", "prod(txz2,so3)", "prod(txz2,txz2)"])
+def test_product_blocks_equal_oracle(group):
+    # every pair of ball(3), against one Kronecker product per pair of factor blocks
+    dual = parse_group(group)
+    ball = dual.ball(3)
+    for a in ball:
+        for b in ball:
+            _assert_blocks_equal_oracle(dual, a, b)
+
+
+@pytest.mark.parametrize(
+    "dual",
+    [TorusDual(2), Su2Dual(), So3Dual(), SemidirectDual(), ProductDual(Su2Dual(), TorusDual(1)),
+     ProductDual(SemidirectDual(), So3Dual())],
+    ids=str,
+)
+def test_intertwiners_unitary_and_read_only(dual):
+    ball = dual.ball(3)
+    for a in ball:
+        for b in ball:
+            W = dual.intertwiners(a, b)
+            n = dual.dim(a) * dual.dim(b)
+            assert W.shape == (n, n) and W.dtype == complex
+            assert np.max(np.abs(W.conj().T @ W - np.eye(n))) <= 1e-12, (a, b)
+            assert not W.flags.writeable
+            assert dual.intertwiners(a, b) is W  # cached under (a, b)
+    with pytest.raises(ValueError, match="read-only"):
+        W[0, 0] = 2.0

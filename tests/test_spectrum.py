@@ -197,6 +197,23 @@ def test_strip_bracket(su2):
     assert abs(hi - 1.0) < 1e-12 and abs(lo + 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("kw", [{"step": 0.0}, {"step": -0.25}, {"step": float("nan")}, {"step": float("inf")},
+                                {"s_max": float("inf")}, {"s_max": float("nan")}, {"s_max": -1.0}],
+                         ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_strip_bracket_rejects_unbounded_scans(su2, monkeypatch, kw):
+    # under exp:lambda=2 the powers of lam = 1.5 are members for |s| <= 1.7, so a
+    # zero step would test s = 0 forever, and s_max = inf never stops at lam = 1;
+    # each bad argument is rejected before any membership call
+    import bfw.spectrum as spectrum
+
+    def never(*args):
+        raise AssertionError("membership called")
+
+    monkeypatch.setattr(spectrum, "membership", never)
+    with pytest.raises(ValueError, match="strip_bracket"):
+        strip_bracket(su2, Su2SpectrumPoint(np.eye(2), 1.5), make_weight(su2, "exp:lambda=2"), cutoff=8, **kw)
+
+
 def test_spectrum_json(su2):
     desc = spectrum_bounds(su2, make_weight(su2, "exp:lambda=2"), n_max=256)
     doc = desc.to_json()
