@@ -131,31 +131,31 @@ def su2_irrep(n: int, g: np.ndarray) -> np.ndarray:
 
 def su2_irrep_stack(n_max: int, gs: np.ndarray) -> list[np.ndarray]:
     """All irreps 0..n_max at a batch of 2x2 matrices, shape (G,2,2) -> (G,k+1,k+1)."""
-    gs = np.asarray(gs, dtype=complex)
-    return _su2_extend_stack([np.ones(gs.shape[:1] + (1, 1), dtype=complex)], n_max, gs)
+    if n_max < 0:
+        raise ValueError(f"a spin is an integer >= 0, got {n_max!r}")
+    return list(itertools.islice(_su2_levels(np.asarray(gs, dtype=complex)), n_max + 1))
 
 
-def _su2_extend_stack(out: list, n_max: int, gs: np.ndarray) -> list:
-    """Append the levels len(out)..n_max of su2_irrep_stack at gs to out, its
-    levels 0..len(out)-1 there; level n depends only on level n-1."""
-    for n in range(len(out), n_max + 1):
-        prev = out[-1]
-        j = np.arange(n + 1)
-        cur = np.zeros(gs.shape[:1] + (n + 1, n + 1), dtype=complex)
-        w = np.sqrt(np.outer(n - j, n - j)) / n
-        cur[:, : n, : n] += w[: n, : n] * prev * gs[:, None, None, 0, 0]
-        w = np.sqrt(np.outer(n - j, j)) / n
-        cur[:, : n, 1:] += w[: n, 1:] * prev * gs[:, None, None, 0, 1]
-        w = np.sqrt(np.outer(j, n - j)) / n
-        cur[:, 1:, : n] += w[1:, : n] * prev * gs[:, None, None, 1, 0]
-        w = np.sqrt(np.outer(j, j)) / n
-        cur[:, 1:, 1:] += w[1:, 1:] * prev * gs[:, None, None, 1, 1]
-        out.append(cur)
-    return out
+def _su2_levels(gs: np.ndarray):
+    """The levels n = 0, 1, 2, ... of su2_irrep_stack at gs, without end, in
+    the dtype of gs; level n is computed from level n-1 alone."""
+    prev = np.ones(gs.shape[:1] + (1, 1), dtype=gs.dtype)
+    for n in itertools.count(1):
+        yield prev
+        r = np.concatenate([np.arange(n, -1, -1), np.arange(n + 1)])  # rows and columns of P: n - j, then j
+        P = np.sqrt(np.outer(r, r)) / n
+        cur = np.zeros(gs.shape[:1] + (n + 1, n + 1), dtype=gs.dtype)
+        cur[:, : n, : n] += P[: n, : n] * prev * gs[:, None, None, 0, 0]
+        cur[:, : n, 1:] += P[: n, n + 2:] * prev * gs[:, None, None, 0, 1]
+        cur[:, 1:, : n] += P[n + 2:, : n] * prev * gs[:, None, None, 1, 0]
+        cur[:, 1:, 1:] += P[n + 2:, n + 2:] * prev * gs[:, None, None, 1, 1]
+        prev = cur
 
 
 def su2_algebra_rep(n: int, X: np.ndarray) -> np.ndarray:
     """Derived representation of a 2x2 algebra element on the n-th irrep."""
+    if n < 0:
+        raise ValueError(f"a spin is an integer >= 0, got {n!r}")
     X = np.asarray(X, dtype=complex)
     k = np.arange(n + 1)
     M = np.zeros((n + 1, n + 1), dtype=complex)
@@ -191,6 +191,8 @@ def su2_euler_point(alpha: float, beta: float, gamma: float) -> np.ndarray:
 # with d_n(beta) = pi_n(rot(beta/2)) real: a transform is FFTs over the two
 # circle axes and small-d stacks over the q middle angles (Kostelec and
 # Rockmore, "FFTs on the rotation group", J. Fourier Anal. Appl. 14, 2008).
+# Each transform walks the real recursion of su2_irrep_stack at the rot(beta_j/2)
+# once, holding one level at a time; only the grid axes are cached, per degree.
 
 @lru_cache(maxsize=16)
 def _su2_grid_axes(degree: int):
@@ -203,23 +205,16 @@ def _su2_grid_axes(degree: int):
     return k, betas, ws
 
 
-def _su2_euler_data(grid, n_max: int):
-    """(k, small-d stacks up to at least n_max) of an SU(2) grid.
-
-    The small-d stack of spin n is the real array (q, n+1, n+1) of the irrep
-    at rot(beta/2) for each middle angle beta.  The grid's memo keeps the
-    recursion, and a call for a higher spin extends it from its last level.
-    """
-    memo = grid.memo.get("su2_euler")
-    if memo is None:
-        k, betas, _ = _su2_grid_axes(grid.degree)
-        c, s = np.cos(betas / 2.0), np.sin(betas / 2.0)
-        rots = np.zeros((len(betas), 2, 2), dtype=complex)
-        rots[:, 0, 0], rots[:, 0, 1], rots[:, 1, 0], rots[:, 1, 1] = c, -s, s, c
-        memo = grid.memo["su2_euler"] = (k, rots, su2_irrep_stack(n_max, rots))
-    k, rots, stack = memo
-    _su2_extend_stack(stack, n_max, rots)
-    return k, [level.real for level in stack]
+def _su2_small_d(degree: int, spins):
+    """(n, d_n) for the spins n in ``spins``, lowest first: d_n is the real array
+    (q, n+1, n+1) of the irrep at rot(beta/2) for each middle angle beta of the
+    degree-``degree`` grid, from one recursion that holds one level at a time."""
+    _, betas, _ = _su2_grid_axes(degree)
+    c, s = np.cos(betas / 2.0), np.sin(betas / 2.0)
+    rots = np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2)
+    for n, d in zip(range(max(spins, default=-1) + 1), _su2_levels(rots)):
+        if n in spins:
+            yield n, d
 
 
 def _su2_freqs(n: int, k: int) -> np.ndarray:
@@ -922,10 +917,12 @@ class Su2Dual(GroupDual):
         return np.repeat(np.tile(ws / (2.0 * k * k), k), k)
 
     def haar_values(self, grid, coeffs):
-        # (n+1) M^T o d_n(beta) at the folded frequencies, then one FFT over both circle axes
+        # (n+1) M^T o d_n(beta) at the folded frequencies, then one FFT over both circle axes;
+        # spins of one parity share frequency cells, so the sum runs in coeffs order
         self._check(*coeffs)
-        k, d = _su2_euler_data(grid, max((a.n for a in coeffs), default=0))
-        spec = np.zeros((len(d[0]), k, k), dtype=complex)
+        k, betas, _ = _su2_grid_axes(grid.degree)
+        d = dict(_su2_small_d(grid.degree, {a.n for a in coeffs}))
+        spec = np.zeros((len(betas), k, k), dtype=complex)
         for a, M in coeffs.items():
             f = _su2_freqs(a.n, k)
             np.add.at(spec, (slice(None), f[:, None], f), (a.n + 1) * M.T * d[a.n])
@@ -935,13 +932,13 @@ class Su2Dual(GroupDual):
         # F = unscaled inverse FFT over both circle axes per beta, then
         # u^(n)[i, j] = sum_beta d_n(beta)[j, i] F[beta, (n-2j) mod k, (n-2i) mod k]
         self._check(*labels)
-        k, d = _su2_euler_data(grid, max((a.n for a in labels), default=0))
-        spec = np.fft.ifft2(wf.reshape(k, len(d[0]), k), axes=(0, 2), norm="forward").transpose(1, 0, 2)
+        k, betas, _ = _su2_grid_axes(grid.degree)
+        spec = np.fft.ifft2(wf.reshape(k, len(betas), k), axes=(0, 2), norm="forward").transpose(1, 0, 2)
         out = {}
-        for a in labels:
-            f = _su2_freqs(a.n, k)
-            out[a] = np.einsum("bji,bji->ij", d[a.n], spec[:, f[:, None], f])
-        return out
+        for n, d in _su2_small_d(grid.degree, {a.n for a in labels}):
+            f = _su2_freqs(n, k)
+            out[n] = np.einsum("bji,bji->ij", d, spec[:, f[:, None], f])
+        return {a: out[a.n] for a in labels}
 
     def _build_intertwiners(self, a, b):
         return _su2_cg_pair(a.n, b.n)

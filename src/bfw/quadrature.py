@@ -16,8 +16,9 @@ length on SO(3)).
 Each family transforms through its dual's hooks :meth:`GroupDual.haar_values`
 and :meth:`GroupDual.haar_coefficients`.  SU(2) and SO(3) separate the
 Euler angles: FFTs over the two circle axes and small real stacks
-d_n(beta) over the middle angles, with no per-label (G, d, d) stack.  The
-other families sum over per-label stacks of the grid (:meth:`HaarGrid.rep_stack`).
+d_n(beta) over the middle angles, streamed one spin at a time, with no
+per-label (G, d, d) stack and nothing kept on the grid.  The other families
+sum over per-label stacks of the grid (:meth:`HaarGrid.rep_stack`).
 
 Grid evaluation reduces in a fixed order, so results are reproducible
 bit-for-bit for a given grid.
@@ -41,8 +42,9 @@ __all__ = ["HaarGrid", "quadrature_coeffs", "grid_values"]
 class HaarGrid:
     """A quadrature rule on one group, of one degree (see the module docstring).
 
-    The points are built on first access; the SU(2)/SO(3) transform never
-    reads them.  Representation stacks are built per label on demand and cached.
+    The points are built on first access.  Representation stacks are built
+    per label on demand and cached.  The SU(2)/SO(3) transform reads neither
+    and keeps no state on the grid.
     """
 
     def __init__(self, dual: GroupDual, degree: int):
@@ -50,7 +52,6 @@ class HaarGrid:
         self.degree = degree
         self.weights = dual.haar_weights(degree)
         self._stacks: dict[IrrepLabel, np.ndarray] = {}
-        self.memo: dict = {}  # per-grid data of the dual's transform hooks
 
     @cached_property
     def points(self) -> list:

@@ -1,7 +1,9 @@
 """The Euler-separated SU(2)/SO(3) Haar transform against the per-label stack
-transform of ``quadrature_oracle``, at high degree against ``multiply`` and
-Schur orthogonality, and the grid-degree and import checks."""
+transform of ``quadrature_oracle`` and bit for bit against its memoized
+complex-stack transform, at high degree against ``multiply``, Schur
+orthogonality and a peak-memory bound, and the grid-degree and import checks."""
 
+import json
 import math
 import os
 import subprocess
@@ -85,41 +87,109 @@ def test_euler_transform_builds_no_stack(monkeypatch):
 
 
 def test_small_d_stacks_extend_bit_for_bit(monkeypatch):
-    # values at spins <= 4 fill the small-d stacks to spin 4; coefficients at
-    # spins <= 8 then extend them from there, bit for bit as a grid whose
-    # stacks were built to spin 8 at once, with one leggauss and one
-    # su2_irrep_stack call per grid
+    # values at spins <= 4, then coefficients at spins <= 8 on the same grid,
+    # equal a fresh grid's bit for bit, with one leggauss per degree
     rng = np.random.default_rng(48)
     su2 = Su2Dual()
     u = OperatorField.from_terms(su2, random_terms(su2, su2.ball(4), rng))
     fresh = HaarGrid(su2, 16)
     want_coefs = fresh.coefficients(np.ones(len(fresh.weights)), su2.ball(8))
     want_vals = grid_values(u, fresh)
-    calls = {"leggauss": 0, "su2_irrep_stack": 0}
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
 
-    def counted(module, name):
-        f = getattr(module, name)
+    def counted(*args):
+        calls.append(args)
+        return leggauss(*args)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return f(*args)
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(np.polynomial.legendre, "leggauss")
-    counted(duals, "su2_irrep_stack")
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
     duals._su2_grid_axes.cache_clear()
     grid = HaarGrid(su2, 16)
     vals = grid_values(u, grid)
     got = grid.coefficients(np.ones(len(grid.weights)), su2.ball(8))
-    assert calls == {"leggauss": 1, "su2_irrep_stack": 1}
+    assert len(calls) == 1
     assert vals.tobytes() == want_vals.tobytes()
     assert list(got.coeffs) == list(want_coefs.coeffs)
     assert all(got[a].tobytes() == want_coefs[a].tobytes() for a in got.coeffs)
-    stack, fresh_stack = grid.memo["su2_euler"][-1], fresh.memo["su2_euler"][-1]
-    assert len(stack) == len(fresh_stack) == 9
-    assert all(x.tobytes() == y.tobytes() for x, y in zip(stack, fresh_stack))
     _, betas, ws = duals._su2_grid_axes(16)
     assert not betas.flags.writeable and not ws.flags.writeable
+
+
+def oracle_check(dual, grid, oracle_grid, terms, labels):
+    """Values of ``terms`` and coefficients of those values at ``labels``: the
+    dual's hooks against the memoized complex-stack transform, bytes and
+    label order equal.  Returns the values."""
+    vals = dual.haar_values(grid, terms)
+    assert vals.tobytes() == quadrature_oracle.euler_values(dual, oracle_grid, terms).tobytes()
+    wf = grid.weights * vals
+    got = dual.haar_coefficients(grid, wf, labels)
+    want = quadrature_oracle.euler_coefficients(dual, oracle_grid, wf, labels)
+    assert list(got) == list(want)
+    for a in want:
+        assert got[a].dtype == want[a].dtype and got[a].tobytes() == want[a].tobytes(), a
+    return vals
+
+
+@pytest.mark.parametrize("group", ["su2", "so3"])
+@pytest.mark.parametrize("degree", [*range(17), 64])
+def test_euler_transform_equals_memoized_oracle_bit_for_bit(group, degree):
+    # full blocks on every spin of a ball reaching past the degree, in shuffled
+    # order, at three scales; then repeated calls on the same two grids, with the
+    # oracle's memo extended from a lower spin and reused
+    rng = np.random.default_rng(2100 + degree)
+    dual = parse_group(group)
+    radius = degree + 4 if group == "su2" else degree // 2 + 2
+    labels = list(dual.ball(radius))
+    grid, oracle_grid = HaarGrid(dual, degree), quadrature_oracle.EulerGrid(degree)
+    low = [a for a in labels if a.n <= degree // 2]
+    rng.shuffle(low)
+    oracle_check(dual, grid, oracle_grid, random_terms(dual, low, rng), low[::-1])
+    for scale in (1.0, 1e-3, 1e5):
+        rng.shuffle(labels)
+        terms = {a: scale * M for a, M in random_terms(dual, labels, rng).items()}
+        out = list(labels)
+        rng.shuffle(out)
+        oracle_check(dual, grid, oracle_grid, terms, out)
+    assert "points" not in vars(grid)
+
+
+@pytest.mark.parametrize("group", ["su2", "so3"])
+def test_euler_transform_empty_field_and_labels_equal_oracle(group):
+    # no spins at all: the spectrum still has the grid's q middle angles
+    dual = parse_group(group)
+    rng = np.random.default_rng(21)
+    for degree in (0, 5, 16):
+        grid, oracle_grid = HaarGrid(dual, degree), quadrature_oracle.EulerGrid(degree)
+        vals = oracle_check(dual, grid, oracle_grid, {}, ())
+        assert vals.shape == grid.weights.shape and not vals.any()
+        terms = random_terms(dual, dual.ball(3)[1:], rng)
+        assert oracle_check(dual, grid, oracle_grid, terms, ()).any()
+        assert grid.coefficients(vals, ()).coeffs == {}
+
+
+def test_degree_240_square_of_character_60_stays_small():
+    # chi_60^2 = chi_0 + chi_2 + ... + chi_120, so its coefficients are I/(k+1)
+    # at even k <= 120 and 0 elsewhere; a child process reports its own peak RSS
+    src = Path(bfw.__file__).resolve().parents[1]
+    code = """
+import json, resource
+import numpy as np
+from bfw import Su2Dual, Su2Spin
+from bfw.fields import character_field
+from bfw.quadrature import HaarGrid, grid_values
+
+su2 = Su2Dual()
+grid = HaarGrid(su2, 240)
+vals = grid_values(character_field(su2, Su2Spin(60)), grid)
+out = grid.coefficients(vals * vals, su2.ball(120))
+err = max(float(np.max(np.abs(out[a] - (a.n % 2 == 0) * np.eye(a.n + 1) / (a.n + 1)))) for a in su2.ball(120))
+print(json.dumps({"err": err, "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    report = json.loads(out.stdout)
+    assert report["err"] <= 1e-12, report
+    assert report["rss_mb"] < 500, report
 
 
 def test_bulk_grid_points_equal_scalar_euler_points():

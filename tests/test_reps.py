@@ -114,3 +114,18 @@ def test_reps_reject_foreign_labels(su2, t1):
     with pytest.raises(FamilyMismatchError):
         su2.reps(t1.ball(1), [su2.identity()])
     assert su2.reps((), [su2.identity()]) == []
+
+
+@pytest.mark.parametrize("n", [-1, -3, -5])
+def test_su2_matrices_reject_negative_spins(n, rng):
+    # these once gave the spin-0 matrix, an IndexError, one level and a 0x0 matrix
+    from bfw import su2_irrep
+    from bfw.duals import su2_algebra_rep, su2_irrep_stack
+
+    g = Su2Dual().random_point(rng)
+    for build in (lambda: su2_irrep(n, np.eye(2)), lambda: su2_irrep(n, g),
+                  lambda: su2_irrep_stack(n, g[None]), lambda: su2_algebra_rep(n, np.diag([1j, -1j]))):
+        with pytest.raises(ValueError, match="spin") as err:
+            build()
+        assert repr(n) in str(err.value)
+
