@@ -332,7 +332,7 @@ class _ExpItu:
     def sup(self) -> float:
         """max |u| over 256 angles per torus axis or 512 class-angle midpoints."""
         if self._parts is None:
-            return float(np.max(np.abs(_torus_values(self.u, 256))))
+            return float(np.max(np.abs(self.dual.fft_values(self.u.coeffs, 256))))
         return float(np.max(np.abs(_class_values(self._parts, np.pi * (np.arange(512) + 0.5) / 512))))
 
     def check_self_adjoint(self) -> None:
@@ -430,7 +430,7 @@ class _TorusExpGrid:
     def __init__(self, dual: TorusDual, u: OperatorField, cutoff: int):
         m = 2 * (cutoff + max(GRID_PAD, cutoff)) + 1
         self.cutoff = cutoff
-        self.vals = _torus_values(u, m)
+        self.vals = dual.fft_values(u.coeffs, m).real  # u is self-adjoint: drop the FFT's rounding
         self.coords = dual.ball_coords(cutoff)
         self.index = tuple((self.coords % m).T)
 
@@ -438,22 +438,10 @@ class _TorusExpGrid:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the defect
             g = np.exp(1j * t * self.vals)
         coef = np.fft.fftn(g)[self.index] / g.size
-        mass = 0.0
-        for c in coef:  # scalar abs: the array np.abs differs in the last bit
-            mass += abs(c) ** 2
-        defect = abs(1.0 - mass)
+        defect = abs(1.0 - float(np.sum(np.abs(coef) ** 2)))
         if not defect <= tail_tol:
             raise _defect_error(defect, t, self.cutoff)
         return coef, defect
-
-
-def _torus_values(u: OperatorField, m: int) -> np.ndarray:
-    """u on the product grid of m uniform angles per axis, shape (m,) * rank."""
-    mesh = np.meshgrid(*[2.0 * np.pi * np.arange(m) / m] * u.dual.n, indexing="ij")
-    vals = np.zeros(mesh[0].shape, dtype=complex)
-    for a, M in u.coeffs.items():
-        vals += M[0, 0] * np.exp(1j * sum(mu_j * th for mu_j, th in zip(a.mu, mesh)))
-    return vals
 
 
 def _kept(dual, coords, coef, positions) -> list[tuple[int, IrrepLabel]]:

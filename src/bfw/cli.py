@@ -70,8 +70,8 @@ def _write(path, text):
 
 
 def _write_csv(path, header, rows):
-    """One line per row: floats as ``repr``, everything else as ``str``."""
-    lines = [header] + [",".join(repr(x) if isinstance(x, float) else str(x) for x in row)
+    """One line per row: floats (NumPy's too) as ``repr(float(x))``, everything else as ``str``."""
+    lines = [header] + [",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row)
                         for row in rows]
     _write(path, "\n".join(lines) + "\n")
 

@@ -797,6 +797,27 @@ class TorusDual(GroupDual):
         m = degree + 1
         return np.full(m**self.n, 1.0 / m**self.n)
 
+    def fft_values(self, coeffs, m: int) -> np.ndarray:
+        """sum_mu c_mu e^{i mu.theta} for the map ``coeffs`` of labels to (1, 1)
+        blocks (c_mu), at the m uniform angles 2 pi j/m per axis: one inverse
+        FFT of the c_mu placed at mu mod m.  Shape (m,) * rank, in point order."""
+        idx = np.array([a.mu for a in coeffs], dtype=np.int64).reshape(-1, self.n) % m
+        spec = np.zeros((m,) * self.n, dtype=complex)
+        np.add.at(spec, tuple(idx.T), np.array([M[0, 0] for M in coeffs.values()], dtype=complex))
+        return np.fft.ifftn(spec, norm="forward")
+
+    def haar_values(self, grid, coeffs):
+        self._check(*coeffs)
+        return self.fft_values(coeffs, grid.degree + 1).ravel()
+
+    def haar_coefficients(self, grid, wf, labels):
+        # u^(mu) = sum_g wf_g e^{-i mu.theta_g}: one forward FFT, read at mu mod m
+        self._check(*labels)
+        m = grid.degree + 1
+        idx = np.array([a.mu for a in labels], dtype=np.int64).reshape(-1, self.n) % m
+        coef = np.fft.fftn(wf.reshape((m,) * self.n))[tuple(idx.T)]
+        return dict(zip(labels, coef[:, None, None]))
+
     def _build_intertwiners(self, a, b):
         return np.ones((1, 1), dtype=complex)
 

@@ -14,11 +14,12 @@ length on SO(3)).
 * circle-with-flip: a circle grid on each of the two components, averaged.
 
 Each family transforms through its dual's hooks :meth:`GroupDual.haar_values`
-and :meth:`GroupDual.haar_coefficients`.  SU(2) and SO(3) separate the
-Euler angles: FFTs over the two circle axes and small real stacks
-d_n(beta) over the middle angles, streamed one spin at a time, with no
-per-label (G, d, d) stack and nothing kept on the grid.  The other families
-sum over per-label stacks of the grid (:meth:`HaarGrid.rep_stack`).
+and :meth:`GroupDual.haar_coefficients`.  A torus takes one n-D FFT.  SU(2)
+and SO(3) separate the Euler angles: FFTs over the two circle axes and small
+real stacks d_n(beta) over the middle angles, streamed one spin at a time.
+Neither builds a per-label (G, d, d) stack or keeps anything on the grid.
+Only the circle-with-flip and products sum over per-label stacks of the grid
+(:meth:`HaarGrid.rep_stack`).
 
 Grid evaluation reduces in a fixed order, so results are reproducible
 bit-for-bit for a given grid.
@@ -43,8 +44,8 @@ class HaarGrid:
     """A quadrature rule on one group, of one degree (see the module docstring).
 
     The points are built on first access.  Representation stacks are built
-    per label on demand and cached.  The SU(2)/SO(3) transform reads neither
-    and keeps no state on the grid.
+    per label on demand and cached.  The torus and SU(2)/SO(3) transforms
+    read neither and keep no state on the grid.
     """
 
     def __init__(self, dual: GroupDual, degree: int):

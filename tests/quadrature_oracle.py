@@ -1,10 +1,11 @@
-"""References for the Euler-separated SU(2)/SO(3) transform of :mod:`bfw.quadrature`.
+"""References for the FFT-based Haar transforms of :mod:`bfw.quadrature`.
 
 ``grid_values`` and ``coefficients`` run the Haar transform through per-label
 (G, d, d) stacks: every label is evaluated at every point of
 ``dual.haar_grid(degree)`` by ``dual.reps``, and the sums run over the grid
 points.  ``euler_values`` and ``euler_coefficients`` are the Euler-separated
-transform with its complex small-d stacks memoized per grid.
+SU(2)/SO(3) transform with its complex small-d stacks memoized per grid.
+``torus_mesh_values`` sums one exponential per torus character over a meshgrid.
 """
 
 import numpy as np
@@ -28,6 +29,16 @@ def coefficients(dual, degree, values, labels) -> dict:
     wf = weights * np.asarray(values, dtype=complex)
     labels = list(labels)
     return {a: np.einsum("g,gji->ij", wf, P.conj()) for a, P in zip(labels, dual.reps(labels, points))}
+
+
+def torus_mesh_values(dual, coeffs, m) -> np.ndarray:
+    """sum_mu c_mu e^{i mu.theta} on the product grid of m uniform angles per
+    torus axis, shape (m,) * rank, for the map ``coeffs`` of labels to (1, 1) blocks."""
+    mesh = np.meshgrid(*[2.0 * np.pi * np.arange(m) / m] * dual.n, indexing="ij")
+    vals = np.zeros(mesh[0].shape, dtype=complex)
+    for a, M in coeffs.items():
+        vals += M[0, 0] * np.exp(1j * sum(mu_j * th for mu_j, th in zip(a.mu, mesh)))
+    return vals
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 import bfw
 from bfw import OperatorField, Su2Spin
-from bfw.cli import build_parser, main
+from bfw.cli import _write_csv, build_parser, main
 from bfw.serialize import (
     dumps,
     element_from_json,
@@ -250,6 +250,27 @@ def test_expcurve_so3(tmp_path):
     assert code == 0
     assert json.loads(out)["passed"] is True
     assert len(csv.read_text().splitlines()) == 5  # header and t = 1, 2, 4, 8
+
+
+@pytest.mark.parametrize("group", ["torus:1", "torus:2"])
+def test_expcurve_torus_csv_cells_are_numbers(tmp_path, group):
+    # the torus Parseval defect was a NumPy float, written as np.float64(...)
+    dual = bfw.parse_group(group)
+    u = OperatorField.from_terms(dual, {a: np.array([[0.5]]) for a in dual.generators()})
+    (tmp_path / "u.json").write_text(dumps(element_to_json(u)))
+    csv = tmp_path / "t.csv"
+    code, _ = run(["expcurve", "--group", group, "--u", str(tmp_path / "u.json"), "--weight",
+                   "poly:alpha=1", "--tmax", "16", "--cutoff-cap", "256", "--out", str(csv)])
+    assert code == 0
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "t,norm,bound,cutoff,tail" and len(lines) == 6  # t = 1, 2, 4, 8, 16
+    assert all(float(cell) >= 0.0 for line in lines[1:] for cell in line.split(","))
+
+
+def test_csv_writes_numpy_floats_as_python_floats(tmp_path):
+    path = tmp_path / "x.csv"
+    _write_csv(str(path), "x,y,n", [(np.float64(0.0), 0.1, np.int64(3)), (np.float64(1e-300), 2.5, 4)])
+    assert path.read_text() == "x,y,n\n0.0,0.1,3\n1e-300,2.5,4\n"
 
 
 def test_derivation_default_basis_index_is_last(tmp_path):
