@@ -970,72 +970,85 @@ def _jplus(j, m):
     return np.sqrt(np.maximum(j * (j + 1) - m * (m + 1), 0.0))
 
 
-def _su2_cg_top(n1: int, n2: int, n: int) -> np.ndarray:
-    """Highest-weight vector of the spin-n/2 component of n1 (x) n2, as a
-    (d1, d2) array over the factors' weight indices.
-
-    Phase fixed so the coefficient at maximal first-factor exponent is real
-    positive (Condon-Shortley style).
-    """
-    j1, j2, j = n1 / 2.0, n2 / 2.0, n / 2.0
-    # coefficients over first-factor exponents m1, with m2 = j - m1
-    m1_hi = min(j1, j + j2)
-    m1_lo = max(-j1, j - j2)
-    count = int(round(m1_hi - m1_lo)) + 1
-    p = m1_hi - np.arange(count - 1)  # index i corresponds to m1 = m1_hi - i
-    c, coeff = 1.0, [1.0]
-    for up, down in zip(_jplus(j2, j - p).tolist(), _jplus(j1, p - 1).tolist()):
-        c = -c * up / down
-        coeff.append(c)
-    coeff = np.array(coeff)
-    coeff /= math.sqrt(float(np.dot(coeff, coeff)))
-    if coeff[0] < 0:
-        coeff = -coeff
-    top = np.zeros((n1 + 1, n2 + 1))
-    i = np.arange(count)
-    top[int(round(j1 - m1_hi)) + i, int(round(j2 - j + m1_hi)) - i] = coeff
-    return top
-
-
 def _su2_cg_pair(n1: int, n2: int) -> np.ndarray:
     """The Clebsch-Gordan unitary of n1 (x) n2: one block of n + 1 columns per
     component of spin index n, lowest spin first.
 
-    Each block has the component's highest-weight vector (:func:`_su2_cg_top`)
-    as its first column and the lowered vector J_- v / J_-(m) as each next one.
-    All components are lowered together, highest spin first; a component drops
-    out of the stack once its columns are done.  An entry of J_- v is the
-    first-factor term plus the second-factor term, added in that order.
+    Row i (n2 + 1) + j holds the factors' weight indices (i, j).  Column col of
+    component k (spin index n1 + n2 - 2k) is nonzero only on the weight
+    diagonal i + j = k + col, so the build holds it as one lane per first-factor
+    index i, and one array of shape (components, n1 + 2) holds a step of all of
+    them (each component's lanes follow one 0.0 lane).
 
-    Each block is checked on its own, highest spin first, before it is written:
-    every entry of |V^H V - I| must be at most 1e-10 + 1e-5 |I|.
+    The highest-weight vectors of all components (column 0, lanes 0..k) come
+    from one recursion over i run in lockstep, and each is normalised by the
+    dot product of its exact-length coefficients.  The recursion starts at 1.0
+    at maximal first-factor exponent, so that coefficient is real positive
+    (Condon-Shortley style).  All components are then lowered together, highest
+    spin first: an entry of J_- v is the first-factor term plus the
+    second-factor term, added in that order, over the component's J_-(m).  A
+    component's lanes go to zero once its columns are done.  W is filled by one
+    scatter of the diagonals.
+
+    Each block is checked on its own, highest spin first: every entry of
+    |V^H V - I| must be at most 1e-10 + 1e-5 |I|.  A block's columns lie on
+    distinct diagonals, so V^H V is diagonal and the check reads
+    |v.v - 1| <= 1e-10 + 1e-5, with v.v summed over each column's lanes.
     """
-    j1, j2 = n1 / 2.0, n2 / 2.0
-    d1, d2 = n1 + 1, n2 + 1
-    spins = range(n1 + n2, abs(n1 - n2) - 1, -2)
-    a1 = _jplus(j1, j1 - np.arange(n1) - 1)[:, None]
-    a2 = _jplus(j2, j2 - np.arange(n2) - 1)
-    div = np.ones((len(spins), n1 + n2 + 1))  # div[k, col]: J_-(m) taking component k's column col to col + 1
-    for k, n in enumerate(spins):
-        div[k, :n] = _jplus(n / 2.0, n / 2.0 - np.arange(n) - 1)
-    vec = np.stack([_su2_cg_top(n1, n2, n) for n in spins])  # (components, d1, d2)
-    cols = np.zeros((len(spins), n1 + n2 + 1, d1, d2))
-    for col in range(n1 + n2 + 1):
-        cols[: len(vec), col] = vec  # vec holds the components with a column col
-        vec = vec[: sum(n > col for n in spins)]
-        nxt = np.zeros_like(vec)
-        nxt[:, 1:, :] = vec[:, :-1, :] * a1
-        nxt[:, :, 1:] += vec[:, :, :-1] * a2
-        vec = nxt / div[: len(vec), col, None, None]
-    W = np.empty((d1 * d2, d1 * d2), dtype=complex)
-    end = d1 * d2  # the highest spin's block is last
-    for k, n in enumerate(spins):
-        rows = cols[k, : n + 1].reshape(n + 1, d1 * d2)  # the columns of V, which is real
-        eye = np.eye(n + 1)
-        if not (np.abs(rows @ rows.T - eye) <= 1e-10 + 1e-5 * eye).all():
-            raise IntertwinerSynthesisError(f"CG isometry residual too large for ({n1},{n2})->{n}")
-        W[:, end - n - 1:end] = rows.T
-        end -= n + 1
+    j1, j2, N = n1 / 2.0, n2 / 2.0, n1 + n2
+    d1, D = n1 + 1, (n1 + 1) * (n2 + 1)
+    K, P = min(n1, n2) + 1, n1 + 2  # components; lanes per component
+    n = np.arange(N, abs(n1 - n2) - 1, -2)  # spin index of component k
+    m = (N - 2 - np.arange(2 * N)) / 2.0  # m[N - s:N + s:2] = s/2 - 1 - t for t < s
+    a1 = _jplus(j1, m[N - n1:N + n1:2])  # J_- from (i, j) to (i + 1, j)
+    a2 = _jplus(j2, m[N - n2:N + n2:2])  # J_- from (i, j) to (i, j + 1)
+    # div[k, col]: J_-(m) taking column col of component k to col + 1; inf once the component is done
+    div = np.full((K, N), np.inf)
+    for k in range(K):
+        div[k, :N - 2 * k] = _jplus(N / 2.0 - k, m[2 * k:2 * N - 2 * k:2])
+
+    lanes = np.zeros((N + 1, K, P))  # lanes[col, k, 1 + i]: column col of component k at (i, k + col - i)
+    top = lanes[0, :, 1:K + 1]
+    top[:, 0] = 1.0
+    neg_a2 = -a2
+    for i in range(K - 1):  # c[k, i + 1] = -c[k, i] a2[k - i - 1] / a1[i] for the components k > i
+        c = top[i + 1:, i + 1]
+        np.multiply(top[i + 1:, i], neg_a2[:K - 1 - i], out=c)
+        c /= a1[i]
+    top /= np.array([math.sqrt(float(np.dot(v, v))) for v in (r[:k + 1] for k, r in enumerate(top))])[:, None]
+
+    # Step col takes lane (k, i) to lane (k, i - 1) times a1[i - 1] plus lane (k, i) times
+    # a2[k + col - i], over div[k, col].  The first factor is 0.0 at i = 0, so 0.0 + y a2 is kept
+    # there; the second is -0.0 at j = 0, against the 0.0 lane past the diagonal's end, so x a1
+    # stays alone.  Lanes past either end of a diagonal and the leading lanes stay 0.0.
+    col, k, t = np.arange(N)[:, None, None], np.arange(K)[:, None], np.arange(P)
+    a2x = np.zeros(n1 + N + K + 1)  # a2x[n1 + 1 + s] = a2[s]
+    a2x[n1] = -0.0
+    a2x[n1 + 1:n1 + 1 + n2] = a2
+    f1 = np.zeros((K, P))
+    f1[:, 2:] = a1
+    f2 = a2x[n1 + 2 + col + k - t]
+    f2[..., 0] = 0.0
+    f1, f2, f = f1.ravel()[1:], f2.reshape(N, K * P)[:, 1:], np.repeat(div.T, P, axis=1)[:, 1:]
+    flat = lanes.reshape(N + 1, K * P)
+    for x, y, nxt, y_f, nxt_f in zip(flat[:-1, :-1], flat[:-1, 1:], flat[1:, 1:], f2, f):
+        np.multiply(x, f1, out=nxt)
+        nxt += y * y_f
+        nxt /= nxt_f
+
+    col, i = np.arange(N + 1)[:, None, None], np.arange(d1)
+    live = col <= n[:, None]  # column col of component k exists
+    # v.v per column; a done component's columns are zero and compare with 0
+    ok = np.abs(np.einsum("ckt,ckt->ck", lanes, lanes) - live[..., 0]) <= 1e-10 + 1e-5
+    if not ok.all():
+        bad = np.flatnonzero(~ok.all(axis=0))[0]
+        raise IntertwinerSynthesisError(f"CG isometry residual too large for ({n1},{n2})->{n[bad]}")
+    on = live & (i <= k + col) & (k + col - i <= n2)
+    first = D - np.cumsum(n + 1)  # first column of each block; the highest spin's block is last
+    W = np.zeros((D, D), dtype=complex)
+    # offset of the real part of W[i n2 + k + col, first[k] + col] in the float view
+    at = 2 * ((k + col) * D + first[:, None] + col) + 2 * D * n2 * i
+    W.view(float).put(at[on], lanes[..., 1:][on])
     return W
 
 

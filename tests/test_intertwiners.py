@@ -150,6 +150,17 @@ def test_cg_pair_equals_scalar_oracle_large(n1, n2):
     assert _bit_equal(_su2_cg_pair(n1, n2), _cg_oracle_unitary(n1, n2))
 
 
+@pytest.mark.parametrize("n1,n2", [(35, 35), (34, 35), (35, 0)])
+def test_cg_pair_equals_scalar_oracle_at_edge(n1, n2):
+    # the largest spins whose blocks still pass the residual check
+    assert _bit_equal(_su2_cg_pair(n1, n2), _cg_oracle_unitary(n1, n2))
+
+
+def test_cg_pair_raises_past_edge():
+    with pytest.raises(IntertwinerSynthesisError, match=r"\(36,35\)->31"):
+        _su2_cg_pair(36, 35)
+
+
 @pytest.mark.parametrize("family", ["su2", "so3"])
 def test_intertwiner_blocks_in_fuse_order_equal_oracle(family, su2, so3):
     dual = su2 if family == "su2" else so3
