@@ -64,11 +64,7 @@ __all__ = [
 
 _EPS_FLIP = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)  # det-1 conjugator of SU(2)
 _SWAP2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-# a block of GroupDual.power_maxima ends at this many steps or support cells
-_BLOCK_STEPS = 64
-_BLOCK_CELLS = 1 << 18
-
+_BLOCK_ROWS = 1 << 18  # a translating product's reach table comes in blocks of this many rows
 
 # ---------------------------------------------------------------------------
 # lattice masks
@@ -105,6 +101,31 @@ def _union(parts):
     for arr, alo in full:
         out[tuple(slice(a - l, a - l + n) for a, l, n in zip(alo, lo, arr.shape))] |= arr
     return out, lo
+
+
+def _support_sizes(first, p, n) -> np.ndarray:
+    """The number of labels in the supports of steps 1..n of a reach table."""
+    sizes = np.bincount(first, minlength=n + 1)[: n + 1]
+    for r in range(p):  # a row stays in every p-th support from its first on
+        sizes[r::p] = np.cumsum(sizes[r::p])
+    return sizes[1:]
+
+
+def _slots(c, first, p, k):
+    """A reach table at the steps of the column k: a (len(k), A) mask of the
+    slots each step's support fills, and the slots' coordinates and firsts.
+    Slots are all rows in coordinate order (p >= 1), or per step its run of
+    rows (p = 0), which (first, coords) order puts in coordinate order."""
+    c, first = c[first <= k[-1]], first[first <= k[-1]]
+    if p:
+        order = np.lexsort(c.T[::-1])
+        c, first = c[order], first[order]
+        mask = (first <= k) & (first % p == k % p)
+        return mask, np.broadcast_to(c, (len(k), *c.shape)), np.broadcast_to(first, mask.shape)
+    count = np.bincount(first - k[0], minlength=len(k))[: len(k)]
+    t = np.arange(count.max())
+    at = np.minimum((np.cumsum(count) - count)[:, None] + t, len(c) - 1)
+    return t < count[:, None], c[at], first[at]
 
 
 def _grid_degree(degree) -> int:
@@ -343,7 +364,7 @@ class GroupDual:
     def support_step(self, supp: frozenset, S) -> frozenset:
         """One tensor-power step on a frozenset of labels, through ``fuse``.
 
-        The library steps supports as lattice masks (:meth:`support_walk`);
+        The library steps supports as lattice masks (:meth:`lattice_step`);
         this label-by-label form is the reference those masks are tested
         against.
         """
@@ -362,10 +383,11 @@ class GroupDual:
         S = tuple(S)
         if not S:
             raise ValueError("empty generating set with k >= 1")
-        walk = self.support_walk(S)
+        self._check(*S)
+        supp = self.mask(S)
         for _ in range(k - 1):
-            next(walk)
-        return self.mask_labels(*next(walk))
+            supp = self.lattice_step(supp, S)
+        return self.mask_labels(*supp)
 
     def word_length(self, a: IrrepLabel, S=None, cap: int = 512) -> int:
         """Minimal k with a inside a k-fold product over S; trivial has length 0.
@@ -444,11 +466,7 @@ class GroupDual:
 
     def _step_mask(self, arr, lo, s, ax):
         """The support (arr, lo) tensored by the generator s, acting on the
-        lattice axes ax, ax+1, ... that hold this family's coordinates.
-
-        Returns arr itself, with lo moved, exactly when s acts by a
-        translation: a torus character, or a trivial label.
-        """
+        lattice axes ax, ax+1, ... that hold this family's coordinates."""
         raise NotImplementedError
 
     def mask(self, labels) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -485,99 +503,50 @@ class GroupDual:
         if not S:
             return self.mask(())
         arr, lo = supp
-        if len(S) == 1:
-            return self._step_mask(arr, lo, S[0], 0)
         return _union([self._step_mask(arr, lo, s, 0) for s in S])
 
-    def support_walk(self, S):
-        """Iterator over the supports of the k-fold tensor powers over S, k = 1, 2, ..."""
-        S = tuple(S)
-        self._check(*S)
+    def reach_table(self, s: IrrepLabel, n: int, cap: int, lo: int):
+        """The labels the powers s^(x)k reach, k = 1..n, in closed form: int64
+        lattice coordinates (one row per label), the first k reaching each
+        row, and a period p.  A row lies in the support of s^(x)k exactly when
+        k >= first and p divides k - first, or k = first when p = 0 (s acts by
+        a translation).  Rows are sorted by first, then by coordinates.  Rows
+        first reached after step n may be present, and rows past the first
+        support of more than ``cap`` labels may be left out.  A translating
+        table (p = 0) holds the steps lo + 1 up to the first of its last row,
+        each in full: up to n, or fewer when a product's rows pass
+        ``_BLOCK_ROWS``.  :meth:`tensor_power_support` is the oracle of every
+        table."""
+        raise NotImplementedError
 
-        def walk(supp):
-            while True:
-                yield supp
-                supp = self.lattice_step(supp, S)
-
-        return walk(self.mask(S))
-
-    def power_maxima(self, S, n: int, log_values, cap: int) -> list[float]:
-        """max of the log weight over the support of the k-fold tensor power of S, k = 1..n.
+    def power_maxima(self, s: IrrepLabel, n: int, log_values, cap: int) -> list[float]:
+        """max of the log weight over the support of the k-fold tensor power of s, k = 1..n.
 
         ``log_values`` maps a (k, r) int64 array of lattice coordinates to k
         floats (:meth:`bfw.weights.Weight.log_values`).  It is called once per
-        block of steps, on the coordinates the block reaches first, in the
-        order the steps reach them, so every label is evaluated once.  Each
-        maximum is taken over a float array of those values, so it is the
-        float a max over the labels gives.  Raises :class:`LabelCapError` at
-        the first support of more than ``cap`` labels, after that step's
-        values.
+        reach table (:meth:`reach_table`), on the labels the steps reach, in
+        first-reached order: once in all, unless the table translates (p = 0)
+        and comes in blocks of steps.  Each maximum is taken over a float
+        array of those values, so it is the float a max over the labels gives.
+        Raises :class:`LabelCapError` at the first support of more than
+        ``cap`` labels, after the values of the labels reached up to that step.
         """
-        S = tuple(S)
-        walk = self.support_walk(S)
-        if n < 1:
-            return []
-        arr, lo = next(walk)
-        if len(S) == 1 and cap >= 1:
-            arr2, lo2 = self._step_mask(arr, lo, S[0], 0)
-            if arr2 is arr:
-                # s acts by a translation: the support is the one label
-                # lo + (k-1) shift, a new one at every step unless shift is 0
-                shift = np.subtract(lo2, lo)
-                steps = np.arange(n if shift.any() else 1)
-                got = log_values(lo + np.outer(steps, shift)).tolist()
-                return got if shift.any() else got * n
-        return self._block_maxima(itertools.chain([(arr, lo)], walk), n, log_values, cap)
-
-    def _block_maxima(self, walk, n, log_values, cap):
-        """power_maxima on the supports the walk yields, in blocks of steps.
-
-        A block's window keeps the values looked up so far and drops the
-        rest.  In a walk from one generator that loses nothing: a torus
-        coordinate moves one way, and the other families' windows only grow.
-        """
-        out: list[float] = []
-        steps: list = []  # (mask, its nonzero indices, lo) of steps taken, not yet evaluated
-        known = vals = wlo = None  # the values looked up so far, over the window at wlo
-        while len(out) < n:
-            total = sum(len(st[1][0]) for st in steps)
-            while (len(out) + len(steps) < n and len(steps) < _BLOCK_STEPS
-                   and total < _BLOCK_CELLS and not (steps and len(steps[-1][1][0]) > cap)):
-                arr, lo = next(walk)
-                steps.append((arr, np.nonzero(arr), lo))
-                total += len(steps[-1][1][0])
-            # the block: the steps before its window grows sparse (one step at least)
-            lo_k = np.array([st[2] for st in steps], dtype=np.int64)
-            hi_k = lo_k + np.array([st[0].shape for st in steps], dtype=np.int64)
-            counts = [len(st[1][0]) for st in steps]
-            blo, bhi = np.minimum.accumulate(lo_k), np.maximum.accumulate(hi_k)
-            volume = np.prod((bhi - blo).astype(float), axis=1)
-            sparse = np.flatnonzero(volume > 8.0 * np.cumsum(counts) + 4096.0)
-            m = max(1, int(sparse[0])) if sparse.size else len(steps)
-            block, counts, steps = steps[:m], counts[:m], steps[m:]
-            blo = blo[m - 1]
-            shape = tuple((bhi[m - 1] - blo).tolist())
-            strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]
-            # flat window index of every label of every step, step by step
-            base = [sum(i * st for i, st in zip(nz, strides)) for _, nz, _ in block]
-            idx = np.concatenate(base) + np.repeat((lo_k[:m] - blo) @ strides, counts)
-            blo = tuple(blo.tolist())
-            if wlo is None:
-                known, vals = np.zeros(shape, dtype=bool), np.zeros(shape)
-            else:
-                known, vals = _crop((known, wlo), blo, shape), _crop((vals, wlo), blo, shape)
-            wlo = blo
-            kf, vf = known.reshape(-1), vals.reshape(-1)
-            fresh = idx[~kf[idx]]
-            if fresh.size:
-                flat, first = np.unique(fresh, return_index=True)
-                flat = flat[np.argsort(first)]  # in the order the steps reach them
-                vf[flat] = log_values(np.column_stack(np.unravel_index(flat, shape)) + blo)
-                kf[flat] = True
-            out.extend(np.maximum.reduceat(vf[idx], np.cumsum([0] + counts[:-1])).tolist())
-            if counts[-1] > cap:
-                raise LabelCapError(cap, counts[-1])
-        return out
+        self._check(s)
+        # each step's maximum over the rows it reaches first
+        top, lo, p = np.full(max(n, 0) + 1, -np.inf), 0, 0
+        while lo < n:
+            coords, first, p = self.reach_table(s, n, cap, lo)
+            sizes = _support_sizes(first, p, n)
+            over = np.flatnonzero(sizes > cap)
+            end = np.searchsorted(first, over[0] + 1 if over.size else n, "right")
+            starts = np.flatnonzero(np.diff(first[:end], prepend=0))
+            top[first[starts]] = np.maximum.reduceat(log_values(coords[:end]), starts)
+            if over.size:
+                raise LabelCapError(cap, int(sizes[over[0]]))
+            lo = n if p else int(first[-1])
+        for r in range(p):  # then the running maximum along each residue class mod p
+            top[r::p] = np.maximum.accumulate(top[r::p])
+        return top[1:].tolist()
 
     # --- points and representations ---------------------------------------
     def identity(self):
@@ -764,6 +733,13 @@ class TorusDual(GroupDual):
             lo[ax + i] += m
         return arr, tuple(lo)
 
+    def reach_table(self, s, n, cap, lo):
+        mu = np.array(s.mu, dtype=np.int64)  # step k reaches k mu alone
+        if not mu.any():
+            return mu[None, :], np.ones(1, dtype=np.int64), 1
+        k = np.arange(lo + 1, n + 1)
+        return k[:, None] * mu, k, 0
+
     def identity(self):
         return np.zeros(self.n)
 
@@ -870,8 +846,6 @@ class Su2Dual(GroupDual):
         # a (x) s holds a + d for d = -s, -s+2, ..., s where a + d >= |a - s|,
         # that is where 2a >= s - d (Clebsch-Gordan)
         n = s.n
-        if n == 0:
-            return arr, lo
         l, size = lo[ax], arr.shape[ax]
         new_l = max(0, l - n)
         shape = list(arr.shape)
@@ -883,6 +857,18 @@ class Su2Dual(GroupDual):
                 off = l + d - new_l
                 out[_axis(ax, i0 + off, size + off)] |= arr[_axis(ax, i0, size)]
         return out, lo[:ax] + (new_l,) + lo[ax + 1:]
+
+    def reach_table(self, s, n, cap, lo):
+        # step k >= 2 reaches every spin c <= k m with c = k m (mod 2), k m // 2 + 1
+        # of them, step 1 m alone; the table ends at the first step over cap
+        m = s.n
+        n = min(n, max(2, -(-2 * cap // m))) if m else n
+        c = np.arange(0, n * m + 1, 2 - m % 2)  # m even: odd spins are never reached
+        first = np.maximum(2, -(-c // max(m, 1)))
+        first += (first * m - c) % 2
+        first[c == m] = 1
+        order = np.argsort(first, kind="stable")
+        return c[order, None], first[order], 1 + m % 2
 
     def identity(self):
         return np.eye(2, dtype=complex)
@@ -1163,6 +1149,16 @@ class SemidirectDual(GroupDual):
         out[at(1)] |= A[at(m + 1)]
         return out, lo0
 
+    def reach_table(self, s, n, cap, lo):
+        # pi_m^(x)k holds pi_{jm} (at jm + 1) for j = k, k - 2, ... >= 1, and
+        # triv and sgn (at 0 and 1) when k is even; sgn^(x)k is sgn or triv
+        if s.kind == "triv":
+            return np.zeros((1, 1), dtype=np.int64), np.ones(1, dtype=np.int64), 1
+        if s.kind == "sgn":
+            return np.array([[1], [0]], dtype=np.int64), np.array([1, 2], dtype=np.int64), 2
+        j = np.arange(2, n + 1)
+        return np.concatenate([[s.m + 1, 0, 1], j * s.m + 1])[:, None], np.concatenate([[1, 2, 2], j]), 2
+
     def identity(self):
         return SemidirectPoint(0.0, False)
 
@@ -1304,6 +1300,34 @@ class ProductDual(GroupDual):
         # each factor's rule along its own axes
         arr, lo = self.left._step_mask(arr, lo, s.left, ax)
         return self.right._step_mask(arr, lo, s.right, ax + self.left.lattice_rank)
+
+    def reach_table(self, s, n, cap, lo):
+        # the support of a step is the product of the factors' supports
+        cl, fl, pl = self.left.reach_table(s.left, n, cap, lo)
+        cr, fr, pr = self.right.reach_table(s.right, n, cap, lo)
+        sizes = _support_sizes(fl, pl, n) * _support_sizes(fr, pr, n)
+        over = np.flatnonzero(sizes > cap)
+        n = int(over[0]) + 1 if over.size else n
+        if pl and pr:  # rows pair when their firsts agree mod gcd: key them by class
+            g, p = math.gcd(pl, pr), math.lcm(pl, pr)
+            k, ql, qr = np.arange(n - g + 1, n + 1)[:, None], g, g
+        else:  # a translation: key the rows by the steps that reach them, in a block
+            # of at most _BLOCK_ROWS rows (one step at least) within the factors' blocks
+            n = min(n, *(int(f[-1]) for f, q in ((fl, pl), (fr, pr)) if not q))
+            n = lo + max(1, int(np.searchsorted(np.cumsum(sizes[lo:n]), _BLOCK_ROWS, "right")))
+            k, ql, qr, p = np.arange(lo + 1, n + 1)[:, None], pl, pr, 0
+        (ml, cl, fl), (mr, cr, fr) = _slots(cl, fl, ql, k), _slots(cr, fr, qr, k)
+        i, a, b = np.nonzero(ml[:, :, None] & mr[:, None, :])  # by key, then by coordinates
+        coords = np.hstack([cl[i, a], cr[i, b]])
+        if not p:
+            return coords, k[i, 0], 0
+        # the first step >= both firsts meeting both periods is within p - 1 steps
+        a, b = fl[i, a], fr[i, b]
+        first = np.maximum(a, b)
+        for _ in range(p - 1):
+            first += ((first - a) % pl != 0) | ((first - b) % pr != 0)
+        order = np.argsort(first, kind="stable")
+        return coords[order], first[order], p
 
     def identity(self):
         return (self.left.identity(), self.right.identity())

@@ -203,8 +203,9 @@ def _finite(kind: str, name: str, x) -> float:
 
 def _on_distinct(fn, ints: np.ndarray) -> np.ndarray:
     """fn, a ``math`` function, at each entry of an integer array, called once per distinct value."""
-    values, inverse = np.unique(ints, return_inverse=True)
-    return np.array([fn(v) for v in values.tolist()], dtype=float)[inverse]
+    # counts keep np.unique off its slower hash path; no inverse keeps it small
+    values = np.unique(ints, return_counts=True)[0]
+    return np.array([fn(v) for v in values.tolist()], dtype=float)[np.searchsorted(values, ints)]
 
 
 def make_weight(dual: GroupDual, spec: str | dict) -> Weight:
@@ -365,7 +366,7 @@ def validate(dual: GroupDual, w: Weight, depth: int = 12, tol: float = 1e-9) -> 
 
 def _certificate(dual, w, label, n_max):
     # log w of the k-fold tensor powers of the label, k = 1..n_max (max over support)
-    logs = dual.power_maxima((label,), n_max, w.log_values, LABEL_CAP)
+    logs = dual.power_maxima(label, n_max, w.log_values, LABEL_CAP)
     half = max(1, n_max // 2)
     slope = (logs[n_max - 1] - logs[half - 1]) / (n_max - half) if n_max > 1 else logs[0]
     try:

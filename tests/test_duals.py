@@ -318,13 +318,60 @@ def test_lattice_coords_round_trip():
 @pytest.mark.parametrize("group,gens", LATTICE_CASES)
 def test_tensor_power_support_matches_oracle(group, gens):
     dual, S = _case(group, gens)
-    supp = frozenset(S)
-    walk = dual.support_walk(S)
+    supp, mask = frozenset(S), dual.mask(S)
     for k in range(1, 13):
         want = tuple(sorted(supp, key=label_key))
-        assert dual.mask_labels(*next(walk)) == want
+        assert dual.mask_labels(*mask) == want
         assert dual.tensor_power_support(S, k) == want
-        supp = dual.support_step(supp, S)
+        supp, mask = dual.support_step(supp, S), dual.lattice_step(mask, S)
+
+
+# one generator per case: every period (0, 1, 2), zero characters, mixed
+# periods in products, translations on either side and nested products
+REACH_CASES = [
+    ("su2", "pi:0"), ("su2", "pi:1"), ("su2", "pi:2"), ("su2", "pi:3"),
+    ("so3", "pi:2"), ("so3", "pi:6"),
+    ("txz2", "pi:1"), ("txz2", "pi:2"), ("txz2", "sgn"), ("txz2", "triv"),
+    ("torus:1", "t:(0)"), ("torus:1", "t:(-1)"), ("torus:2", "t:(0,0)"), ("torus:2", "t:(1,-2)"),
+    ("torus:3", "t:(0,0,0)"), ("torus:3", "t:(2,-1,1)"),
+    ("prod(su2,su2)", "pi:1×pi:2"),
+    ("prod(txz2,txz2)", "pi:1×sgn"),
+    ("prod(prod(su2,txz2),torus:1)", "(pi:1×pi:2)×t:(1)"),
+    ("prod(torus:1,su2)", "t:(-1)×pi:1"),
+    ("prod(su2,prod(torus:1,su2))", "pi:1×(t:(1)×pi:2)"),
+    ("prod(torus:1,torus:2)", "t:(1)×t:(0,-1)"),
+]
+
+
+@pytest.mark.parametrize("group,probe", REACH_CASES)
+def test_reach_table_equals_tensor_power_support(group, probe):
+    # a row lies in S_k exactly when k >= first and p | k - first (p >= 1), or k = first (p = 0)
+    dual = parse_group(group)
+    s = parse_label(dual, probe)
+    coords, first, p = dual.reach_table(s, 40, 10**9, 0)
+    assert coords.dtype == first.dtype == np.int64 and coords.shape == (len(first), dual.lattice_rank)
+    rows = [(f, *c) for f, c in zip(first.tolist(), coords.tolist())]
+    assert rows == sorted(set(rows)) and len({r[1:] for r in rows}) == len(rows)
+    assert p in (0, 1, 2)
+    for k in range(1, 41):
+        at = (k >= first) & ((k - first) % p == 0) if p else first == k
+        got = tuple(sorted(map(dual.label_at, coords[at].tolist()), key=label_key))
+        assert got == dual.tensor_power_support((s,), k), k
+
+
+@pytest.mark.parametrize("group,probe,cap", [
+    ("su2", "pi:1000", 5), ("su2", "pi:3", 0), ("so3", "pi:2", 40),
+    ("prod(su2,su2)", "pi:1×pi:2", 40), ("prod(su2,torus:1)", "pi:1×t:(1)", 4),
+])
+def test_reach_table_ends_at_cap(group, probe, cap):
+    # however far n is, a table goes at most two steps past the first support
+    # of more than cap labels
+    dual = parse_group(group)
+    s = parse_label(dual, probe)
+    k = 1
+    while len(dual.tensor_power_support((s,), k)) <= cap:
+        k += 1
+    assert dual.reach_table(s, 10**4, cap, 0)[1].max() <= k + 2
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -382,7 +429,7 @@ def test_lattice_foreign_generator(su2, t1):
     with pytest.raises(FamilyMismatchError):
         su2.word_length(Su2Spin(2), S=foreign)
     with pytest.raises(FamilyMismatchError):
-        t1.power_maxima((Su2Spin(1),), 4, lambda c: np.zeros(len(c)), 100)
+        t1.power_maxima(Su2Spin(1), 4, lambda c: np.zeros(len(c)), 100)
 
 
 # groups and largest radius of the default-rule checks: every family, products

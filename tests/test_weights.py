@@ -2,11 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bfw
 from bfw import (
     SemidirectLabel,
     Su2Dual,
@@ -18,6 +24,7 @@ from bfw import (
     quotient_weight,
     restrict_weight,
 )
+from bfw import duals
 from bfw.duals import parse_group
 from bfw.errors import FamilyMismatchError, LabelCapError, WeightOverflowError, WeightSpecError
 from bfw.labels import parse_label
@@ -153,6 +160,52 @@ def test_running_infimum_nonincreasing(spec, n_max):
 def test_poly_growth_limit_512(su2):
     cert = growth_rate(su2, make_weight(su2, "poly:alpha=1"), Su2Spin(1), 512)
     assert 1.0 < cert.rho_hat <= 1.02
+
+
+def test_growth_closed_forms_at_two_to_the_16():
+    # the top label of the n-th power has word length n on each probe, so the
+    # windowed slope of (1 + word length)^2 is ((1 + n)/(1 + n/2))^(2/(n/2)),
+    # and that of 2^(word length) is 2
+    n = 1 << 16
+    start = time.perf_counter()
+    for group, probe in [("su2", "pi:1"), ("so3", "pi:2"), ("txz2", "pi:1")]:
+        dual = parse_group(group)
+        a = parse_label(dual, probe)
+        cert = growth_rate(dual, make_weight(dual, "poly:alpha=2"), a, n)
+        assert abs(cert.rho_slope - ((1 + n) / (1 + n / 2)) ** (2 / (n / 2))) < 1e-12
+        assert abs(growth_rate(dual, make_weight(dual, "exp:lambda=2"), a, n).rho_slope - 2.0) < 1e-12
+    assert time.perf_counter() - start < 1.0
+
+
+# the weight at step k tops out at (1 + a k)^b: word length c + k of pi_c x t_k
+# is at most 2k, and the dimension of (pi_c x t_k) x pi_d at most (1 + k)^2
+@pytest.mark.parametrize("group,weight,label,n,a,b", [
+    ("prod(su2,torus:1)", "poly:alpha=1", "pi:1×t:(1)", 2048, 2, 1),
+    ("prod(prod(su2,torus:1),su2)", "dim", "(pi:1×t:(1))×pi:1", 384, 1, 2),
+])
+def test_translation_product_growth_stays_small(tmp_path, group, weight, label, n, a, b):
+    # a translating factor puts every step's support in the table: a million
+    # labels by n = 2048 on the first, five million by n = 384 on the second,
+    # evaluated in blocks of steps.  A child process reports its own peak RSS
+    # as VmHWM: its ru_maxrss would start from the peak of the process that
+    # started it
+    src = Path(bfw.__file__).resolve().parents[1]
+    code = """
+import sys
+from bfw.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as f:
+    print(next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) / 1024)
+sys.exit(code)
+"""
+    argv = ["growth", "--group", group, "--weight", weight, "--label", label, "--num", str(n)]
+    out = subprocess.run([sys.executable, "-c", code] + argv, capture_output=True, text=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr
+    *report, rss_mb = out.stdout.splitlines()
+    assert float(rss_mb) < 80, rss_mb
+    got = json.loads("\n".join(report))["result"]["rho_slope"]
+    assert abs(got - ((1 + a * n) / (1 + a * n / 2)) ** (b / (n / 2))) < 1e-12
 
 
 def test_classify(su2, sd):
@@ -308,7 +361,8 @@ def _oracle_log_values(dual, log_of, S, n_max, cap):
     return vals
 
 
-# (group, probe, steps); 130 steps cross two blocks of the lattice engine
+# (group, probe, steps): every family, zero characters, and products with
+# mixed periods, translations and nesting
 GROWTH_PROBES = [
     ("su2", "pi:1", 130), ("su2", "pi:2", 130), ("su2", "pi:3", 130),
     ("so3", "pi:2", 130), ("so3", "pi:4", 130),
@@ -318,6 +372,10 @@ GROWTH_PROBES = [
     ("prod(su2,torus:1)", "pi:1×t:(0)", 130), ("prod(su2,torus:1)", "pi:1×t:(-1)", 70),
     ("prod(su2,torus:1)", "pi:0×t:(1)", 130),
     ("prod(txz2,su2)", "pi:1×pi:1", 40), ("prod(so3,torus:2)", "pi:2×t:(1,-1)", 70),
+    ("su2", "pi:0", 20), ("so3", "pi:6", 70), ("torus:1", "t:(0)", 20), ("torus:3", "t:(0,0,0)", 20),
+    ("prod(su2,su2)", "pi:1×pi:2", 40), ("prod(txz2,txz2)", "pi:1×sgn", 130),
+    ("prod(prod(su2,txz2),torus:1)", "(pi:1×pi:2)×t:(1)", 40),
+    ("prod(torus:1,su2)", "t:(-1)×pi:1", 40), ("prod(su2,prod(torus:1,su2))", "pi:1×(t:(1)×pi:2)", 20),
 ]
 
 
@@ -335,7 +393,7 @@ def test_power_log_values_equal_support_step_oracle(group, probe, n):
     a = parse_label(dual, probe)
     for spec in _recipes(dual):
         w = make_weight(dual, spec)
-        got = dual.power_maxima((a,), n, w.log_values, 200_000)
+        got = dual.power_maxima(a, n, w.log_values, 200_000)
         want = _oracle_log_values(dual, lambda b: oracle_log_value(dual, spec, b), (a,), n, 200_000)
         assert got == want, (spec, [k for k, (x, y) in enumerate(zip(got, want)) if x != y][:5])
 
@@ -367,7 +425,7 @@ def test_log_value_once_per_label_reached(su2, t1):
     ]:
         calls = []
         w = make_weight(dual, "poly:alpha=1")
-        dual.power_maxima((probe,), n, _recording(dual, w, calls), 10**6)
+        dual.power_maxima(probe, n, _recording(dual, w, calls), 10**6)
         assert [c for call in calls for c in call] == reached
 
 
@@ -379,7 +437,7 @@ def test_labels_evaluated_once_in_first_reached_order(group, probe, n):
     a = parse_label(dual, probe)
     calls = []
     w = make_weight(dual, "poly:alpha=1")
-    dual.power_maxima((a,), n, _recording(dual, w, calls), 10**6)
+    dual.power_maxima(a, n, _recording(dual, w, calls), 10**6)
     seen = [c for call in calls for c in call]
     first = _first_reached(dual, (a,), n)
     assert sorted(seen) == sorted(first)
@@ -388,31 +446,38 @@ def test_labels_evaluated_once_in_first_reached_order(group, probe, n):
 
 
 def test_evaluator_calls_per_scan(monkeypatch, su2, t2):
-    # one evaluator call per block: a torus walk is one block, SU(2) a block per 64 steps
+    # one evaluator call per certificate, on exactly the labels the powers reach:
+    # k mu for k = 1..n on the torus, every spin 0..n on SU(2)
     def scalar(*_):
         raise AssertionError("Weight.log_value called in a growth scan")
 
     monkeypatch.setattr(Weight, "log_value", scalar)
     log_values = Weight.log_values
-    for dual, probe, n, most in [(t2, TorusChar((1, -1)), 4096, 1), (su2, Su2Spin(1), 768, 12)]:
+    for dual, probe, n, reached in [
+        (t2, TorusChar((1, -1)), 4096, {(k, -k) for k in range(1, 4097)}),
+        (su2, Su2Spin(1), 768, {(k,) for k in range(769)}),
+    ]:
         w = make_weight(dual, "poly:alpha=1")
         calls = []
 
-        def counted(self, c):
-            calls.append(len(c))
+        def recorded(self, c):
+            calls.append([tuple(p) for p in c.tolist()])
             return log_values(self, c)
 
-        monkeypatch.setattr(Weight, "log_values", counted)
+        monkeypatch.setattr(Weight, "log_values", recorded)
         cert = growth_rate(dual, w, probe, n)
         monkeypatch.setattr(Weight, "log_values", log_values)
-        assert 1 <= len(calls) <= most
-        assert sum(calls) == (n if dual is t2 else n + 1)
+        assert len(calls) == 1
+        assert len(calls[0]) == len(reached) and set(calls[0]) == reached
         assert cert.seq[-1][0] == n
 
 
 @pytest.mark.parametrize("group,probe,cap", [
     ("su2", "pi:1", 5), ("su2", "pi:2", 0), ("torus:1", "t:(1)", 0),
     ("txz2", "pi:2", 3), ("prod(su2,su2)", "pi:1×pi:1", 30), ("prod(su2,torus:1)", "pi:1×t:(1)", 4),
+    ("su2", "pi:0", 0), ("so3", "pi:6", 40), ("torus:1", "t:(0)", 0), ("txz2", "sgn", 0),
+    ("prod(su2,su2)", "pi:1×pi:2", 40), ("prod(txz2,txz2)", "pi:1×sgn", 3),
+    ("prod(prod(su2,txz2),torus:1)", "(pi:1×pi:2)×t:(1)", 20), ("su2", "pi:10000", 5),
 ])
 def test_label_cap_matches_oracle(group, probe, cap):
     dual = parse_group(group)
@@ -420,7 +485,7 @@ def test_label_cap_matches_oracle(group, probe, cap):
     calls, labels = [], []
     w = make_weight(dual, "dim")
     with pytest.raises(LabelCapError) as got:
-        dual.power_maxima((a,), 100, _recording(dual, w, calls), cap)
+        dual.power_maxima(a, 100, _recording(dual, w, calls), cap)
     evaluated = [dual.label_at(c) for call in calls for c in call]
     assert len(evaluated) == len(set(evaluated))
 
@@ -432,6 +497,38 @@ def test_label_cap_matches_oracle(group, probe, cap):
         _oracle_log_values(dual, log_of, (a,), 100, cap)
     assert (got.value.cap, got.value.size) == (want.value.cap, want.value.size)
     assert sorted(evaluated, key=format_label) == sorted(set(labels), key=format_label)
+
+
+# translating products, on the left, on the right and nested on either side
+BLOCK_PROBES = [
+    ("prod(su2,torus:1)", "pi:1×t:(-1)", 70, 4), ("prod(so3,torus:2)", "pi:2×t:(1,-1)", 70, 40),
+    ("prod(prod(su2,txz2),torus:1)", "(pi:1×pi:2)×t:(1)", 40, 20), ("prod(torus:1,su2)", "t:(-1)×pi:1", 40, 6),
+    ("prod(su2,prod(torus:1,su2))", "pi:1×(t:(1)×pi:2)", 20, 30),
+    ("prod(prod(su2,torus:1),su2)", "(pi:1×t:(1))×pi:1", 20, 30),
+]
+
+
+@pytest.mark.parametrize("group,probe,n,cap", BLOCK_PROBES)
+def test_translation_blocks_match_oracle(monkeypatch, group, probe, n, cap):
+    # with blocks of a few rows, a translating table takes many evaluator
+    # calls, on the rows one call takes, in order; maxima and cap errors hold
+    dual = parse_group(group)
+    a = parse_label(dual, probe)
+    w = make_weight(dual, "poly:alpha=1.5")
+    whole = []
+    dual.power_maxima(a, n, _recording(dual, w, whole), 10**6)
+    monkeypatch.setattr(duals, "_BLOCK_ROWS", 7)
+    calls = []
+    got = dual.power_maxima(a, n, _recording(dual, w, calls), 10**6)
+    assert len(whole) == 1 and len(calls) > n // 4 and sum(calls, []) == whole[0]
+    assert got == _oracle_log_values(dual, lambda b: oracle_log_value(dual, "poly:alpha=1.5", b), (a,), n, 10**6)
+    calls = []
+    with pytest.raises(LabelCapError) as got:
+        dual.power_maxima(a, 100, _recording(dual, w, calls), cap)
+    with pytest.raises(LabelCapError) as want:
+        _oracle_log_values(dual, lambda b: 0.0, (a,), 100, cap)
+    assert (got.value.cap, got.value.size) == (want.value.cap, want.value.size)
+    assert len(calls) > 1 and sum(calls, []) == whole[0][: len(sum(calls, []))]
 
 
 def test_growth_foreign_generator(su2, t1):
@@ -448,7 +545,7 @@ def _loop_certificate(dual, w, label, n_max):
     """The certificate with one guarded math.exp call per root, in scan order."""
     from bfw.weights import EPS_CLASS, LABEL_CAP, GrowthCertificate
 
-    logs = dual.power_maxima((label,), n_max, w.log_values, LABEL_CAP)
+    logs = dual.power_maxima(label, n_max, w.log_values, LABEL_CAP)
 
     def exp(x):
         try:
