@@ -15,6 +15,7 @@ store values that are functions of their key, so concurrent use is safe.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -265,6 +266,8 @@ class TorusSpectrumPoint:
 
     def __post_init__(self):
         z = tuple(complex(x) for x in self.z)
+        if not all(map(cmath.isfinite, z)):
+            raise ValueError(f"torus spectrum coordinates must be finite, got {z}")
         if any(x == 0 for x in z):
             raise ValueError("torus spectrum coordinates must be nonzero")
         object.__setattr__(self, "z", z)
@@ -280,6 +283,11 @@ class Su2SpectrumPoint:
     def __post_init__(self):
         s = np.asarray(self.s, dtype=complex)
         lam = float(self.lam)
+        if not (math.isfinite(lam) and np.isfinite(s).all()):
+            raise ValueError(f"an SU(2) spectrum point needs a finite s and lam, got lam = {lam}")
+        # margins read only lam (Su2Dual.log_norms_at), which holds for unitary s
+        if s.shape != (2, 2) or np.abs(s @ s.conj().T - np.eye(2)).max() > 1e-9:
+            raise ValueError("an SU(2) spectrum point needs a unitary 2 x 2 s")
         if lam <= 0.0:
             raise ValueError("lam must be positive")
         if lam < 1.0:
@@ -300,6 +308,8 @@ class SemidirectSpectrumPoint:
     flip: bool = False
 
     def __post_init__(self):
+        if not cmath.isfinite(complex(self.z)):
+            raise ValueError(f"spectrum coordinate must be finite, got {self.z}")
         if complex(self.z) == 0:
             raise ValueError("spectrum coordinate must be nonzero")
         object.__setattr__(self, "z", complex(self.z))
@@ -435,6 +445,12 @@ class GroupDual:
             supp = self.lattice_step(supp, S)
             acc = _union([acc, supp])
         return self.mask_labels(*acc)
+
+    def ball_coords(self, radius: int) -> np.ndarray:
+        """The coordinates of the default ball(radius) as a (k, r) int64 array,
+        one row per label, in label_key order."""
+        pts = [self.coords(a) for a in self.ball(radius)]
+        return np.array(pts, dtype=np.int64).reshape(-1, self.lattice_rank)
 
     # --- integer-lattice supports -------------------------------------------
     # A support is a pair (arr, lo): a boolean mask over a window of the
@@ -573,6 +589,17 @@ class GroupDual:
     def rep(self, a: IrrepLabel, point) -> np.ndarray:
         """Matrix of the irrep a at a group point (unitary) or a spectrum point."""
         return self.reps((a,), [point])[0][0]
+
+    def log_norms_at(self, c: np.ndarray, theta) -> np.ndarray:
+        """log ||pi_a(theta)|| (operator norm) at the labels at the rows of the
+        (k, r) int64 coordinate array c.
+
+        A spectrum point is theta = g p with g in the group and p positive, so
+        ||pi_a(theta)|| = ||pi_a(p)|| is e to the largest weight of pi_a on
+        log p, in closed form per family.  At a group point every value is 0.
+        ``reps`` at theta, one spectral norm per label, is the oracle.
+        """
+        raise NotImplementedError
 
     def conj_intertwiner(self, a: IrrepLabel):
         """(abar, J) with conj(rep(a, s)) == J rep(abar, s) J^{-1} for all s."""
@@ -760,6 +787,14 @@ class TorusDual(GroupDual):
             vals = [np.exp(1j * np.array([float(np.dot(a.mu, p)) for p in points])) for a in labels]
         return [np.array(v, dtype=complex).reshape(-1, 1, 1) for v in vals]
 
+    def log_norms_at(self, c, theta):
+        # |z^mu| = e^{mu . log|z|}, added axis by axis as the exp weight adds its terms
+        out = np.zeros(len(c))
+        if isinstance(theta, TorusSpectrumPoint):
+            for j, z in enumerate(theta.z):
+                out = out + c[:, j] * math.log(abs(z))
+        return out
+
     def conj_intertwiner(self, a):
         self._check(a)
         return self.conjugate(a), np.ones((1, 1), dtype=complex)
@@ -897,6 +932,12 @@ class Su2Dual(GroupDual):
         else:
             stack = su2_irrep_stack(n_max, np.stack(points))
         return [stack[a.n] for a in labels]
+
+    def log_norms_at(self, c, theta):
+        # the top weight of spin n on log diag(lam, 1/lam) is n log lam
+        if not isinstance(theta, Su2SpectrumPoint):
+            return np.zeros(len(c))
+        return c[:, 0] * math.log(theta.lam)
 
     def conj_intertwiner(self, a):
         self._check(a)
@@ -1194,6 +1235,12 @@ class SemidirectDual(GroupDual):
             out.append(M)
         return out
 
+    def log_norms_at(self, c, theta):
+        # pi_m (coordinate m + 1) at |z| is diag(|z|^m, |z|^-m) up to a unitary; triv, sgn 1
+        if not isinstance(theta, SemidirectSpectrumPoint):
+            return np.zeros(len(c))
+        return np.maximum(c[:, 0] - 1, 0) * abs(math.log(abs(theta.z)))
+
     def conj_intertwiner(self, a):
         self._check(a)
         if a.kind == "pi":
@@ -1354,6 +1401,12 @@ class ProductDual(GroupDual):
             L, R, d = sides[0][a.left], sides[1][a.right], self.dim(a)
             out.append((L[:, :, None, :, None] * R[:, None, :, None, :]).reshape(-1, d, d))
         return out
+
+    def log_norms_at(self, c, theta):
+        # the norm of a Kronecker product is the product of the norms
+        left, right = (theta.left, theta.right) if isinstance(theta, ProductSpectrumPoint) else theta
+        r = self.left.lattice_rank
+        return self.left.log_norms_at(c[:, :r], left) + self.right.log_norms_at(c[:, r:], right)
 
     def conj_intertwiner(self, a):
         self._check(a)

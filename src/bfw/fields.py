@@ -24,6 +24,7 @@ input exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -188,6 +189,9 @@ def l2_inner(x: OperatorField, y: OperatorField, w: Weight) -> complex:
     return total
 
 
+_LOG_MAX_FLOAT = math.log(sys.float_info.max)  # e^x is finite for x up to this
+
+
 class DualNormResult(NamedTuple):
     value: float
     cutoff: int | None  # None when the sup ran over a finite support exactly
@@ -214,14 +218,23 @@ def dual_norm_report(T, w: Weight, cutoff: int | None = None,
 
 def point_margin(dual: GroupDual, theta, w: Weight, cutoff: int) -> tuple[float, IrrepLabel]:
     """sup of ||pi(theta)|| / w(pi) over the labels of word length <= cutoff,
-    with the first label that attains it (the trivial one when all are 0)."""
-    best, arg = 0.0, dual.trivial
-    labels = dual.ball(cutoff)
-    for a, R in zip(labels, dual.reps(labels, [theta])):
-        val = float(np.linalg.norm(R[0], 2)) / w(a)
-        if val > best:
-            best, arg = val, a
-    return best, arg
+    with the first label in label_key order that attains it.
+
+    The sup is taken in log space from the positive part of theta, in closed
+    form (:meth:`GroupDual.log_norms_at`): mu . log|z| on tori, n log lam on
+    SU(2)/SO(3), m |log|z|| on pi_m of T x| Z2 (0 on triv and sgn), the sum of
+    the factors' values on products, and 0 at group points.  So neither
+    ||pi(theta)|| nor w(pi) has to be finite, only the margin: one above the
+    largest float raises OverflowError naming the label.  Building every irrep
+    at theta and taking one SVD per label is the test oracle.
+    """
+    c = dual.ball_coords(cutoff)
+    x = dual.log_norms_at(c, theta) - w.log_values(c)
+    i = int(np.argmax(x))  # the first maximum
+    a = dual.label_at(c[i].tolist())
+    if x[i] > _LOG_MAX_FLOAT:
+        raise OverflowError(f"the membership margin overflows at {format_label(a)}")
+    return math.exp(x[i]), a
 
 
 def dual_norm(T, w: Weight, cutoff: int | None = None, dual: GroupDual | None = None) -> float:

@@ -3,16 +3,23 @@
 Multiplicative functionals live inside the complexified group; every element
 factors as (group point) x (positive part), and membership depends only on
 the positive part through the sup over labels of operator norm divided by
-weight.  Group-specific parametrizations:
+weight.  Group-specific parametrizations (finite coordinates only), with the
+operator norm of an irrep there in closed form:
 
-* torus: a nonzero complex number per axis;
+* torus: a nonzero complex number z_j per axis; |z^mu| = e^{mu . log|z|};
 * SU(2): a group point times diag(lam, 1/lam), lam >= 1 canonical (points
   with lam < 1 are replaced by their conjugate under the Weyl flip, which
-  has identical margins);
-* circle-with-flip: a nonzero complex number plus the flip bit.
+  has identical margins); spin n has norm lam^n, and so on SO(3);
+* circle-with-flip: a nonzero complex number z plus the flip bit; pi_m has
+  norm e^{m |log|z||}, triv and sgn norm 1;
+* products: the product of the factors' norms; group points: norm 1.
 
-A truncated scan certifies non-membership when the margin exceeds 1; a
-margin <= 1 at the cutoff is evidence only, and results carry the cutoff.
+Margins are taken from these in log space over lattice coordinates
+(:func:`bfw.fields.point_margin`), so only a margin past the largest float
+overflows; building the irreps at the point and taking their SVDs is the
+test oracle.  A truncated scan certifies non-membership when the margin
+exceeds 1; a margin <= 1 at the cutoff is evidence only, and results carry
+the cutoff.
 """
 
 from __future__ import annotations

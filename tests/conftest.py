@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bfw
 from bfw import (
     OperatorField,
     ProductDual,
@@ -65,3 +71,23 @@ def field_max_abs(f):
 def fields_close(x, y, tol=1e-10):
     diff = x - y
     return field_max_abs(diff) <= tol
+
+
+_CLI_CHILD = """
+import sys
+from bfw.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as f:
+    print(next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) / 1024)
+sys.exit(code)
+"""
+
+
+def cli_child(argv, cwd):
+    """Run ``bfw argv`` in a child process in cwd and return the completed
+    process.  The last line of its stdout is its peak RSS in MB, read as
+    VmHWM: its ru_maxrss would start from the peak of the process that
+    started it."""
+    src = Path(bfw.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-c", _CLI_CHILD] + list(argv), capture_output=True, text=True,
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)})

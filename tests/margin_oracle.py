@@ -1,0 +1,18 @@
+"""The SVD membership margin, kept as the reference for :func:`bfw.fields.point_margin`.
+
+Every irrep of the default ball is built at the point (``dual.reps``) and its
+operator norm taken by one SVD per label, then divided by the weight.  The
+library takes the same sup in closed form from the positive part of the point
+(:meth:`bfw.duals.GroupDual.log_norms_at`).
+"""
+
+import numpy as np
+
+
+def margins(dual, theta, w, cutoff):
+    """The labels of ball(cutoff) and ||pi(theta)|| / w(pi) at each of them;
+    the margin is their maximum, at the first label attaining it."""
+    labels = dual.ball(cutoff)
+    vals = [float(np.linalg.norm(R[0], 2)) / w(a) for a, R in zip(labels, dual.reps(labels, [theta]))]
+    return labels, np.array(vals)
+

@@ -823,8 +823,10 @@ def test_irrep_stacks_equal_per_label_irreps(su2, rng):
         res = membership(su2, theta, w, cutoff=40)
         margins = [np.linalg.norm(su2_irrep(a.n, theta.matrix()), 2) / w(a)
                    for a in su2.ball(40)]
-        assert res.margin == max(margins)
-        assert res.argmax == f"pi:{int(np.argmax(margins))}"
+        # the margin comes in closed form, (lam/2)^n at its top: SVD margins
+        # agree to rounding, and the exact tie at lam = 2 goes to pi:0
+        assert abs(res.margin - max(margins)) <= 1e-12 * max(margins)
+        assert res.argmax == ("pi:40" if lam > 2.0 else "pi:0")
         want = sum(u.dual.dim(a) * complex(np.trace(M @ su2_irrep(a.n, theta.matrix())))
                    for a, M in u.coeffs.items())
         assert char_eval(su2, theta, u) == want

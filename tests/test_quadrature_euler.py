@@ -170,9 +170,10 @@ def test_euler_transform_empty_field_and_labels_equal_oracle(group):
 def test_degree_240_square_of_character_60_stays_small():
     # chi_60^2 = chi_0 + chi_2 + ... + chi_120, so its coefficients are I/(k+1)
     # at even k <= 120 and 0 elsewhere; a child process reports its own peak RSS
+    # as VmHWM: its ru_maxrss would start from the peak of the process that started it
     src = Path(bfw.__file__).resolve().parents[1]
     code = """
-import json, resource
+import json
 import numpy as np
 from bfw import Su2Dual, Su2Spin
 from bfw.fields import character_field
@@ -183,7 +184,9 @@ grid = HaarGrid(su2, 240)
 vals = grid_values(character_field(su2, Su2Spin(60)), grid)
 out = grid.coefficients(vals * vals, su2.ball(120))
 err = max(float(np.max(np.abs(out[a] - (a.n % 2 == 0) * np.eye(a.n + 1) / (a.n + 1)))) for a in su2.ball(120))
-print(json.dumps({"err": err, "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+with open("/proc/self/status") as f:
+    rss_mb = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) / 1024
+print(json.dumps({"err": err, "rss_mb": rss_mb}))
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)})

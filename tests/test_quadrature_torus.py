@@ -3,16 +3,12 @@ of ``quadrature_oracle`` and its meshgrid sum, without stacks, and the peak
 memory of a torus:3 growth curve in a child process."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import bfw
 import quadrature_oracle
+from conftest import cli_child
 from bfw import OperatorField
 from bfw.calculus import _ExpItu, exp_itu
 from bfw.duals import GroupDual, TorusDual
@@ -100,19 +96,9 @@ def test_torus_transform_builds_no_stack(monkeypatch):
 def test_torus3_expcurve_stays_small(tmp_path):
     # the sup estimate takes u on 256^3 points: one inverse FFT, no grid weights
     # and no exponential per character; a child process reports its own peak RSS
-    src = Path(bfw.__file__).resolve().parents[1]
     (tmp_path / "u.json").write_text(dumps(element_to_json(unit_characters(TorusDual(3)))))
-    code = """
-import resource, sys
-from bfw.cli import main
-code = main(sys.argv[1:])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
-sys.exit(code)
-"""
-    argv = ["expcurve", "--group", "torus:3", "--u", "u.json", "--weight", "poly:alpha=1",
-            "--tmax", "4", "--cutoff-cap", "40", "--out", "c.csv"]
-    out = subprocess.run([sys.executable, "-c", code] + argv, capture_output=True, text=True, cwd=tmp_path,
-                         env={**os.environ, "PYTHONPATH": str(src)})
+    out = cli_child(["expcurve", "--group", "torus:3", "--u", "u.json", "--weight", "poly:alpha=1",
+                     "--tmax", "4", "--cutoff-cap", "40", "--out", "c.csv"], tmp_path)
     assert out.returncode == 0, out.stderr
     *summary, rss_mb = out.stdout.splitlines()
     assert float(rss_mb) < 800, rss_mb

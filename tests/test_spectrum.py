@@ -76,6 +76,28 @@ def test_lam_canonicalization():
     assert p.lam == 2.0
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Su2SpectrumPoint(np.eye(2), float("nan")),
+    lambda: Su2SpectrumPoint(np.eye(2), float("inf")),
+    lambda: Su2SpectrumPoint(np.array([[np.nan, 0], [0, 1]]), 2.0),
+    lambda: TorusSpectrumPoint((float("nan"),)),
+    lambda: TorusSpectrumPoint((1.0, complex(1.0, float("inf")))),
+    lambda: SemidirectSpectrumPoint(float("nan")),
+    lambda: SemidirectSpectrumPoint(complex(float("-inf"), 0.0), True),
+], ids=["su2-lam-nan", "su2-lam-inf", "su2-s-nan", "torus-nan", "torus-inf", "txz2-nan", "txz2-inf"])
+def test_non_finite_spectrum_points_are_rejected(make):
+    # a NaN lam ended in "spin-1 irrep overflows", a NaN torus z in an SVD that did not converge
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
+def test_su2_spectrum_point_needs_a_unitary_s():
+    # the margin of s diag(lam, 1/lam) is read from lam alone, which holds for unitary s only
+    for s in (np.diag([2.0, 0.5]), np.eye(3), np.ones((2, 2))):
+        with pytest.raises(ValueError, match="unitary"):
+            Su2SpectrumPoint(s, 1.5)
+
+
 def test_char_eval_examples(su2):
     theta = Su2SpectrumPoint(np.eye(2), 2.0)
     u = character_field(su2, Su2Spin(1))

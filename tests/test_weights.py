@@ -2,17 +2,12 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import bfw
 from bfw import (
     SemidirectLabel,
     Su2Dual,
@@ -29,6 +24,7 @@ from bfw.duals import parse_group
 from bfw.errors import FamilyMismatchError, LabelCapError, WeightOverflowError, WeightSpecError
 from bfw.labels import parse_label
 from weight_log_oracle import oracle_log_value
+from conftest import cli_child
 from bfw.weights import (
     Weight,
     classify_growth,
@@ -187,20 +183,7 @@ def test_translation_product_growth_stays_small(tmp_path, group, weight, label, 
     # a translating factor puts every step's support in the table: a million
     # labels by n = 2048 on the first, five million by n = 384 on the second,
     # evaluated in blocks of steps.  A child process reports its own peak RSS
-    # as VmHWM: its ru_maxrss would start from the peak of the process that
-    # started it
-    src = Path(bfw.__file__).resolve().parents[1]
-    code = """
-import sys
-from bfw.cli import main
-code = main(sys.argv[1:])
-with open("/proc/self/status") as f:
-    print(next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) / 1024)
-sys.exit(code)
-"""
-    argv = ["growth", "--group", group, "--weight", weight, "--label", label, "--num", str(n)]
-    out = subprocess.run([sys.executable, "-c", code] + argv, capture_output=True, text=True, cwd=tmp_path,
-                         env={**os.environ, "PYTHONPATH": str(src)})
+    out = cli_child(["growth", "--group", group, "--weight", weight, "--label", label, "--num", str(n)], tmp_path)
     assert out.returncode == 0, out.stderr
     *report, rss_mb = out.stdout.splitlines()
     assert float(rss_mb) < 80, rss_mb
