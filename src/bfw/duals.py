@@ -68,40 +68,23 @@ _SWAP2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _BLOCK_ROWS = 1 << 18  # a translating product's reach table comes in blocks of this many rows
 
 # ---------------------------------------------------------------------------
-# lattice masks
+# coordinate rows
 # ---------------------------------------------------------------------------
+# Labels are read in bulk as the rows of (k, r) int64 arrays of their lattice
+# coordinates (GroupDual.coords).  Supports are sorted unique rows, and each
+# family states its fusion rule once on such rows (GroupDual.fusion_table).
 
-def _axis(ax: int, start: int, stop: int, step: int | None = None) -> tuple:
-    """Index selecting start:stop:step along axis ax and everything along the others."""
-    return (slice(None),) * ax + (slice(start, stop, step),)
-
-
-def _crop(supp, lo, shape) -> np.ndarray:
-    """The entries of the array supp = (arr, its lo) over the window (lo, shape), 0 outside."""
-    arr, alo = supp
-    out = np.zeros(shape, dtype=arr.dtype)
-    src, dst = [], []
-    for l, n, l2, n2 in zip(alo, arr.shape, lo, shape):
-        a, b = max(l, l2), min(l + n, l2 + n2)
-        if b <= a:
-            return out
-        src.append(slice(a - l, b - l))
-        dst.append(slice(a - l2, b - l2))
-    out[tuple(dst)] = arr[tuple(src)]
-    return out
+def _runs(count: np.ndarray):
+    """(run, offset) over runs of the lengths ``count`` laid end to end: the
+    run index of each position and its offset within its run."""
+    run = np.repeat(np.arange(len(count)), count)
+    return run, np.arange(len(run)) - (np.cumsum(count) - count)[run]
 
 
-def _union(parts):
-    """OR of supports, over the smallest window that holds them all."""
-    full = [p for p in parts if p[0].size]
-    if len(full) <= 1:
-        return full[0] if full else parts[0]
-    lo = tuple(map(min, *(p[1] for p in full)))
-    hi = tuple(map(max, *(tuple(l + n for l, n in zip(p[1], p[0].shape)) for p in full)))
-    out = np.zeros([h - l for l, h in zip(lo, hi)], dtype=bool)
-    for arr, alo in full:
-        out[tuple(slice(a - l, a - l + n) for a, l, n in zip(alo, lo, arr.shape))] |= arr
-    return out, lo
+def _unique_rows(c: np.ndarray) -> np.ndarray:
+    """The distinct rows of the (k, r) int64 array c, in lexicographic order."""
+    c = c[np.lexsort(c.T[::-1])]
+    return c[np.concatenate([[True], (c[1:] != c[:-1]).any(axis=1)])[: len(c)]]
 
 
 def _support_sizes(first, p, n) -> np.ndarray:
@@ -370,19 +353,37 @@ class GroupDual:
             self._fuse_cache[key] = hit
         return hit
 
+    def fusion_table(self, ca: np.ndarray, cb: np.ndarray):
+        """:meth:`fuse` on coordinate rows: for the row-aligned pairs (ca[i],
+        cb[i]) of two (k, r) int64 arrays, the arrays (pair index i, sigma
+        coordinates, multiplicity), one row per component sigma of a (x) b, in
+        pair order and within a pair in the label_key order of ``fuse``."""
+        raise NotImplementedError
+
     # --- word length machinery --------------------------------------------
     def support_step(self, supp: frozenset, S) -> frozenset:
         """One tensor-power step on a frozenset of labels, through ``fuse``.
 
-        The library steps supports as lattice masks (:meth:`lattice_step`);
-        this label-by-label form is the reference those masks are tested
-        against.
+        The library steps supports as sorted coordinate rows through
+        :meth:`fusion_table`; this label-by-label form is the reference those
+        rows are tested against.
         """
         out = set()
         for a in supp:
             for s in S:
                 out.update(sigma for sigma, _ in self.fuse(a, s))
         return frozenset(out)
+
+    def _rows(self, labels) -> np.ndarray:
+        """The coordinates of the labels as sorted unique rows."""
+        pts = np.array([self.coords(a) for a in labels], dtype=np.int64)
+        return _unique_rows(pts.reshape(-1, self.lattice_rank))
+
+    def _step_rows(self, c: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """One tensor-power step on the sorted unique rows c: the sorted unique
+        rows of every a (x) s, for a at a row of c and s at a row of g."""
+        _, sigma, _ = self.fusion_table(np.repeat(c, len(g), axis=0), np.tile(g, (len(c), 1)))
+        return _unique_rows(sigma)
 
     def tensor_power_support(self, S, k: int) -> tuple[IrrepLabel, ...]:
         """Labels occurring in some k-fold tensor product of members of S."""
@@ -394,10 +395,10 @@ class GroupDual:
         if not S:
             raise ValueError("empty generating set with k >= 1")
         self._check(*S)
-        supp = self.mask(S)
+        supp = g = self._rows(S)
         for _ in range(k - 1):
-            supp = self.lattice_step(supp, S)
-        return self.mask_labels(*supp)
+            supp = self._step_rows(supp, g)
+        return self._row_labels(supp)
 
     def word_length(self, a: IrrepLabel, S=None, cap: int = 512) -> int:
         """Minimal k with a inside a k-fold product over S; trivial has length 0.
@@ -411,17 +412,16 @@ class GroupDual:
             return 0
         S = tuple(S)
         self._check(*S)
-        target = self.coords(a)
-        seen = supp = self.mask((self.trivial,))
+        target, g = np.array(self.coords(a), dtype=np.int64), self._rows(S)
+        seen = supp = self._rows((self.trivial,))
         for k in range(1, cap + 1):
-            supp = self.lattice_step(supp, S)
-            arr, lo = supp
-            at = tuple(c - l for c, l in zip(target, lo))
-            if all(0 <= i < n for i, n in zip(at, arr.shape)) and arr[at]:
+            supp = self._step_rows(supp, g)
+            if (supp == target).all(axis=1).any():
                 return k
-            if k > 1 and not (arr & ~_crop(seen, lo, arr.shape)).any():
+            union = _unique_rows(np.concatenate([seen, supp]))
+            if k > 1 and len(union) == len(seen):
                 raise NotGeneratedError(a, k)
-            seen = _union([seen, supp])
+            seen = union
         raise NotGeneratedError(a, cap)
 
     def ball(self, radius: int, S=None) -> tuple[IrrepLabel, ...]:
@@ -434,17 +434,17 @@ class GroupDual:
         generator lies from the trivial label.
         """
         if S is None:
-            return self.mask_labels(*self._ball_mask(radius))
+            return self._row_labels(self._ball_rows(radius))
         if radius < 0:
             raise ValueError(f"ball radius must be >= 0, got {radius}")
-        S = tuple(S)
-        acc = supp = self.mask((self.trivial,))
-        if radius > 0:
-            self._check(*S)
+        S = tuple(S) if radius > 0 else ()  # radius 0 reads no generator
+        self._check(*S)
+        acc = supp = self._rows((self.trivial,))
+        g = self._rows(S)
         for _ in range(radius):
-            supp = self.lattice_step(supp, S)
-            acc = _union([acc, supp])
-        return self.mask_labels(*acc)
+            supp = self._step_rows(supp, g)
+            acc = _unique_rows(np.concatenate([acc, supp]))
+        return self._row_labels(acc)
 
     def ball_coords(self, radius: int) -> np.ndarray:
         """The coordinates of the default ball(radius) as a (k, r) int64 array,
@@ -452,10 +452,23 @@ class GroupDual:
         pts = [self.coords(a) for a in self.ball(radius)]
         return np.array(pts, dtype=np.int64).reshape(-1, self.lattice_rank)
 
-    # --- integer-lattice supports -------------------------------------------
-    # A support is a pair (arr, lo): a boolean mask over a window of the
-    # family's label lattice, holding the labels whose coordinates are lo
-    # plus an index where arr is True.
+    def _ball_rows(self, radius: int) -> np.ndarray:
+        """The rows of the coordinate box of the default ball(radius) where
+        :meth:`word_lengths_at` is at most radius."""
+        if radius < 0:
+            raise ValueError(f"ball radius must be >= 0, got {radius}")
+        triv = np.array(self.coords(self.trivial), dtype=np.int64)
+        off = np.array([self.coords(s) for s in self.generators()], dtype=np.int64) - triv
+        lo = triv + radius * np.minimum(off.min(axis=0), 0)
+        hi = triv + radius * np.maximum(off.max(axis=0), 0)
+        box = np.indices(tuple((hi - lo + 1).tolist())).reshape(len(lo), -1).T + lo
+        return box[self.word_lengths_at(box) <= radius]
+
+    def _row_labels(self, c: np.ndarray) -> tuple[IrrepLabel, ...]:
+        """The labels at the rows of c that the family contains, sorted by label_key."""
+        return tuple(sorted((a for a in map(self.label_at, c.tolist()) if self.contains(a)), key=label_key))
+
+    # --- integer-lattice coordinates ----------------------------------------
     lattice_rank = 1
 
     def coords(self, a: IrrepLabel) -> tuple[int, ...]:
@@ -480,47 +493,6 @@ class GroupDual:
         """Dimensions of the labels at the rows of c."""
         raise NotImplementedError
 
-    def _step_mask(self, arr, lo, s, ax):
-        """The support (arr, lo) tensored by the generator s, acting on the
-        lattice axes ax, ax+1, ... that hold this family's coordinates."""
-        raise NotImplementedError
-
-    def mask(self, labels) -> tuple[np.ndarray, tuple[int, ...]]:
-        """The support holding the given labels."""
-        r = self.lattice_rank
-        pts = np.array([self.coords(a) for a in labels], dtype=np.int64).reshape(-1, r)
-        if not len(pts):
-            return np.zeros((0,) * r, dtype=bool), (0,) * r
-        lo = pts.min(axis=0)
-        arr = np.zeros(pts.max(axis=0) - lo + 1, dtype=bool)
-        arr[tuple((pts - lo).T)] = True
-        return arr, tuple(lo.tolist())
-
-    def mask_labels(self, arr, lo) -> tuple[IrrepLabel, ...]:
-        """The labels of a support that the family contains, sorted by label_key."""
-        pts = (np.argwhere(arr) + np.array(lo, dtype=np.int64)).tolist()
-        return tuple(sorted((a for a in map(self.label_at, pts) if self.contains(a)), key=label_key))
-
-    def _ball_mask(self, radius: int):
-        """The support of the default ball(radius): a box of coordinates,
-        marked where :meth:`word_lengths_at` is at most radius."""
-        if radius < 0:
-            raise ValueError(f"ball radius must be >= 0, got {radius}")
-        triv = np.array(self.coords(self.trivial), dtype=np.int64)
-        off = np.array([self.coords(s) for s in self.generators()], dtype=np.int64) - triv
-        lo = triv + radius * np.minimum(off.min(axis=0), 0)
-        hi = triv + radius * np.maximum(off.max(axis=0), 0)
-        shape = tuple((hi - lo + 1).tolist())
-        box = np.indices(shape).reshape(len(shape), -1).T + lo
-        return self.word_lengths_at(box).reshape(shape) <= radius, tuple(lo.tolist())
-
-    def lattice_step(self, supp, S):
-        """One tensor-power step on a support: the OR over the generators in S."""
-        if not S:
-            return self.mask(())
-        arr, lo = supp
-        return _union([self._step_mask(arr, lo, s, 0) for s in S])
-
     def reach_table(self, s: IrrepLabel, n: int, cap: int, lo: int):
         """The labels the powers s^(x)k reach, k = 1..n, in closed form: int64
         lattice coordinates (one row per label), the first k reaching each
@@ -531,8 +503,8 @@ class GroupDual:
         support of more than ``cap`` labels may be left out.  A translating
         table (p = 0) holds the steps lo + 1 up to the first of its last row,
         each in full: up to n, or fewer when a product's rows pass
-        ``_BLOCK_ROWS``.  :meth:`tensor_power_support` is the oracle of every
-        table."""
+        ``_BLOCK_ROWS``.  :meth:`tensor_power_support`, which steps coordinate
+        rows through :meth:`fusion_table`, is the oracle of every table."""
         raise NotImplementedError
 
     def power_maxima(self, s: IrrepLabel, n: int, log_values, cap: int) -> list[float]:
@@ -743,22 +715,17 @@ class TorusDual(GroupDual):
     def ball_coords(self, radius: int) -> np.ndarray:
         """The coordinates mu of ball(radius) as a (k, n) int64 array, in
         label_key order: word length |mu|_1, then mu lexicographically."""
-        return self._key_sorted(*self._ball_mask(radius))
+        return self._key_sorted(self._ball_rows(radius))
 
-    def mask_labels(self, arr, lo):
-        return tuple(map(self.label_at, self._key_sorted(arr, lo).tolist()))
+    def _row_labels(self, c):
+        return tuple(map(self.label_at, self._key_sorted(c).tolist()))
 
-    def _key_sorted(self, arr, lo) -> np.ndarray:
-        """The coordinates of a support, sorted as label_key sorts their labels."""
-        pts = np.argwhere(arr) + np.array(lo, dtype=np.int64)
-        return pts[np.lexsort((*pts.T[::-1], np.abs(pts).sum(axis=1)))]
+    def _key_sorted(self, c: np.ndarray) -> np.ndarray:
+        """The rows of c, sorted as label_key sorts their labels."""
+        return c[np.lexsort((*c.T[::-1], np.abs(c).sum(axis=1)))]
 
-    def _step_mask(self, arr, lo, s, ax):
-        # a pure translation: the window moves and the mask is not copied
-        lo = list(lo)
-        for i, m in enumerate(s.mu):
-            lo[ax + i] += m
-        return arr, tuple(lo)
+    def fusion_table(self, ca, cb):
+        return np.arange(len(ca)), ca + cb, np.ones(len(ca), dtype=np.int64)
 
     def reach_table(self, s, n, cap, lo):
         mu = np.array(s.mu, dtype=np.int64)  # step k reaches k mu alone
@@ -877,21 +844,11 @@ class Su2Dual(GroupDual):
     def dims_at(self, c):
         return c[:, 0] + 1
 
-    def _step_mask(self, arr, lo, s, ax):
-        # a (x) s holds a + d for d = -s, -s+2, ..., s where a + d >= |a - s|,
-        # that is where 2a >= s - d (Clebsch-Gordan)
-        n = s.n
-        l, size = lo[ax], arr.shape[ax]
-        new_l = max(0, l - n)
-        shape = list(arr.shape)
-        shape[ax] = l + size + n - new_l
-        out = np.zeros(shape, dtype=bool)
-        for d in range(-n, n + 1, 2):
-            i0 = max(0, (n - d) // 2 - l)
-            if i0 < size:
-                off = l + d - new_l
-                out[_axis(ax, i0 + off, size + off)] |= arr[_axis(ax, i0, size)]
-        return out, lo[:ax] + (new_l,) + lo[ax + 1:]
+    def fusion_table(self, ca, cb):
+        # a (x) b = |a - b|, |a - b| + 2, ..., a + b (Clebsch-Gordan)
+        a, b = ca[:, 0], cb[:, 0]
+        pair, j = _runs(np.minimum(a, b) + 1)
+        return pair, (np.abs(a - b)[pair] + 2 * j)[:, None], np.ones(len(pair), dtype=np.int64)
 
     def reach_table(self, s, n, cap, lo):
         # step k >= 2 reaches every spin c <= k m with c = k m (mod 2), k m // 2 + 1
@@ -1167,28 +1124,18 @@ class SemidirectDual(GroupDual):
     def dims_at(self, c):
         return np.where(c[:, 0] < 2, 1, 2)
 
-    def _step_mask(self, arr, lo, s, ax):
-        # the fusion table in slices, on a window from index 0 (triv 0, sgn 1, pi_m at m + 1)
-        if s.kind == "triv":
-            return arr, lo
-        m = s.m if s.kind == "pi" else 0
-        lo0 = lo[:ax] + (0,) + lo[ax + 1:]
-        shape = list(arr.shape)
-        shape[ax] = max(2, lo[ax] + arr.shape[ax] + m + 1)
-        A = _crop((arr, lo), lo0, shape)
-        if s.kind == "sgn":  # swaps triv and sgn, fixes every pi_k
-            A[_axis(ax, 0, 2)] = A[_axis(ax, 1, None, -1)].copy()
-            return A, lo0
-        at = lambda i: _axis(ax, i, i + 1)
-        L = shape[ax]
-        out = np.zeros(shape, dtype=bool)
-        out[at(m + 1)] |= A[at(0)] | A[at(1)]  # triv, sgn -> pi_m
-        out[_axis(ax, m + 2, L)] |= A[_axis(ax, 2, L - m)]  # pi_k -> pi_{k+m}
-        out[_axis(ax, 2, L - m)] |= A[_axis(ax, m + 2, L)]  # pi_k -> pi_{k-m}, k > m
-        out[_axis(ax, 2, m + 1)] |= A[_axis(ax, m, 1, -1)]  # pi_k -> pi_{m-k}, k < m
-        out[at(0)] |= A[at(m + 1)]  # pi_m -> triv + sgn
-        out[at(1)] |= A[at(m + 1)]
-        return out, lo0
+    def fusion_table(self, ca, cb):
+        # on the coordinates (triv 0, sgn 1, pi_m at m + 1): triv and sgn multiply
+        # as XOR, a scalar times pi_m is pi_m, and pi_m (x) pi_n = pi_|m-n| + pi_{m+n}
+        # with pi_0 read as triv + sgn (coordinates 0, 1)
+        a, b = ca[:, 0], cb[:, 0]
+        both = (a > 1) & (b > 1)
+        count = np.where(both, 2 + (a == b), 1)
+        pair, j = _runs(count)
+        a, b, both, hi = a[pair], b[pair], both[pair], np.maximum(a, b)[pair]
+        low = np.where(both, np.where(a == b, 0, np.abs(a - b) + 1), np.where(hi > 1, hi, a ^ b))
+        sigma = np.where(both & (j == count[pair] - 1), a + b - 1, low + j)
+        return pair, sigma[:, None], np.ones(len(pair), dtype=np.int64)
 
     def reach_table(self, s, n, cap, lo):
         # pi_m^(x)k holds pi_{jm} (at jm + 1) for j = k, k - 2, ... >= 1, and
@@ -1343,10 +1290,16 @@ class ProductDual(GroupDual):
         r = self.left.lattice_rank
         return self.left.dims_at(c[:, :r]) * self.right.dims_at(c[:, r:])
 
-    def _step_mask(self, arr, lo, s, ax):
-        # each factor's rule along its own axes
-        arr, lo = self.left._step_mask(arr, lo, s.left, ax)
-        return self.right._step_mask(arr, lo, s.right, ax + self.left.lattice_rank)
+    def fusion_table(self, ca, cb):
+        # each pair's left rows times its right rows, left-major, as label_key orders them
+        r = self.left.lattice_rank
+        pl, sl, ml = self.left.fusion_table(ca[:, :r], cb[:, :r])
+        pr, sr, mr = self.right.fusion_table(ca[:, r:], cb[:, r:])
+        nr = np.bincount(pr, minlength=len(ca))
+        il, j = _runs(nr[pl])  # each left row once per right row of its pair
+        pair = pl[il]
+        ir = (np.cumsum(nr) - nr)[pair] + j
+        return pair, np.hstack([sl[il], sr[ir]]), ml[il] * mr[ir]
 
     def reach_table(self, s, n, cap, lo):
         # the support of a step is the product of the factors' supports

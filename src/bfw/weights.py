@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .duals import GroupDual, So3Dual, Su2Dual, TorusDual, so3_lift
+from .duals import _BLOCK_ROWS, GroupDual, So3Dual, Su2Dual, TorusDual, _runs, so3_lift
 from .errors import UnsupportedBranchingError, WeightOverflowError, WeightSpecError
 from .labels import IrrepLabel, Su2Spin, format_label, parse_label, split_top
 
@@ -338,22 +338,67 @@ def weight_to_json(w: Weight) -> dict:
 def validate(dual: GroupDual, w: Weight, depth: int = 12, tol: float = 1e-9) -> WeightReport:
     """Check the fusion inequality on all pairs of labels of word length <= depth.
 
+    One pass over :meth:`GroupDual.fusion_table` of the pairs (ball[i],
+    ball[j]), i <= j, in that order, in blocks of whole i of at most
+    ``_BLOCK_ROWS`` rows where one i allows.  w is called once per label, in
+    the order the pairs first meet them: ball(depth) in order (ball[0] is
+    trivial, and triv (x) b = b), then each new sigma in row order.  The
+    excess w(sigma) / (w(a) w(b)) - 1.0 is elementwise IEEE arithmetic, and
+    the witness is the first row attaining the worst excess, so the report
+    equals that of a loop over the pairs through ``fuse``.  So does the
+    exception when the loop would raise: the error of the first label whose
+    weight fails, or the ZeroDivisionError of an earlier pair whose bound
+    w(a) w(b) underflows to 0.
+
     Failures are report contents, never exceptions.
     """
     labels = dual.ball(depth)
-    worst = 0.0
-    witness = None
-    witness_vals = None
-    for i, a in enumerate(labels):
-        wa = w(a)
-        for b in labels[i:]:
-            bound = wa * w(b)
-            for sigma, _ in dual.fuse(a, b):
-                excess = w(sigma) / bound - 1.0
-                if excess > worst:
-                    worst = excess
-                    witness = (format_label(sigma), format_label(a), format_label(b))
-                    witness_vals = (w(sigma), wa, w(b))
+    n = len(labels)
+    coords = np.array([dual.coords(a) for a in labels], dtype=np.int64).reshape(n, -1)
+    known = {}  # coordinates -> w, for every label evaluated
+    worst, witness, witness_vals = 0.0, None, None
+    per_i = np.arange(n, 0, -1)  # the pairs (i, j >= i) of each i
+    # a (x) b has at most the components of a (x) a, so this bounds the rows of each i
+    rows = per_i * np.bincount(dual.fusion_table(coords, coords)[0], minlength=n)
+    ends = np.cumsum(rows)
+    i0 = 0
+    while i0 < n:
+        i1 = max(i0 + 1, int(np.searchsorted(ends, ends[i0] - rows[i0] + _BLOCK_ROWS, "right")))
+        run, off = _runs(per_i[i0:i1])
+        ia = i0 + run
+        ib = ia + off
+        pair, sigma, _ = dual.fusion_table(coords[ia], coords[ib])
+        # the distinct sigma rows, valued in the order the rows first meet them
+        lo = sigma.min(axis=0)
+        key = np.ravel_multi_index(tuple((sigma - lo).T), tuple((sigma.max(axis=0) - lo + 1).tolist()))
+        _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+        vals, stop, err = np.empty(len(first)), len(pair), None
+        for d in np.argsort(first).tolist():
+            c = tuple(sigma[first[d]].tolist())
+            if c not in known:
+                try:
+                    known[c] = w(dual.label_at(c))
+                except (WeightOverflowError, WeightSpecError) as exc:
+                    stop, err = first[d], exc
+                    break
+            vals[d] = known[c]
+        va = np.array([known.get(c, np.nan) for c in map(tuple, coords.tolist())])
+        with np.errstate(over="ignore"):  # an infinite bound gives the loop's excess -1.0
+            bound = (va[ia] * va[ib])[pair]
+            zero = np.flatnonzero(bound[:stop] == 0.0)
+            if zero.size:  # the loop's float division by this bound raises first
+                float(vals[inv[zero[0]]]) / float(bound[zero[0]])
+            if err is not None:
+                raise err
+            excess = vals[inv] / bound - 1.0
+        t = int(np.argmax(excess))
+        if excess[t] > worst:
+            worst = float(excess[t])
+            p = pair[t]
+            witness = (format_label(dual.label_at(sigma[t].tolist())), format_label(labels[ia[p]]),
+                       format_label(labels[ib[p]]))
+            witness_vals = (float(vals[inv[t]]), float(va[ia[p]]), float(va[ib[p]]))
+        i0 = i1
     sym = max(abs(w(dual.conjugate(a)) - w(a)) / w(a) for a in labels)
     inf = min(w(a) for a in labels)
     passed = worst <= tol and (not w.symmetric or sym <= 1e-12)

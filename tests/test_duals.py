@@ -263,7 +263,7 @@ def test_product_dual(prod_dual, rng):
     )
 
 
-# --- lattice masks against the frozenset support_step oracle -------------------
+# --- coordinate-row supports against the frozenset support_step oracle --------
 
 # (group, generating set): one or several generators, negative and mixed
 # torus characters, every T x| Z2 kind, products of each family
@@ -287,6 +287,8 @@ LATTICE_CASES = [
     ("prod(txz2,su2)", ["pi:2×pi:1"]),
     ("prod(txz2,su2)", ["sgn×pi:0", "pi:1×pi:2"]),
     ("prod(so3,torus:2)", ["pi:2×t:(1,-1)", "pi:0×t:(0,1)"]),
+    ("prod(txz2,txz2)", ["sgn×triv", "triv×sgn"]),
+    ("torus:2", ["t:(1,0)", "t:(-1,0)"]),
 ]
 
 
@@ -318,12 +320,10 @@ def test_lattice_coords_round_trip():
 @pytest.mark.parametrize("group,gens", LATTICE_CASES)
 def test_tensor_power_support_matches_oracle(group, gens):
     dual, S = _case(group, gens)
-    supp, mask = frozenset(S), dual.mask(S)
+    supp = frozenset(S)
     for k in range(1, 13):
-        want = tuple(sorted(supp, key=label_key))
-        assert dual.mask_labels(*mask) == want
-        assert dual.tensor_power_support(S, k) == want
-        supp, mask = dual.support_step(supp, S), dual.lattice_step(mask, S)
+        assert dual.tensor_power_support(S, k) == tuple(sorted(supp, key=label_key))
+        supp = dual.support_step(supp, S)
 
 
 # one generator per case: every period (0, 1, 2), zero characters, mixed
@@ -417,6 +417,43 @@ def test_word_length_not_generated_at_oracle_step(su2, sd):
     assert exc.value.cap == 2
     with pytest.raises(NotGeneratedError) as exc:
         su2.word_length(Su2Spin(3), S=(), cap=10)
+    assert exc.value.cap == 2
+
+
+# every family, products in both orders and one nested product.  torus:3 and
+# the nested product pair ball(12) with ball(2) only, in both orders: all
+# pairs of their ball(12) take about a minute through fuse.
+FUSION_TABLE_CASES = [
+    ("su2", 12), ("so3", 12), ("txz2", 12), ("torus:1", 12), ("torus:2", 12), ("torus:3", 2),
+    ("prod(su2,torus:1)", 12), ("prod(torus:1,su2)", 12), ("prod(txz2,so3)", 12), ("prod(so3,txz2)", 12),
+    ("prod(prod(su2,txz2),torus:1)", 2),
+]
+
+
+@pytest.mark.parametrize("group,small", FUSION_TABLE_CASES)
+def test_fusion_table_equals_fuse(group, small):
+    # labels, order and multiplicity of every pair (a, b), a in ball(12) and b in ball(small)
+    dual = parse_group(group)
+    big, few = dual.ball(12), dual.ball(small)
+    pairs = [(a, b) for a in big for b in few]
+    if small < 12:
+        pairs += [(b, a) for a, b in pairs]
+    ca, cb = (np.array([dual.coords(p[k]) for p in pairs], dtype=np.int64) for k in (0, 1))
+    pair, sigma, mult = dual.fusion_table(ca, cb)
+    assert pair.dtype == sigma.dtype == mult.dtype == np.int64 and sigma.shape == (len(pair), dual.lattice_rank)
+    got = list(zip(pair.tolist(), map(dual.label_at, sigma.tolist()), mult.tolist()))
+    assert got == [(i, s, m) for i, (a, b) in enumerate(pairs) for s, m in dual.fuse(a, b)]
+
+
+@pytest.mark.parametrize("group", [group for group, _ in FUSION_TABLE_CASES])
+def test_empty_generating_set(group):
+    dual = parse_group(group)
+    with pytest.raises(ValueError, match="empty generating set"):
+        dual.tensor_power_support((), 1)
+    assert dual.tensor_power_support((), 0) == dual.ball(3, ()) == (dual.trivial,)
+    assert dual.word_length(dual.trivial, S=()) == 0
+    with pytest.raises(NotGeneratedError) as exc:  # step 2 reaches no label step 1 did not
+        dual.word_length(dual.generators()[0], S=(), cap=10)
     assert exc.value.cap == 2
 
 
