@@ -147,10 +147,9 @@ def _shells(dual: GroupDual, n_max: int) -> list[list[IrrepLabel]]:
     """Shell n lists the labels of word length n, n <= n_max, in ball order;
     each ball is sorted, so shell n is ball(n) minus ball(n - 1) in order."""
     shells: list[list[IrrepLabel]] = [[] for _ in range(n_max + 1)]
-    ball = dual.ball(n_max)
-    coords = np.array([dual.coords(a) for a in ball], dtype=np.int64)
-    for a, n in zip(ball, dual.word_lengths_at(coords).tolist()):
-        shells[n].append(a)
+    coords = dual.ball_coords(n_max)
+    for c, n in zip(coords.tolist(), dual.word_lengths_at(coords).tolist()):
+        shells[n].append(dual.label_at(c))
     return shells
 
 
@@ -175,9 +174,9 @@ def smoothing_kernel(dual: GroupDual, m: float, cutoff: int, w2: Weight) -> Smoo
         terms[a] = np.eye(dual.dim(a)) / (1.0 + cas.eigenvalue(a)) ** m
     fld = OperatorField.from_terms(dual, terms)
     tail = 0.0
-    for a in dual.ball(4 * cutoff):
-        if dual.word_length(a) <= cutoff:
-            continue
+    coords = dual.ball_coords(4 * cutoff)
+    for c in coords[dual.word_lengths_at(coords) > cutoff].tolist():
+        a = dual.label_at(c)
         tail += dual.dim(a) ** 2 * w2(a) / (1.0 + cas.eigenvalue(a)) ** (2 * m)
     return SmoothingKernel(m, cutoff, fld, tail)
 

@@ -27,7 +27,6 @@ from .errors import (
     FamilyMismatchError,
     IntertwinerSynthesisError,
     LabelCapError,
-    NotGeneratedError,
     UnsupportedBranchingError,
 )
 from .labels import (
@@ -71,20 +70,15 @@ _BLOCK_ROWS = 1 << 18  # a translating product's reach table comes in blocks of 
 # coordinate rows
 # ---------------------------------------------------------------------------
 # Labels are read in bulk as the rows of (k, r) int64 arrays of their lattice
-# coordinates (GroupDual.coords).  Supports are sorted unique rows, and each
-# family states its fusion rule once on such rows (GroupDual.fusion_table).
+# coordinates (GroupDual.coords).  Each family states its ball
+# (GroupDual.ball_coords) and its fusion rule (GroupDual.fusion_table) once on
+# such rows.
 
 def _runs(count: np.ndarray):
     """(run, offset) over runs of the lengths ``count`` laid end to end: the
     run index of each position and its offset within its run."""
     run = np.repeat(np.arange(len(count)), count)
     return run, np.arange(len(run)) - (np.cumsum(count) - count)[run]
-
-
-def _unique_rows(c: np.ndarray) -> np.ndarray:
-    """The distinct rows of the (k, r) int64 array c, in lexicographic order."""
-    c = c[np.lexsort(c.T[::-1])]
-    return c[np.concatenate([[True], (c[1:] != c[:-1]).any(axis=1)])[: len(c)]]
 
 
 def _support_sizes(first, p, n) -> np.ndarray:
@@ -364,9 +358,10 @@ class GroupDual:
     def support_step(self, supp: frozenset, S) -> frozenset:
         """One tensor-power step on a frozenset of labels, through ``fuse``.
 
-        The library steps supports as sorted coordinate rows through
-        :meth:`fusion_table`; this label-by-label form is the reference those
-        rows are tested against.
+        The library reads tensor-power supports in closed form
+        (:meth:`reach_table`) and balls as coordinate rows
+        (:meth:`ball_coords`); walking this label-by-label step from the
+        trivial label is the reference both are tested against.
         """
         out = set()
         for a in supp:
@@ -374,87 +369,28 @@ class GroupDual:
                 out.update(sigma for sigma, _ in self.fuse(a, s))
         return frozenset(out)
 
-    def _rows(self, labels) -> np.ndarray:
-        """The coordinates of the labels as sorted unique rows."""
-        pts = np.array([self.coords(a) for a in labels], dtype=np.int64)
-        return _unique_rows(pts.reshape(-1, self.lattice_rank))
-
-    def _step_rows(self, c: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """One tensor-power step on the sorted unique rows c: the sorted unique
-        rows of every a (x) s, for a at a row of c and s at a row of g."""
-        _, sigma, _ = self.fusion_table(np.repeat(c, len(g), axis=0), np.tile(g, (len(c), 1)))
-        return _unique_rows(sigma)
-
-    def tensor_power_support(self, S, k: int) -> tuple[IrrepLabel, ...]:
-        """Labels occurring in some k-fold tensor product of members of S."""
-        if k < 0:
-            raise ValueError(f"tensor power must be >= 0, got {k}")
-        if k == 0:
-            return (self.trivial,)
-        S = tuple(S)
-        if not S:
-            raise ValueError("empty generating set with k >= 1")
-        self._check(*S)
-        supp = g = self._rows(S)
-        for _ in range(k - 1):
-            supp = self._step_rows(supp, g)
-        return self._row_labels(supp)
-
-    def word_length(self, a: IrrepLabel, S=None, cap: int = 512) -> int:
-        """Minimal k with a inside a k-fold product over S; trivial has length 0.
-
-        With S=None this is the family's rule on ``coords(a)``, which the
-        walk over the default generators is tested against."""
+    def word_length(self, a: IrrepLabel) -> int:
+        """Minimal k with a inside a k-fold product of the default generators;
+        the trivial label has length 0.  This is the family's rule on
+        ``coords(a)``, which the tests hold to the walk over the generators."""
         self._check(a)
-        if S is None:
-            return self._word_length_rule(self.coords(a))
-        if a == self.trivial:
-            return 0
-        S = tuple(S)
-        self._check(*S)
-        target, g = np.array(self.coords(a), dtype=np.int64), self._rows(S)
-        seen = supp = self._rows((self.trivial,))
-        for k in range(1, cap + 1):
-            supp = self._step_rows(supp, g)
-            if (supp == target).all(axis=1).any():
-                return k
-            union = _unique_rows(np.concatenate([seen, supp]))
-            if k > 1 and len(union) == len(seen):
-                raise NotGeneratedError(a, k)
-            seen = union
-        raise NotGeneratedError(a, cap)
+        return self._word_length_rule(self.coords(a))
 
-    def ball(self, radius: int, S=None) -> tuple[IrrepLabel, ...]:
-        """All labels of word length <= radius (cumulative tensor-power support).
-
-        Over the default generators (S=None) they are the labels of a box of
-        coordinates that the family contains and whose :meth:`word_lengths_at`
-        is at most radius.  The box holds what radius steps from the trivial
-        label reach when a step moves each coordinate at most as far as some
-        generator lies from the trivial label.
-        """
-        if S is None:
-            return self._row_labels(self._ball_rows(radius))
-        if radius < 0:
-            raise ValueError(f"ball radius must be >= 0, got {radius}")
-        S = tuple(S) if radius > 0 else ()  # radius 0 reads no generator
-        self._check(*S)
-        acc = supp = self._rows((self.trivial,))
-        g = self._rows(S)
-        for _ in range(radius):
-            supp = self._step_rows(supp, g)
-            acc = _unique_rows(np.concatenate([acc, supp]))
-        return self._row_labels(acc)
+    def ball(self, radius: int) -> tuple[IrrepLabel, ...]:
+        """All labels of word length <= radius, in label_key order: the labels
+        at the rows of :meth:`ball_coords`."""
+        return tuple(map(self.label_at, self.ball_coords(radius).tolist()))
 
     def ball_coords(self, radius: int) -> np.ndarray:
-        """The coordinates of the default ball(radius) as a (k, r) int64 array,
-        one row per label, in label_key order."""
-        pts = [self.coords(a) for a in self.ball(radius)]
-        return np.array(pts, dtype=np.int64).reshape(-1, self.lattice_rank)
+        """The coordinates of ball(radius) as a (k, r) int64 array, one row per
+        label, in label_key order.
 
-    def _ball_rows(self, radius: int) -> np.ndarray:
-        """The rows of the coordinate box of the default ball(radius) where
-        :meth:`word_lengths_at` is at most radius."""
+        They are the rows of a box of coordinates that the family contains
+        (:meth:`contains_at`) and whose :meth:`word_lengths_at` is at most
+        radius, sorted by one lexsort over :meth:`_key_columns`.  The box holds
+        what radius steps from the trivial label reach when a step moves each
+        coordinate at most as far as some generator lies from the trivial label.
+        """
         if radius < 0:
             raise ValueError(f"ball radius must be >= 0, got {radius}")
         triv = np.array(self.coords(self.trivial), dtype=np.int64)
@@ -462,11 +398,18 @@ class GroupDual:
         lo = triv + radius * np.minimum(off.min(axis=0), 0)
         hi = triv + radius * np.maximum(off.max(axis=0), 0)
         box = np.indices(tuple((hi - lo + 1).tolist())).reshape(len(lo), -1).T + lo
-        return box[self.word_lengths_at(box) <= radius]
+        c = box[(self.word_lengths_at(box) <= radius) & self.contains_at(box)]
+        return c[np.lexsort(self._key_columns(c)[::-1])]
 
-    def _row_labels(self, c: np.ndarray) -> tuple[IrrepLabel, ...]:
-        """The labels at the rows of c that the family contains, sorted by label_key."""
-        return tuple(sorted((a for a in map(self.label_at, c.tolist()) if self.contains(a)), key=label_key))
+    def contains_at(self, c: np.ndarray) -> np.ndarray:
+        """Whether the family has a label at each row of the (k, r) int64
+        coordinate array c (:meth:`contains` on coordinates)."""
+        return np.ones(len(c), dtype=bool)
+
+    def _key_columns(self, c: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Columns over the rows of c whose lexicographic order is the
+        label_key order of the labels at them, most significant first."""
+        return tuple(c.T)
 
     # --- integer-lattice coordinates ----------------------------------------
     lattice_rank = 1
@@ -485,8 +428,8 @@ class GroupDual:
         raise NotImplementedError
 
     def word_lengths_at(self, c: np.ndarray) -> np.ndarray:
-        """Default word lengths (:meth:`word_length` with S=None) of the labels
-        at the rows of the (k, r) int64 coordinate array c."""
+        """Word lengths (:meth:`word_length`) of the labels at the rows of the
+        (k, r) int64 coordinate array c."""
         return self._word_length_rule(tuple(c.T))
 
     def dims_at(self, c: np.ndarray) -> np.ndarray:
@@ -503,8 +446,8 @@ class GroupDual:
         support of more than ``cap`` labels may be left out.  A translating
         table (p = 0) holds the steps lo + 1 up to the first of its last row,
         each in full: up to n, or fewer when a product's rows pass
-        ``_BLOCK_ROWS``.  :meth:`tensor_power_support`, which steps coordinate
-        rows through :meth:`fusion_table`, is the oracle of every table."""
+        ``_BLOCK_ROWS``.  The walk of :meth:`support_step` from the trivial
+        label is the oracle of every table."""
         raise NotImplementedError
 
     def power_maxima(self, s: IrrepLabel, n: int, log_values, cap: int) -> list[float]:
@@ -712,17 +655,8 @@ class TorusDual(GroupDual):
     def dims_at(self, c):
         return np.ones(len(c), dtype=np.int64)
 
-    def ball_coords(self, radius: int) -> np.ndarray:
-        """The coordinates mu of ball(radius) as a (k, n) int64 array, in
-        label_key order: word length |mu|_1, then mu lexicographically."""
-        return self._key_sorted(self._ball_rows(radius))
-
-    def _row_labels(self, c):
-        return tuple(map(self.label_at, self._key_sorted(c).tolist()))
-
-    def _key_sorted(self, c: np.ndarray) -> np.ndarray:
-        """The rows of c, sorted as label_key sorts their labels."""
-        return c[np.lexsort((*c.T[::-1], np.abs(c).sum(axis=1)))]
+    def _key_columns(self, c):
+        return (np.abs(c).sum(axis=1), *c.T)  # |mu|_1, then mu
 
     def fusion_table(self, ca, cb):
         return np.arange(len(ca)), ca + cb, np.ones(len(ca), dtype=np.int64)
@@ -1049,6 +983,9 @@ class So3Dual(Su2Dual):
     def generators(self):
         return (Su2Spin(2),)
 
+    def contains_at(self, c):
+        return c[:, 0] % 2 == 0
+
     def _word_length_rule(self, c):
         return c[0] // 2
 
@@ -1289,6 +1226,14 @@ class ProductDual(GroupDual):
     def dims_at(self, c):
         r = self.left.lattice_rank
         return self.left.dims_at(c[:, :r]) * self.right.dims_at(c[:, r:])
+
+    def contains_at(self, c):
+        r = self.left.lattice_rank
+        return self.left.contains_at(c[:, :r]) & self.right.contains_at(c[:, r:])
+
+    def _key_columns(self, c):
+        r = self.left.lattice_rank
+        return self.left._key_columns(c[:, :r]) + self.right._key_columns(c[:, r:])
 
     def fusion_table(self, ca, cb):
         # each pair's left rows times its right rows, left-major, as label_key orders them

@@ -13,15 +13,6 @@ class WeightSpecError(BfwError):
     """Invalid weight recipe (bad grammar or out-of-range parameter)."""
 
 
-class NotGeneratedError(BfwError):
-    """A label was not reached by tensor powers of the generating set within the cap."""
-
-    def __init__(self, label, cap):
-        self.label = label
-        self.cap = cap
-        super().__init__(f"{label} not generated within {cap} tensor powers")
-
-
 class LabelCapError(BfwError):
     """A label scan grew past the configured cap."""
 

@@ -97,9 +97,10 @@ def quadrature_coeffs(
     transform is recomputed on a finer grid and a mismatch above 1e-9 raises,
     reporting both estimates.
     """
-    labels = dual.ball(cutoff)
+    coords = dual.ball_coords(cutoff)
+    labels = tuple(map(dual.label_at, coords.tolist()))
     if degree is None:
-        degree = 2 * max(abs(c) for a in labels for c in dual.coords(a))
+        degree = 2 * int(np.abs(coords).max())
 
     def run(deg):
         g = HaarGrid(dual, deg)

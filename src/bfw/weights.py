@@ -352,9 +352,9 @@ def validate(dual: GroupDual, w: Weight, depth: int = 12, tol: float = 1e-9) -> 
 
     Failures are report contents, never exceptions.
     """
-    labels = dual.ball(depth)
+    coords = dual.ball_coords(depth)
+    labels = tuple(map(dual.label_at, coords.tolist()))
     n = len(labels)
-    coords = np.array([dual.coords(a) for a in labels], dtype=np.int64).reshape(n, -1)
     known = {}  # coordinates -> w, for every label evaluated
     worst, witness, witness_vals = 0.0, None, None
     per_i = np.arange(n, 0, -1)  # the pairs (i, j >= i) of each i

@@ -8,6 +8,16 @@ library takes the same sup in closed form from the positive part of the point
 
 import numpy as np
 
+from bfw.duals import (
+    ProductSpectrumPoint,
+    SemidirectDual,
+    SemidirectSpectrumPoint,
+    Su2Dual,
+    Su2SpectrumPoint,
+    TorusDual,
+    TorusSpectrumPoint,
+)
+
 
 def margins(dual, theta, w, cutoff):
     """The labels of ball(cutoff) and ||pi(theta)|| / w(pi) at each of them;
@@ -15,4 +25,16 @@ def margins(dual, theta, w, cutoff):
     labels = dual.ball(cutoff)
     vals = [float(np.linalg.norm(R[0], 2)) / w(a) for a, R in zip(labels, dual.reps(labels, [theta]))]
     return labels, np.array(vals)
+
+
+def spectrum_point(dual, rng):
+    """A random point of the complexified group, moduli in [0.4, 2.5]."""
+    if isinstance(dual, TorusDual):
+        return TorusSpectrumPoint(tuple(rng.uniform(0.4, 2.5, dual.n) * np.exp(2j * np.pi * rng.random(dual.n))))
+    if isinstance(dual, Su2Dual):
+        return Su2SpectrumPoint(dual.random_point(rng), rng.uniform(0.4, 2.5))
+    if isinstance(dual, SemidirectDual):
+        return SemidirectSpectrumPoint(rng.uniform(0.4, 2.5) * np.exp(2j * np.pi * rng.random()),
+                                       bool(rng.integers(2)))
+    return ProductSpectrumPoint(spectrum_point(dual.left, rng), spectrum_point(dual.right, rng))
 

@@ -12,8 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bfw import (
+    ProductDual,
     ProductLabel,
+    SemidirectDual,
     SemidirectLabel,
+    So3Dual,
     Su2Dual,
     Su2Spin,
     TorusChar,
@@ -22,8 +25,9 @@ from bfw import (
     so3_lift,
 )
 from bfw.duals import SemidirectPoint, parse_group
-from bfw.errors import FamilyMismatchError, NotGeneratedError
+from bfw.errors import FamilyMismatchError
 from bfw.labels import label_key, parse_label
+from walk_oracle import first_steps, supports
 
 
 def character_fusion_oracle(dual, a, b, sigma):
@@ -124,25 +128,6 @@ def test_conjugation(su2, sd, t2):
     assert lhs == rhs
 
 
-def test_tensor_power_support(su2, t1, sd):
-    assert su2.tensor_power_support((Su2Spin(1),), 0) == (Su2Spin(0),)
-    assert su2.tensor_power_support((Su2Spin(1),), 3) == (Su2Spin(1), Su2Spin(3))
-    gens = (TorusChar((1,)), TorusChar((-1,)))
-    assert t1.tensor_power_support(gens, 2) == (
-        TorusChar((0,)),
-        TorusChar((-2,)),
-        TorusChar((2,)),
-    )
-
-
-def test_tensor_power_support_rejects_negative_powers(su2, t1):
-    # k = -3 used to return the k = 1 support
-    for dual, S in ((su2, (Su2Spin(1),)), (t1, (TorusChar((1,)),))):
-        for k in (-1, -3):
-            with pytest.raises(ValueError, match=f"tensor power must be >= 0, got {k}"):
-                dual.tensor_power_support(S, k)
-
-
 def test_word_length(su2, t2, sd):
     assert su2.word_length(Su2Spin(0)) == 0
     for n in (1, 2, 7):
@@ -150,10 +135,6 @@ def test_word_length(su2, t2, sd):
     assert t2.word_length(TorusChar((3, -2))) == 5
     assert sd.word_length(SemidirectLabel("sgn")) == 2
     assert sd.word_length(SemidirectLabel("pi", 4)) == 4
-    # generic iteration agrees with the closed forms
-    assert su2.word_length(Su2Spin(4), S=(Su2Spin(1),)) == 4
-    assert sd.word_length(SemidirectLabel("sgn"), S=(SemidirectLabel("pi", 1),)) == 2
-    assert t2.word_length(TorusChar((2, -1)), S=t2.generators()) == 3
 
 
 def test_word_length_triangle(su2, sd):
@@ -166,12 +147,6 @@ def test_word_length_triangle(su2, sd):
                 assert dual.word_length(sigma) <= dual.word_length(a) + dual.word_length(b)
 
 
-def test_word_length_cap(su2):
-    with pytest.raises(NotGeneratedError) as exc:
-        su2.word_length(Su2Spin(1), S=(Su2Spin(2),), cap=40)
-    assert exc.value.cap <= 40
-
-
 def test_ball(su2, sd, t2, prod_dual):
     assert su2.ball(3) == tuple(Su2Spin(k) for k in range(4))
     assert len(t2.ball(10)) == 221  # l1 ball of radius 10 in Z^2
@@ -180,8 +155,6 @@ def test_ball(su2, sd, t2, prod_dual):
     ball = prod_dual.ball(2)
     assert ProductLabel(Su2Spin(1), TorusChar((1,))) in ball
     assert ProductLabel(Su2Spin(2), TorusChar((1,))) not in ball
-    # the explicit-generator walk agrees
-    assert su2.ball(3, S=(Su2Spin(1),)) == su2.ball(3)
 
 
 def test_branching(su2, t1):
@@ -263,7 +236,7 @@ def test_product_dual(prod_dual, rng):
     )
 
 
-# --- coordinate-row supports against the frozenset support_step oracle --------
+# --- coordinate rows against the support_step walk (walk_oracle) -------------
 
 # (group, generating set): one or several generators, negative and mixed
 # torus characters, every T x| Z2 kind, products of each family
@@ -298,16 +271,20 @@ def _case(group, gens):
 
 
 def _word_length_oracle(dual, a, S, cap):
-    """word_length on frozensets through support_step."""
+    """The first k <= cap at which a fresh support_step walk over S reaches
+    a, or None: also once a step k > 1 reaches no label the walk had not,
+    since then no later step does."""
+    if a == dual.trivial:
+        return 0
     seen = supp = frozenset([dual.trivial])
     for k in range(1, cap + 1):
         supp = dual.support_step(supp, S)
         if a in supp:
             return k
         if not supp - seen and k > 1:
-            raise NotGeneratedError(a, k)
+            return None
         seen = seen | supp
-    raise NotGeneratedError(a, cap)
+    return None
 
 
 def test_lattice_coords_round_trip():
@@ -319,11 +296,26 @@ def test_lattice_coords_round_trip():
 
 @pytest.mark.parametrize("group,gens", LATTICE_CASES)
 def test_tensor_power_support_matches_oracle(group, gens):
+    # supports stepped as coordinate rows through fusion_table (every row times
+    # every generator, then the distinct sigma rows) equal the walk's, 12 steps
+    # out: labels beyond the pairs of ball(12) that test_fusion_table_equals_fuse reads
     dual, S = _case(group, gens)
-    supp = frozenset(S)
-    for k in range(1, 13):
-        assert dual.tensor_power_support(S, k) == tuple(sorted(supp, key=label_key))
-        supp = dual.support_step(supp, S)
+    g = np.array([dual.coords(s) for s in S], dtype=np.int64)
+    c = np.array([dual.coords(dual.trivial)], dtype=np.int64)
+    for k, want in enumerate(itertools.islice(supports(dual, S), 13)):
+        assert {dual.label_at(row) for row in c.tolist()} == want, k
+        _, sigma, _ = dual.fusion_table(np.repeat(c, len(g), axis=0), np.tile(g, (len(c), 1)))
+        c = np.unique(sigma, axis=0)
+
+
+@pytest.mark.parametrize("group,gens", LATTICE_CASES)
+def test_ball_and_word_length_match_oracle(group, gens):
+    # the one-pass walk's word lengths equal a fresh walk per label; labels
+    # that S does not generate (e.g. pi:1 over {sgn}) are absent from both
+    dual, S = _case(group, gens)
+    first = first_steps(dual, S, 16)
+    for a in dual.ball(3):
+        assert first.get(a) == _word_length_oracle(dual, a, S, 16)
 
 
 # one generator per case: every period (0, 1, 2), zero characters, mixed
@@ -353,10 +345,9 @@ def test_reach_table_equals_tensor_power_support(group, probe):
     rows = [(f, *c) for f, c in zip(first.tolist(), coords.tolist())]
     assert rows == sorted(set(rows)) and len({r[1:] for r in rows}) == len(rows)
     assert p in (0, 1, 2)
-    for k in range(1, 41):
+    for k, want in enumerate(itertools.islice(supports(dual, (s,)), 1, 41), start=1):
         at = (k >= first) & ((k - first) % p == 0) if p else first == k
-        got = tuple(sorted(map(dual.label_at, coords[at].tolist()), key=label_key))
-        assert got == dual.tensor_power_support((s,), k), k
+        assert {dual.label_at(c) for c in coords[at].tolist()} == want, k
 
 
 @pytest.mark.parametrize("group,probe,cap", [
@@ -368,56 +359,50 @@ def test_reach_table_ends_at_cap(group, probe, cap):
     # of more than cap labels
     dual = parse_group(group)
     s = parse_label(dual, probe)
-    k = 1
-    while len(dual.tensor_power_support((s,), k)) <= cap:
-        k += 1
+    k = next(k for k, supp in enumerate(supports(dual, (s,))) if k and len(supp) > cap)
     assert dual.reach_table(s, 10**4, cap, 0)[1].max() <= k + 2
 
 
-@pytest.mark.parametrize("rank", [1, 2, 3])
-def test_torus_ball_equals_sorted_mask_labels(rank):
+# every family, products in both orders and a nested product, to the largest
+# radius (9 on rank-3 lattices)
+BALL_CASES = [
+    ("su2", 12), ("so3", 12), ("txz2", 12), ("torus:1", 12), ("torus:2", 12), ("torus:3", 9),
+    ("prod(su2,torus:1)", 12), ("prod(txz2,so3)", 12), ("prod(so3,txz2)", 12),
+    ("prod(prod(su2,txz2),torus:1)", 12),
+]
+
+
+def _box_axes(dual, r):
+    """Per coordinate, a range holding that coordinate of every label of ball(r)."""
+    if isinstance(dual, ProductDual):
+        return _box_axes(dual.left, r) + _box_axes(dual.right, r)
+    if isinstance(dual, TorusDual):
+        return [range(-r, r + 1)] * dual.n
+    if isinstance(dual, So3Dual):
+        return [range(2 * r + 1)]  # spin 2m has word length m
+    if isinstance(dual, SemidirectDual):
+        return [range(r + 2)]  # pi_m at m + 1
+    return [range(r + 1)]
+
+
+@pytest.mark.parametrize("group,radius", BALL_CASES)
+def test_ball_equals_sorted_box_labels(group, radius):
     # the oracle is the label sort the lexsort of ball_coords replaced: every
-    # point of the box [-r, r]^rank with |mu|_1 <= r, sorted by label_key
-    dual = TorusDual(rank)
-    for r in range(13):
-        box = itertools.product(range(-r, r + 1), repeat=rank)
-        want = tuple(sorted((TorusChar(mu) for mu in box if sum(map(abs, mu)) <= r), key=label_key))
+    # label the family contains in a coordinate box with word length <= r,
+    # sorted by label_key
+    dual = parse_group(group)
+    for r in range(radius + 1):
+        box = np.array(list(itertools.product(*_box_axes(dual, r))), dtype=np.int64)
+        labels = [dual.label_at(c) for c in box.tolist()]
+        inside = [dual.contains(a) for a in labels]  # no odd spin on an SO(3) axis
+        assert dual.contains_at(box).tolist() == inside
+        want = tuple(sorted((a for a, ok in zip(labels, inside) if ok and dual.word_length(a) <= r), key=label_key))
         coords = dual.ball_coords(r)
-        assert coords.dtype == np.int64 and coords.shape == (len(want), rank)
+        assert coords.dtype == np.int64 and coords.shape == (len(want), dual.lattice_rank)
+        assert [dual.label_at(c) for c in coords.tolist()] == list(want)
         assert dual.ball(r) == want
-        assert [TorusChar(c) for c in coords.tolist()] == list(want)
     with pytest.raises(ValueError, match="ball radius must be >= 0, got -1"):
         dual.ball_coords(-1)
-
-
-@pytest.mark.parametrize("group,gens", LATTICE_CASES)
-def test_ball_and_word_length_match_oracle(group, gens):
-    dual, S = _case(group, gens)
-    acc, supp = {dual.trivial}, frozenset([dual.trivial])
-    for r in range(8):
-        assert dual.ball(r, S) == tuple(sorted(acc, key=label_key))
-        supp = dual.support_step(supp, S)
-        acc |= supp
-
-    def outcome(fn):
-        try:
-            return fn()
-        except NotGeneratedError as exc:
-            return ("not generated", exc.cap)
-
-    for a in dual.ball(3):
-        want = outcome(lambda: _word_length_oracle(dual, a, S, 16) if a != dual.trivial else 0)
-        assert outcome(lambda: dual.word_length(a, S, cap=16)) == want
-
-
-def test_word_length_not_generated_at_oracle_step(su2, sd):
-    # {sgn} only reaches triv and sgn: the oracle stops when no label is new
-    with pytest.raises(NotGeneratedError) as exc:
-        sd.word_length(SemidirectLabel("pi", 1), S=(SemidirectLabel("sgn"),))
-    assert exc.value.cap == 2
-    with pytest.raises(NotGeneratedError) as exc:
-        su2.word_length(Su2Spin(3), S=(), cap=10)
-    assert exc.value.cap == 2
 
 
 # every family, products in both orders and one nested product.  torus:3 and
@@ -447,24 +432,15 @@ def test_fusion_table_equals_fuse(group, small):
 
 @pytest.mark.parametrize("group", [group for group, _ in FUSION_TABLE_CASES])
 def test_empty_generating_set(group):
+    # no generator: a step reaches no label, so only the trivial label has a word length
     dual = parse_group(group)
-    with pytest.raises(ValueError, match="empty generating set"):
-        dual.tensor_power_support((), 1)
-    assert dual.tensor_power_support((), 0) == dual.ball(3, ()) == (dual.trivial,)
-    assert dual.word_length(dual.trivial, S=()) == 0
-    with pytest.raises(NotGeneratedError) as exc:  # step 2 reaches no label step 1 did not
-        dual.word_length(dual.generators()[0], S=(), cap=10)
-    assert exc.value.cap == 2
+    assert dual.support_step(frozenset(dual.ball(2)), ()) == frozenset()
+    assert first_steps(dual, (), 10) == {dual.trivial: 0}
 
 
 def test_lattice_foreign_generator(su2, t1):
-    foreign = (TorusChar((1,)),)
     with pytest.raises(FamilyMismatchError):
-        su2.tensor_power_support(foreign, 3)
-    with pytest.raises(FamilyMismatchError):
-        su2.ball(2, foreign)
-    with pytest.raises(FamilyMismatchError):
-        su2.word_length(Su2Spin(2), S=foreign)
+        su2.support_step(frozenset([Su2Spin(1)]), (TorusChar((1,)),))
     with pytest.raises(FamilyMismatchError):
         t1.power_maxima(Su2Spin(1), 4, lambda c: np.zeros(len(c)), 100)
 
@@ -480,16 +456,15 @@ DEFAULT_RULE_CASES = [
 
 @pytest.mark.parametrize("group,radius", DEFAULT_RULE_CASES)
 def test_default_ball_and_word_length_equal_generator_walk(group, radius):
-    # the explicit-generator walk is the oracle of the per-family rule
+    # the walk over the generators is the oracle of the per-family rule
     dual = parse_group(group)
-    S = dual.generators()
+    first = first_steps(dual, dual.generators(), radius)
     for r in range(radius + 1):
-        assert dual.ball(r) == dual.ball(r, S)
+        assert dual.ball(r) == tuple(sorted((a for a, k in first.items() if k <= r), key=label_key))
     labels = dual.ball(radius)
-    walk = [dual.word_length(a, S) for a in labels]
+    walk = [first[a] for a in labels]
     assert [dual.word_length(a) for a in labels] == walk
-    coords = np.array([dual.coords(a) for a in labels], dtype=np.int64)
-    assert dual.word_lengths_at(coords).tolist() == walk
+    assert dual.word_lengths_at(dual.ball_coords(radius)).tolist() == walk
 
 
 @pytest.mark.parametrize("group", [group for group, _ in DEFAULT_RULE_CASES])
@@ -513,9 +488,8 @@ def test_per_label_word_length_reads_no_arrays(group, monkeypatch):
 
 def test_negative_radius_and_coordinate_rejected(su2, sd):
     for dual in (su2, sd, parse_group("prod(su2,torus:1)")):
-        for S in (None, dual.generators()):
-            with pytest.raises(ValueError, match="radius"):
-                dual.ball(-3, S)
+        with pytest.raises(ValueError, match="radius"):
+            dual.ball(-3)
     for c in ([-1], [-5]):
         with pytest.raises(ValueError):
             sd.label_at(c)

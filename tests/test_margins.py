@@ -12,7 +12,7 @@ import pytest
 import margin_oracle
 from bfw import make_weight
 from bfw.cli import main
-from bfw.duals import ProductDual, SemidirectDual, Su2Dual, TorusDual, parse_group
+from bfw.duals import ProductDual, SemidirectDual, Su2Dual, parse_group
 from bfw.fields import point_margin
 from bfw.spectrum import (
     ProductSpectrumPoint,
@@ -32,26 +32,14 @@ RECIPES = ["exp:lambda=2", "poly:alpha=1.5", "dim", "const:3", "prod(dim,exp:lam
 SU2_POINT = Su2Dual().random_point(np.random.default_rng(3))
 
 
-def spectrum_point(dual, rng):
-    """A random point of the complexified group, moduli in [0.4, 2.5]."""
-    if isinstance(dual, TorusDual):
-        return TorusSpectrumPoint(tuple(rng.uniform(0.4, 2.5, dual.n) * np.exp(2j * np.pi * rng.random(dual.n))))
-    if isinstance(dual, Su2Dual):
-        return Su2SpectrumPoint(dual.random_point(rng), rng.uniform(0.4, 2.5))
-    if isinstance(dual, SemidirectDual):
-        return SemidirectSpectrumPoint(rng.uniform(0.4, 2.5) * np.exp(2j * np.pi * rng.random()),
-                                       bool(rng.integers(2)))
-    return ProductSpectrumPoint(spectrum_point(dual.left, rng), spectrum_point(dual.right, rng))
-
-
 def points(dual, rng):
     """Spectrum points, group points as they are and as spectrum points, and on
     products a spectrum point beside a group point."""
-    out = [spectrum_point(dual, rng) for _ in range(3)]
+    out = [margin_oracle.spectrum_point(dual, rng) for _ in range(3)]
     g = dual.random_point(rng)
     out += [g, point_to_spectrum(dual, g)]
     if isinstance(dual, ProductDual):
-        out.append(ProductSpectrumPoint(spectrum_point(dual.left, rng), dual.right.random_point(rng)))
+        out.append(ProductSpectrumPoint(margin_oracle.spectrum_point(dual.left, rng), dual.right.random_point(rng)))
     return out
 
 

@@ -5,11 +5,11 @@ before they read lattice coordinates in bulk.  Parameters come from the spec
 dict exactly as ``make_weight`` reads them, never from the weight's
 descriptor, which prints them to six digits.
 
-Word lengths come from the explicit-generator walk,
-``dual.word_length(a, S=dual.generators())``, not from the default rule the
-recipes read.  The walk from the trivial label to a far label (spin 390, or a
-torus character of length 520) takes too long, so labels beyond
-``WALK_RADIUS`` take the closed forms of ``closed_form_word_length``, which
+Word lengths come from one walk over the generators
+(``walk_oracle.first_steps``), not from the default rule the recipes read.
+The walk from the trivial label to a far label (spin 390, or a torus
+character of length 520) takes too long, so labels beyond ``WALK_RADIUS``
+take the closed forms of ``closed_form_word_length``, which
 ``test_word_length_closed_forms_equal_walk`` checks against the walk.
 """
 
@@ -18,25 +18,20 @@ import math
 
 from bfw import ProductDual, SemidirectDual, So3Dual, Su2Dual, TorusDual, make_weight
 from bfw.weights import _parse_spec
+from walk_oracle import first_steps
 
 WALK_RADIUS = 12
 
 
 def word_length(dual, a) -> int:
     """Word length of a over the default generators of dual."""
-    if a in _walk_ball(dual):
-        return _walk(dual, a)
-    return closed_form_word_length(dual, a)
+    k = _walk(dual).get(a)
+    return closed_form_word_length(dual, a) if k is None else k
 
 
 @functools.cache
-def _walk_ball(dual) -> frozenset:
-    return frozenset(dual.ball(WALK_RADIUS, dual.generators()))
-
-
-@functools.cache
-def _walk(dual, a) -> int:
-    return dual.word_length(a, S=dual.generators())
+def _walk(dual) -> dict:
+    return first_steps(dual, dual.generators(), WALK_RADIUS)
 
 
 def closed_form_word_length(dual, a) -> int:
