@@ -35,7 +35,6 @@ from .labels import (
     SemidirectLabel,
     Su2Spin,
     TorusChar,
-    label_key,
     split_top,
 )
 
@@ -79,6 +78,11 @@ def _runs(count: np.ndarray):
     run index of each position and its offset within its run."""
     run = np.repeat(np.arange(len(count)), count)
     return run, np.arange(len(run)) - (np.cumsum(count) - count)[run]
+
+
+def _pair_table(dual, a, b):
+    """``dual.fusion_table`` of the one pair (a, b)."""
+    return dual.fusion_table(*(np.array([dual.coords(x)], dtype=np.int64) for x in (a, b)))
 
 
 def _support_sizes(first, p, n) -> np.ndarray:
@@ -306,7 +310,6 @@ class GroupDual:
     family = "?"
 
     def __init__(self):
-        self._fuse_cache: dict = {}
         self._iw_cache: dict = {}
 
     # --- structure -------------------------------------------------------
@@ -329,39 +332,38 @@ class GroupDual:
     def lie_dim(self) -> int:
         raise NotImplementedError
 
-    def _fuse(self, a, b):
-        raise NotImplementedError
-
     def _check(self, *labels):
         for a in labels:
             if not self.contains(a):
                 raise FamilyMismatchError(f"{a!r} does not belong to {self!r}")
 
     def fuse(self, a: IrrepLabel, b: IrrepLabel) -> tuple[tuple[IrrepLabel, int], ...]:
-        """Decomposition of a (x) b as a sorted multiset of (label, multiplicity)."""
+        """Decomposition of a (x) b as a sorted multiset of (label, multiplicity):
+        the rows of :meth:`fusion_table` of the one pair (a, b), as labels."""
         self._check(a, b)
-        key = (a, b)
-        hit = self._fuse_cache.get(key)
-        if hit is None:
-            hit = tuple(sorted(self._fuse(a, b), key=lambda p: label_key(p[0])))
-            self._fuse_cache[key] = hit
-        return hit
+        _, sigma, mult = _pair_table(self, a, b)
+        return tuple(zip(map(self.label_at, sigma.tolist()), mult.tolist()))
 
     def fusion_table(self, ca: np.ndarray, cb: np.ndarray):
-        """:meth:`fuse` on coordinate rows: for the row-aligned pairs (ca[i],
-        cb[i]) of two (k, r) int64 arrays, the arrays (pair index i, sigma
-        coordinates, multiplicity), one row per component sigma of a (x) b, in
-        pair order and within a pair in the label_key order of ``fuse``."""
+        """The family's fusion rule, the one statement of it in the library:
+        for the row-aligned pairs (ca[i], cb[i]) of two (k, r) int64 arrays,
+        the int64 arrays (pair index i, sigma coordinates, multiplicity), one
+        row per component sigma of a (x) b, in pair order and within a pair in
+        label_key order.  ``tests/fuse_oracle.py`` keeps each family's rule
+        label by label as its reference."""
         raise NotImplementedError
 
     # --- word length machinery --------------------------------------------
     def support_step(self, supp: frozenset, S) -> frozenset:
-        """One tensor-power step on a frozenset of labels, through ``fuse``.
+        """One tensor-power step on a frozenset of labels, through ``fuse``
+        (one pair of :meth:`fusion_table` at a time).
 
         The library reads tensor-power supports in closed form
         (:meth:`reach_table`) and balls as coordinate rows
-        (:meth:`ball_coords`); walking this label-by-label step from the
-        trivial label is the reference both are tested against.
+        (:meth:`ball_coords`).  Their reference is the same step walked from
+        the trivial label through the per-label rules of
+        ``tests/fuse_oracle.py`` (``tests/walk_oracle.py``), which reads no
+        fusion table.
         """
         out = set()
         for a in supp:
@@ -565,10 +567,10 @@ class GroupDual:
     def intertwiners(self, a: IrrepLabel, b: IrrepLabel) -> np.ndarray:
         """The unitary W of a (x) b: a read-only complex (d_a d_b, d_a d_b) matrix.
 
-        Its columns are the components of ``fuse(a, b)`` in order.  A component
-        sigma of multiplicity m takes m consecutive blocks of d_sigma columns,
-        and each block is an isometry C^{d_sigma} -> C^{d_a d_b} onto one copy
-        of sigma.
+        Its columns are the components of a (x) b in the order of the pair's
+        :meth:`fusion_table` rows.  A component sigma of multiplicity m takes
+        m consecutive blocks of d_sigma columns, and each block is an isometry
+        C^{d_sigma} -> C^{d_a d_b} onto one copy of sigma.
         """
         self._check(a, b)
         key = (a, b)
@@ -639,9 +641,6 @@ class TorusDual(GroupDual):
 
     def lie_dim(self):
         return self.n
-
-    def _fuse(self, a, b):
-        return [(TorusChar(tuple(x + y for x, y in zip(a.mu, b.mu))), 1)]
 
     def coords(self, a):
         return a.mu
@@ -761,10 +760,6 @@ class Su2Dual(GroupDual):
 
     def lie_dim(self):
         return 3
-
-    def _fuse(self, a, b):
-        lo, hi = abs(a.n - b.n), a.n + b.n
-        return [(Su2Spin(k), 1) for k in range(lo, hi + 1, 2)]
 
     def coords(self, a):
         return (a.n,)
@@ -1024,25 +1019,6 @@ class SemidirectDual(GroupDual):
     def lie_dim(self):
         return 1
 
-    def _fuse(self, a, b):
-        ka, kb = a.kind, b.kind
-        if ka != "pi" and kb != "pi":
-            out = "triv" if ka == kb else "sgn"
-            return [(SemidirectLabel(out), 1)]
-        if ka != "pi" or kb != "pi":
-            m = a.m if ka == "pi" else b.m
-            return [(SemidirectLabel("pi", m), 1)]
-        if a.m != b.m:
-            return [
-                (SemidirectLabel("pi", a.m + b.m), 1),
-                (SemidirectLabel("pi", abs(a.m - b.m)), 1),
-            ]
-        return [
-            (SemidirectLabel("pi", 2 * a.m), 1),
-            (SemidirectLabel("triv"), 1),
-            (SemidirectLabel("sgn"), 1),
-        ]
-
     def coords(self, a):
         return ({"triv": 0, "sgn": 1}.get(a.kind, a.m + 1),)
 
@@ -1205,13 +1181,6 @@ class ProductDual(GroupDual):
     def lie_dim(self):
         return self.left.lie_dim() + self.right.lie_dim()
 
-    def _fuse(self, a, b):
-        out = []
-        for sl, ml in self.left.fuse(a.left, b.left):
-            for sr, mr in self.right.fuse(a.right, b.right):
-                out.append((ProductLabel(sl, sr), ml * mr))
-        return out
-
     def coords(self, a):
         return tuple(self.left.coords(a.left)) + tuple(self.right.coords(a.right))
 
@@ -1329,26 +1298,24 @@ class ProductDual(GroupDual):
         # kron's order (a_l, b_l, a_r, b_r) reordered to (a_l, a_r, b_l, b_r)
         K = Wl.reshape(da1, 1, db1, 1, -1, 1) * Wr.reshape(1, da2, 1, db2, 1, -1)
         K = K.reshape(-1, Wl.shape[1], Wr.shape[1])
-        # each (sigma_l, sigma_r) block made contiguous, in the order fuse(a, b) sorts them
+        # each (sigma_l, sigma_r) block made contiguous, left-major over the factors'
+        # components as fusion_table orders them
         left = _copy_columns(self.left, a.left, b.left)
         right = _copy_columns(self.right, a.right, b.right)
-        blocks = [
-            K[:, l, r].reshape(len(K), -1)
-            for sigma, _ in self.fuse(a, b)
-            for l in left[sigma.left]
-            for r in right[sigma.right]
-        ]
-        return np.concatenate(blocks, axis=1)
+        return np.concatenate([
+            K[:, l, r].reshape(len(K), -1) for ls in left for rs in right for l in ls for r in rs
+        ], axis=1)
 
 
-def _copy_columns(dual: GroupDual, a, b) -> dict:
-    """Each component sigma of a (x) b mapped to the column slices of its
-    copies in ``dual.intertwiners(a, b)``, one slice per copy."""
-    out, col = {}, 0
-    for sigma, mult in dual.fuse(a, b):
-        d = dual.dim(sigma)
-        out[sigma] = [slice(col + i * d, col + (i + 1) * d) for i in range(mult)]
-        col += mult * d
+def _copy_columns(dual: GroupDual, a, b) -> list:
+    """The column slices of ``dual.intertwiners(a, b)`` per component of
+    a (x) b, one list per row of the pair's fusion_table and in its order,
+    one slice per copy."""
+    _, sigma, mult = _pair_table(dual, a, b)
+    out, col = [], 0
+    for d, m in zip(dual.dims_at(sigma).tolist(), mult.tolist()):
+        out.append([slice(col + i * d, col + (i + 1) * d) for i in range(m)])
+        col += m * d
     return out
 
 

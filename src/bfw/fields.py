@@ -23,6 +23,7 @@ input exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -248,13 +249,25 @@ def dual_norm(T, w: Weight, cutoff: int | None = None, dual: GroupDual | None = 
 def multiply(u: OperatorField, v: OperatorField) -> OperatorField:
     """Pointwise product of the represented functions.
 
-    Each component sigma of a (x) b gets (d_a d_b / d_sigma) V*(u^(a) (x) v^(b))V
-    for every column block V of the pair's unitary W, walked in ``fuse(a, b)``
-    order.  u^(a) (x) v^(b) acts on all of W's columns at once: a column, read
-    as a d_a x d_b matrix X, maps to u^(a) X v^(b)^T.
+    One :meth:`GroupDual.fusion_table` call over all pairs (a, b) of
+    supp u x supp v gives the components of every a (x) b.  Each component
+    sigma gets (d_a d_b / d_sigma) V*(u^(a) (x) v^(b))V for every column block
+    V of the pair's unitary W, walked in the order of the pair's table rows,
+    pair by pair with b innermost.  u^(a) (x) v^(b) acts on all of W's
+    columns at once: a column, read as a d_a x d_b matrix X, maps to
+    u^(a) X v^(b)^T.
     """
     u._same_dual(v)
     dual = u.dual
+    ca, cb = (np.array([dual.coords(a) for a in f.coeffs], dtype=np.int64).reshape(-1, dual.lattice_rank)
+              for f in (u, v))
+    ia, ib = np.divmod(np.arange(len(ca) * len(cb)), len(cb))
+    pair, rows, mults = dual.fusion_table(ca[ia], cb[ib])
+    # the rows of each pair, in pair order
+    spans = itertools.pairwise(np.searchsorted(pair, np.arange(len(ia) + 1)).tolist())
+    keys = list(map(tuple, rows.tolist()))
+    labels = {c: dual.label_at(c) for c in set(keys)}
+    dims, mults = dual.dims_at(rows).tolist(), mults.tolist()
     acc: dict = {}
     for a, Ma in u.coeffs.items():
         d_a = dual.dim(a)
@@ -265,9 +278,9 @@ def multiply(u: OperatorField, v: OperatorField) -> OperatorField:
             Y = np.matmul(Mb, Y).reshape(d_a * d_b, -1)
             Wh = W.conj().T  # row block [col, col + d_s) is V^H
             col = 0
-            for sigma, mult in dual.fuse(a, b):
-                d_s = dual.dim(sigma)
-                for _ in range(mult):
+            for r in range(*next(spans)):
+                sigma, d_s = labels[keys[r]], dims[r]
+                for _ in range(mults[r]):
                     block = (Wh[col:col + d_s] @ Y[:, col:col + d_s]) * (d_a * d_b / d_s)
                     col += d_s
                     if sigma in acc:

@@ -338,14 +338,15 @@ def weight_to_json(w: Weight) -> dict:
 def validate(dual: GroupDual, w: Weight, depth: int = 12, tol: float = 1e-9) -> WeightReport:
     """Check the fusion inequality on all pairs of labels of word length <= depth.
 
-    One pass over :meth:`GroupDual.fusion_table` of the pairs (ball[i],
-    ball[j]), i <= j, in that order, in blocks of whole i of at most
-    ``_BLOCK_ROWS`` rows where one i allows.  w is called once per label, in
-    the order the pairs first meet them: ball(depth) in order (ball[0] is
+    One pass over :meth:`GroupDual.fusion_table`, the family's one fusion
+    rule, of the pairs (ball[i], ball[j]), i <= j, in that order, in blocks
+    of whole i of at most ``_BLOCK_ROWS`` rows where one i allows.  w is
+    called once per label, in the order the pairs first meet them: ball(depth) in order (ball[0] is
     trivial, and triv (x) b = b), then each new sigma in row order.  The
     excess w(sigma) / (w(a) w(b)) - 1.0 is elementwise IEEE arithmetic, and
     the witness is the first row attaining the worst excess, so the report
-    equals that of a loop over the pairs through ``fuse``.  So does the
+    equals that of a loop over the pairs through the per-label rules of
+    ``tests/fuse_oracle.py`` (``tests/validate_oracle.py``).  So does the
     exception when the loop would raise: the error of the first label whose
     weight fails, or the ZeroDivisionError of an earlier pair whose bound
     w(a) w(b) underflows to 0.

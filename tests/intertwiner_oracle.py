@@ -1,7 +1,7 @@
 """Intertwiner blocks built one isometry at a time, the reference that the
 column blocks of ``dual.intertwiners`` must equal bit for bit.
 
-:func:`column_blocks` slices a pair's unitary W by ``fuse``.  :func:`oracle_blocks`
+:func:`column_blocks` slices a pair's unitary W by ``fuse_oracle``.  :func:`oracle_blocks`
 builds the same blocks without W: Clebsch-Gordan isometries from the scalar
 loop on SU(2)/SO(3), hand-built block lists on T x| Z2, and one Kronecker
 product per pair of factor blocks on products, each list sorted by label_key.
@@ -13,15 +13,17 @@ import numpy as np
 
 from bfw import ProductDual, SemidirectDual, SemidirectLabel, Su2Dual, TorusDual
 from bfw.labels import ProductLabel, label_key
+import fuse_oracle
 from cg_oracle import su2_cg_isometry
 
 
 def column_blocks(dual, a, b):
-    """(sigma, V) for every copy of every component of a (x) b, in ``fuse``
-    order: V is the column block of ``dual.intertwiners(a, b)`` onto that copy."""
+    """(sigma, V) for every copy of every component of a (x) b, in the
+    label_key order of ``fuse_oracle``: V is the column block of
+    ``dual.intertwiners(a, b)`` onto that copy."""
     W = dual.intertwiners(a, b)
     out, col = [], 0
-    for sigma, mult in dual.fuse(a, b):
+    for sigma, mult in fuse_oracle.fuse(dual, a, b):
         d = dual.dim(sigma)
         for _ in range(mult):
             out.append((sigma, W[:, col:col + d]))
@@ -38,10 +40,11 @@ def oracle_blocks(dual, a, b):
 def _grouped(dual, a, b):
     # (sigma, list of isometries) per component
     if isinstance(dual, TorusDual):
-        (sigma, _), = dual.fuse(a, b)
+        (sigma, _), = fuse_oracle.fuse(dual, a, b)
         return [(sigma, [np.ones((1, 1), dtype=complex)])]
     if isinstance(dual, Su2Dual):
-        return [(sigma, [su2_cg_isometry(a.n, b.n, sigma.n)]) for sigma, _ in dual.fuse(a, b)]
+        return [(sigma, [su2_cg_isometry(a.n, b.n, sigma.n)])
+                for sigma, _ in fuse_oracle.fuse(dual, a, b)]
     if isinstance(dual, SemidirectDual):
         return _txz2(dual, a, b)
     if isinstance(dual, ProductDual):
@@ -54,11 +57,11 @@ def _txz2(dual, a, b):
     sgn_twist = np.diag([1.0, -1.0]).astype(complex)
     ka, kb = a.kind, b.kind
     if ka != "pi" and kb != "pi":
-        (sigma, _), = dual.fuse(a, b)
+        (sigma, _), = fuse_oracle.fuse(dual, a, b)
         return [(sigma, [one])]
     if ka != "pi" or kb != "pi":
         scalar_is_sgn = (a if ka != "pi" else b).kind == "sgn"
-        (sigma, _), = dual.fuse(a, b)
+        (sigma, _), = fuse_oracle.fuse(dual, a, b)
         return [(sigma, [sgn_twist if scalar_is_sgn else np.eye(2, dtype=complex)])]
     # pi_n (x) pi_m on basis (++, +-, -+, --) of weights n+m, n-m, m-n, -(n+m)
     top = np.zeros((4, 2), dtype=complex)

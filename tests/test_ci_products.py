@@ -52,18 +52,31 @@ def test_txz2_so3_character_product_support_and_blocks(tmp_path, monkeypatch):
         assert err <= 1e-12, (label, err)
 
 
-def test_txz2_so3_product_at_random_points(tmp_path, monkeypatch):
-    # full random blocks see every column of W: (uv)(g) = u(g) v(g) at random points
-    monkeypatch.chdir(tmp_path)
-    dual = parse_group("prod(txz2,so3)")
-    rng = np.random.default_rng(5)
+def random_block_product(group, seed):
+    """Full random blocks on ball(2) of group written to element files, their
+    product through ``bfw multiply``, and (uv)(g) = u(g) v(g) required to
+    1e-10 relative at three random points."""
+    dual = parse_group(group)
+    rng = np.random.default_rng(seed)
     for name in ("u.json", "v.json"):
         terms = {a: rng.standard_normal((dual.dim(a),) * 2) + 1j * rng.standard_normal((dual.dim(a),) * 2)
                  for a in dual.ball(2)}
         Path(name).write_text(dumps(element_to_json(OperatorField.from_terms(dual, terms))))
-    bfw("multiply", "--group", "prod(txz2,so3)", "--u", "u.json", "--v", "v.json", "--out", "uv.json")
+    bfw("multiply", "--group", group, "--u", "u.json", "--v", "v.json", "--out", "uv.json")
     u, v, uv = (element_from_json(read_json(name)) for name in ("u.json", "v.json", "uv.json"))
     for _ in range(3):
         g = dual.random_point(rng)
         want = evaluate(u, g) * evaluate(v, g)
         assert abs(evaluate(uv, g) - want) <= 1e-10 * max(1.0, abs(want)), (evaluate(uv, g), want)
+
+
+def test_txz2_so3_product_at_random_points(tmp_path, monkeypatch):
+    # full random blocks see every column of W: (uv)(g) = u(g) v(g) at random points
+    monkeypatch.chdir(tmp_path)
+    random_block_product("prod(txz2,so3)", 5)
+
+
+def test_nested_product_at_random_points(tmp_path, monkeypatch):
+    # a product factor's intertwiners are built from its own factors' tables
+    monkeypatch.chdir(tmp_path)
+    random_block_product("prod(prod(su2,txz2),torus:1)", 6)

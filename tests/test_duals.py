@@ -27,7 +27,8 @@ from bfw import (
 from bfw.duals import SemidirectPoint, parse_group
 from bfw.errors import FamilyMismatchError
 from bfw.labels import label_key, parse_label
-from walk_oracle import first_steps, supports
+import fuse_oracle
+from walk_oracle import first_steps, step, supports
 
 
 def character_fusion_oracle(dual, a, b, sigma):
@@ -236,7 +237,7 @@ def test_product_dual(prod_dual, rng):
     )
 
 
-# --- coordinate rows against the support_step walk (walk_oracle) -------------
+# --- coordinate rows against the label-by-label walk (walk_oracle) ----------
 
 # (group, generating set): one or several generators, negative and mixed
 # torus characters, every T x| Z2 kind, products of each family
@@ -271,14 +272,14 @@ def _case(group, gens):
 
 
 def _word_length_oracle(dual, a, S, cap):
-    """The first k <= cap at which a fresh support_step walk over S reaches
+    """The first k <= cap at which a fresh walk over S (walk_oracle.step) reaches
     a, or None: also once a step k > 1 reaches no label the walk had not,
     since then no later step does."""
     if a == dual.trivial:
         return 0
     seen = supp = frozenset([dual.trivial])
     for k in range(1, cap + 1):
-        supp = dual.support_step(supp, S)
+        supp = step(dual, supp, S)
         if a in supp:
             return k
         if not supp - seen and k > 1:
@@ -407,7 +408,7 @@ def test_ball_equals_sorted_box_labels(group, radius):
 
 # every family, products in both orders and one nested product.  torus:3 and
 # the nested product pair ball(12) with ball(2) only, in both orders: all
-# pairs of their ball(12) take about a minute through fuse.
+# pairs of their ball(12) take about a minute through the label rules.
 FUSION_TABLE_CASES = [
     ("su2", 12), ("so3", 12), ("txz2", 12), ("torus:1", 12), ("torus:2", 12), ("torus:3", 2),
     ("prod(su2,torus:1)", 12), ("prod(torus:1,su2)", 12), ("prod(txz2,so3)", 12), ("prod(so3,txz2)", 12),
@@ -417,17 +418,23 @@ FUSION_TABLE_CASES = [
 
 @pytest.mark.parametrize("group,small", FUSION_TABLE_CASES)
 def test_fusion_table_equals_fuse(group, small):
-    # labels, order and multiplicity of every pair (a, b), a in ball(12) and b in ball(small)
+    # labels, order and multiplicity of every pair (a, b), a in ball(12) and b in
+    # ball(small), against the label rules of fuse_oracle: the whole table, and
+    # fuse, its one-pair view, with its Python-int multiplicities
     dual = parse_group(group)
     big, few = dual.ball(12), dual.ball(small)
     pairs = [(a, b) for a in big for b in few]
     if small < 12:
         pairs += [(b, a) for a, b in pairs]
+    want = [fuse_oracle.fuse(dual, a, b) for a, b in pairs]
     ca, cb = (np.array([dual.coords(p[k]) for p in pairs], dtype=np.int64) for k in (0, 1))
     pair, sigma, mult = dual.fusion_table(ca, cb)
     assert pair.dtype == sigma.dtype == mult.dtype == np.int64 and sigma.shape == (len(pair), dual.lattice_rank)
     got = list(zip(pair.tolist(), map(dual.label_at, sigma.tolist()), mult.tolist()))
-    assert got == [(i, s, m) for i, (a, b) in enumerate(pairs) for s, m in dual.fuse(a, b)]
+    assert got == [(i, s, m) for i, w in enumerate(want) for s, m in w]
+    views = [dual.fuse(a, b) for a, b in pairs]
+    assert views == want
+    assert all(type(m) is int for view in views for _, m in view)
 
 
 @pytest.mark.parametrize("group", [group for group, _ in FUSION_TABLE_CASES])

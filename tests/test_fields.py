@@ -33,6 +33,7 @@ from bfw import (
 )
 from bfw.duals import parse_group
 from bfw.errors import FamilyMismatchError, WeightOverflowError
+from bfw.labels import parse_label
 from bfw.quadrature import HaarGrid, grid_values, quadrature_coeffs
 from bfw.weights import Weight, validate
 
@@ -208,9 +209,9 @@ def test_submultiplicativity(su2, sd, t1, rng):
 ORACLE_BALLS = {"su2": 8, "so3": 4, "txz2": 8, "torus:2": 3, "prod(su2,torus:1)": 4}
 
 
-def _full_field(dual, radius, rng, scale):
+def _full_field(dual, radius, rng, scale, labels=None):
     terms = {}
-    for a in dual.ball(radius):
+    for a in dual.ball(radius) if labels is None else labels:
         d = dual.dim(a)
         terms[a] = scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     return OperatorField.from_terms(dual, terms)
@@ -230,6 +231,50 @@ def test_multiply_equals_rank_one_oracle(group, scale):
         top = max(float(np.max(np.abs(M))) for M in want.coeffs.values())
         err = max(float(np.max(np.abs(got.coeffs[a] - M))) for a, M in want.coeffs.items())
         assert err <= 1e-13 * top, (group, err / top)
+
+
+def _same_bits(got, want):
+    """The same keys in the same order, and byte-equal blocks."""
+    assert list(got.coeffs) == list(want.coeffs)
+    for a, M in want.coeffs.items():
+        assert got.coeffs[a].shape == M.shape and got.coeffs[a].tobytes() == M.tobytes(), a
+
+
+# radius of the random full fields compared with the per-pair loop, per group
+PAIR_LOOP_BALLS = {"su2": 4, "so3": 4, "txz2": 4, "torus:1": 4, "torus:2": 3, "prod(su2,torus:1)": 2,
+                   "prod(txz2,so3)": 2, "prod(prod(su2,txz2),torus:1)": 2}
+
+
+@pytest.mark.parametrize("group", list(PAIR_LOOP_BALLS))
+def test_multiply_equals_pair_loop_bit_for_bit(group):
+    # full fields on a ball and a smaller one, the zero field, and one-label fields
+    # at the trivial label, a generator and the ball's last label
+    dual = parse_group(group)
+    rng = np.random.default_rng(13)
+    r = PAIR_LOOP_BALLS[group]
+    u, v = _full_field(dual, r, rng, 1.0), _full_field(dual, r - 1, rng, 1.0)
+    zero = zero_field(dual)
+    ones = [_full_field(dual, 0, rng, 1.0, [a])
+            for a in (dual.trivial, dual.generators()[0], dual.ball(r)[-1])]
+    cases = [(u, v), (v, u), (u, u), (zero, u), (u, zero), (zero, zero)]
+    cases += [(x, y) for x in ones for y in (x, u)] + [(u, x) for x in ones]
+    for x, y in cases:
+        _same_bits(multiply(x, y), product_oracle.pair_loop_multiply(x, y))
+
+
+@pytest.mark.parametrize("group,label", [
+    ("txz2", "pi:3"), ("prod(txz2,so3)", "pi:2×pi:2"), ("prod(txz2,txz2)", "pi:1×pi:2"),
+    ("prod(prod(su2,txz2),torus:1)", "(pi:1×pi:2)×t:(1)"),
+])
+def test_multiply_squares_equal_pair_loop_bit_for_bit(group, label):
+    # pi_m (x) pi_m = pi_2m + triv + sgn, and products of such pairs: the product
+    # of a one-label field with itself and with a full field on ball(2)
+    dual = parse_group(group)
+    rng = np.random.default_rng(17)
+    x = _full_field(dual, 0, rng, 1.0, [parse_label(dual, label)])
+    u = _full_field(dual, 2, rng, 1.0)
+    for y, z in ((x, x), (x, u), (u, x)):
+        _same_bits(multiply(y, z), product_oracle.pair_loop_multiply(y, z))
 
 
 def test_multiply_keeps_rank_deficient_blocks(su2, rng):

@@ -1,4 +1,4 @@
-"""validate against the pair loop through ``fuse`` (tests/validate_oracle.py).
+"""validate against the pair loop through ``fuse_oracle`` (tests/validate_oracle.py).
 
 The report must equal the loop's field for field, and where the loop raises,
 validate raises the same exception type with the same message: the weight
@@ -40,7 +40,7 @@ def outcome(fn):
 
 @pytest.mark.parametrize("group", GROUPS)
 def test_validate_equals_pair_loop(group):
-    dual = parse_group(group)  # one dual, so the oracle's fuse cache serves every weight
+    dual = parse_group(group)
     for spec in RECIPES + table_weights(dual):
         for depth in (0, 3, 7):
             want = outcome(lambda: validate_oracle.validate(dual, make_weight(dual, spec), depth))

@@ -23,6 +23,7 @@ from bfw import duals
 from bfw.duals import parse_group
 from bfw.errors import FamilyMismatchError, LabelCapError, WeightOverflowError, WeightSpecError
 from bfw.labels import parse_label
+from walk_oracle import step
 from weight_log_oracle import oracle_log_value
 from conftest import cli_child
 from bfw.weights import (
@@ -332,7 +333,7 @@ def _log_of_support(log_of, labels):
 
 
 def _oracle_log_values(dual, log_of, S, n_max, cap):
-    """log w of the tensor powers of S, stepping frozensets through support_step
+    """log w of the tensor powers of S, stepping frozensets through walk_oracle.step
     and reading log w label by label through log_of."""
     vals = []
     supp = frozenset(S)
@@ -340,7 +341,7 @@ def _oracle_log_values(dual, log_of, S, n_max, cap):
         vals.append(_log_of_support(log_of, supp))
         if len(supp) > cap:
             raise LabelCapError(cap, len(supp))
-        supp = dual.support_step(supp, S)
+        supp = step(dual, supp, S)
     return vals
 
 
@@ -396,7 +397,7 @@ def _first_reached(dual, S, n):
     for k in range(1, n + 1):
         for a in supp:
             first.setdefault(tuple(dual.coords(a)), k)
-        supp = dual.support_step(supp, S)
+        supp = step(dual, supp, S)
     return first
 
 

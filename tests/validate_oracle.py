@@ -1,13 +1,15 @@
-"""The pair loop through ``fuse``, kept as the reference for :func:`bfw.weights.validate`.
+"""The pair loop through ``fuse_oracle``, kept as the reference for :func:`bfw.weights.validate`.
 
 Every pair a <= b of ball(depth) in order, and every component sigma of
-a (x) b in ``fuse`` order, with the excess w(sigma) / (w(a) w(b)) - 1.0 in
+a (x) b in label_key order, with the excess w(sigma) / (w(a) w(b)) - 1.0 in
 Python floats.  The library takes the same pass over
 :meth:`bfw.duals.GroupDual.fusion_table` in arrays.
 """
 
 from bfw.labels import format_label
 from bfw.weights import WeightReport
+
+import fuse_oracle
 
 
 def validate(dual, w, depth=12, tol=1e-9):
@@ -19,7 +21,7 @@ def validate(dual, w, depth=12, tol=1e-9):
         wa = w(a)
         for b in labels[i:]:
             bound = wa * w(b)
-            for sigma, _ in dual.fuse(a, b):
+            for sigma, _ in fuse_oracle.fuse(dual, a, b):
                 excess = w(sigma) / bound - 1.0
                 if excess > worst:
                     worst = excess
