@@ -249,7 +249,7 @@ def cmd_expcurve(args) -> int:
     curve = calculus.growth_curve(
         dual, u, w, t_list, cutoff_cap=args.cutoff_cap, tail_tol=args.tail_tol
     )
-    _write(args.out, curve.csv())
+    _write_csv(args.out, "t,norm,bound,cutoff,tail", curve.rows)
     if args.svg:
         _write(args.svg, _svg_polyline([r[0] for r in curve.rows], [r[1] for r in curve.rows]))
     summary = {

@@ -165,15 +165,16 @@ def norm_a_omega(u: OperatorField, w: Weight) -> float:
 
 def norm_l2_omega(f: OperatorField, w: Weight) -> float:
     """Weighted L^2 norm (sum over the support of ||f^(pi)||_2^2 d_pi w(pi))^(1/2)."""
+    ws = [w(a) for a in f.coeffs]
     with np.errstate(over="ignore", invalid="ignore"):
         total = 0.0
-        for a, M in f.coeffs.items():
-            total += float(np.sum(np.abs(M) ** 2)) * f.dual.dim(a) * w(a)
+        for (a, M), wa in zip(f.coeffs.items(), ws):
+            total += float(np.sum(np.abs(M) ** 2)) * f.dual.dim(a) * wa
         if math.isfinite(total):
             return float(np.sqrt(total))
         # the sum overflows where the norm may not: divide by the largest sqrt(d w)|entry| first
-        parts = [np.abs(M) * math.sqrt(f.dual.dim(a)) * math.sqrt(w(a))
-                 for a, M in f.coeffs.items()]
+        parts = [np.abs(M) * math.sqrt(f.dual.dim(a)) * math.sqrt(wa)
+                 for (a, M), wa in zip(f.coeffs.items(), ws)]
         top = max(float(np.max(P)) for P in parts)
         total = top * math.sqrt(sum(float(np.sum((P / top) ** 2)) for P in parts))
     if not math.isfinite(total):
@@ -371,9 +372,10 @@ def factorize(u: OperatorField, w1: Weight, w2: Weight) -> tuple[OperatorField, 
         root = Vh.conj().T * np.sqrt(s)  # |M|^(1/2) = W sqrt(S) W*
         half = root @ Vh
         vpol = U @ Vh
-        wa = np.sqrt(w1(a) * w2(a))
-        gs[a] = np.sqrt(w1(a) / wa) * (vpol @ half)
-        fs[a] = np.sqrt(w2(a) / wa) * half
+        w1a, w2a = w1(a), w2(a)
+        wa = np.sqrt(w1a * w2a)
+        gs[a] = np.sqrt(w1a / wa) * (vpol @ half)
+        fs[a] = np.sqrt(w2a / wa) * half
     return OperatorField.from_terms(u.dual, fs), OperatorField.from_terms(u.dual, gs)
 
 

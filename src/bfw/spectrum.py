@@ -43,7 +43,7 @@ from .duals import (
 from .errors import FamilyMismatchError
 from .fields import OperatorField, evaluate, point_margin
 from .labels import IrrepLabel, format_label
-from .weights import EPS_CLASS, Weight, growth_rate
+from .weights import EPS_CLASS, Weight, _power_logs
 
 __all__ = [
     "TorusSpectrumPoint",
@@ -193,7 +193,7 @@ def spectrum_bounds(
         n_max = 4096 if isinstance(dual, TorusDual) else 2048
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    radii = {format_label(p): growth_rate(dual, w, p, n_max).rho_slope for p in dual.generators()}
+    radii = {format_label(p): _power_logs(dual, w, p, n_max)[1] for p in dual.generators()}
     equals = all(abs(r - 1.0) <= EPS_CLASS for r in radii.values())
     return SpectrumDescription(dual.family, w.descriptor, n_max, radii, equals)
 

@@ -12,8 +12,8 @@ whenever sigma occurs in the fusion of a and b.  Built-in recipes:
 
 plus a JSON-only ``table`` recipe that overrides individual labels of a base
 recipe (handy for fabricating invalid weights in diagnostics).  Evaluations
-are memoized per weight; all built-ins are symmetric on the supported
-families and nondecreasing in the SU(2) spin index, which the restriction
+are not memoized: each pass over labels evaluates each label once.  All
+built-ins are symmetric on the supported families and nondecreasing in the SU(2) spin index, which the restriction
 weight uses as its exactness certificate.
 
 Growth scans read log w on arrays of lattice coordinates
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -69,22 +70,16 @@ class Weight:
     warnings: tuple[str, ...] = ()
     log_array: object = None  # coords -> log w in bulk; None reads fn label by label
     recipe: dict | None = field(default=None, repr=False, compare=False)  # make_weight's spec
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __call__(self, a: IrrepLabel) -> float:
-        v = self._cache.get(a)
-        if v is None:
-            try:
-                v = float(self.fn(a))
-            except OverflowError:
-                v = math.inf
-            if math.isinf(v):
-                raise WeightOverflowError(
-                    f"weight {self.descriptor} overflows at {format_label(a)}"
-                )
-            if not v > 0.0:
-                raise WeightSpecError(f"weight {self.descriptor} is {v} at {format_label(a)}")
-            self._cache[a] = v
+        try:
+            v = float(self.fn(a))
+        except OverflowError:
+            v = math.inf
+        if math.isinf(v):
+            raise WeightOverflowError(f"weight {self.descriptor} overflows at {format_label(a)}")
+        if not v > 0.0:
+            raise WeightSpecError(f"weight {self.descriptor} is {v} at {format_label(a)}")
         return v
 
     def log_values(self, coords) -> np.ndarray:
@@ -400,8 +395,11 @@ def validate(dual: GroupDual, w: Weight, depth: int = 12, tol: float = 1e-9) -> 
                        format_label(labels[ib[p]]))
             witness_vals = (float(vals[inv[t]]), float(va[ia[p]]), float(va[ib[p]]))
         i0 = i1
-    sym = max(abs(w(dual.conjugate(a)) - w(a)) / w(a) for a in labels)
-    inf = min(w(a) for a in labels)
+    # the pairs (trivial, b) gave every label of the ball, and so each conjugate, its value
+    vals = [known[c] for c in map(tuple, coords.tolist())]
+    conj = [known[tuple(dual.coords(dual.conjugate(a)))] for a in labels]
+    sym = max(abs(x - v) / v for x, v in zip(conj, vals))
+    inf = min(vals)
     passed = worst <= tol and (not w.symmetric or sym <= 1e-12)
     return WeightReport(passed, worst, witness, witness_vals, sym, inf, depth, tol)
 
@@ -410,18 +408,30 @@ def validate(dual: GroupDual, w: Weight, depth: int = 12, tol: float = 1e-9) -> 
 # growth
 # ---------------------------------------------------------------------------
 
-def _certificate(dual, w, label, n_max):
-    # log w of the k-fold tensor powers of the label, k = 1..n_max (max over support)
+def _power_logs(dual, w, label, n_max):
+    """log w of the k-fold tensor powers of the label, k = 1..n_max (max over
+    support), and e to their windowed slope between n_max/2 and n_max.
+
+    Raises WeightOverflowError when that exp or a root w^(1/k) = e^(log/k)
+    overflows; exp is increasing, so a root overflows exactly when e to the
+    largest log/k does.
+    """
     logs = dual.power_maxima(label, n_max, w.log_values, LABEL_CAP)
     half = max(1, n_max // 2)
     slope = (logs[n_max - 1] - logs[half - 1]) / (n_max - half) if n_max > 1 else logs[0]
     try:
-        roots = list(map(math.exp, [lv / n for n, lv in enumerate(logs, start=1)]))
+        math.exp(float(np.max(np.array(logs) / np.arange(1, n_max + 1))))
         rho_slope = math.exp(slope)
     except OverflowError:
         raise WeightOverflowError(
             f"growth rate of weight {w.descriptor} along {format_label(label)} overflows"
         ) from None
+    return logs, rho_slope
+
+
+def _certificate(dual, w, label, n_max):
+    logs, rho_slope = _power_logs(dual, w, label, n_max)
+    roots = [math.exp(lv / n) for n, lv in enumerate(logs, start=1)]
     seq = tuple(enumerate(roots, start=1))
     rho_hat = min(roots)
     tag = "nonexponential-evidence" if rho_slope <= 1.0 + EPS_CLASS else "exponential-witness"
@@ -482,11 +492,15 @@ def restrict_weight(w: Weight, cap: int = 512) -> Weight:
     exact = w.su2_monotone
     warnings = () if exact else ("inexact-infimum: scan truncated, recipe not certified monotone",)
 
+    @functools.cache
+    def spins():  # w at the spins 0..cap, taken once on the first inexact evaluation
+        return [w(Su2Spin(n)) for n in range(cap + 1)]
+
     def fn(sigma):
         k = abs(sigma.mu[0])
         if exact:
             return w(Su2Spin(k))
-        return min((w(Su2Spin(n)) for n in range(k, cap + 1, 2)), default=math.inf)
+        return min(spins()[k::2], default=math.inf)
 
     return Weight(
         TorusDual(1),

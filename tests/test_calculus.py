@@ -217,7 +217,8 @@ def test_growth_curve_su2(su2):
     assert curve.bound_exponent == 2.5
     assert curve.passed and curve.slope <= 3.0
     assert all(r[4] <= 1e-6 for r in curve.rows)
-    assert curve.csv().splitlines()[0] == "t,norm,bound,cutoff,tail"
+    # Python floats and an int cutoff, which the CLI's CSV writer prints as repr and str
+    assert all(list(map(type, r)) == [float, float, float, int, float] for r in curve.rows)
     # t = 0 has norm w(trivial) = 1
     fld, _ = exp_itu(su2, u, 0.0, cutoff=8)
     assert abs(norm_a_omega(fld, w) - 1.0) < 1e-12

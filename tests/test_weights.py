@@ -3,6 +3,7 @@
 import json
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,7 +26,10 @@ from bfw.errors import FamilyMismatchError, LabelCapError, WeightOverflowError, 
 from bfw.labels import parse_label
 from walk_oracle import step
 from weight_log_oracle import oracle_log_value
-from conftest import cli_child
+from conftest import cli_child, random_field
+from bfw.calculus import growth_curve
+from bfw.fields import character_field, factorize
+from bfw.spectrum import spectrum_bounds
 from bfw.weights import (
     Weight,
     classify_growth,
@@ -584,3 +588,60 @@ def test_certificate_overflow_equals_per_root_loop(su2, n_max):
         assert got == want
     with pytest.raises(WeightOverflowError, match=r"along pi:2 overflows"):
         growth_rate(su2, w, parse_label(su2, "pi:2"), n_max)
+
+
+@pytest.mark.parametrize("group", ["su2", "so3", "txz2", "torus:1", "torus:2", "prod(su2,torus:1)"])
+def test_spectrum_radii_are_certificate_slopes(group):
+    dual = parse_group(group)
+    for spec in RECIPES:
+        w = make_weight(dual, spec)
+        for n in (1, 2, 7, 64):
+            want = {format_label(p): growth_rate(dual, w, p, n).rho_slope for p in dual.generators()}
+            assert spectrum_bounds(dual, w, n).radii == want
+
+
+def test_spectrum_overflow_names_the_first_overflowing_root(su2):
+    # the windowed slope alone is finite (about 676.4), the root w(pi_1)^1 is not
+    w = make_weight(su2, "poly:alpha=1e6")
+    with pytest.raises(WeightOverflowError, match=r"^growth rate of weight poly:alpha=1e\+06 along pi:1 overflows$"):
+        spectrum_bounds(su2, w)
+
+
+def _counted(dual, spec, calls):
+    """The recipe's weight, counting the labels its function is called at."""
+    base = make_weight(dual, spec)
+
+    def fn(a):
+        calls[a] += 1
+        return base(a)
+
+    return Weight(dual, fn, spec, symmetric=base.symmetric)
+
+
+@pytest.mark.parametrize("group", ["su2", "so3", "txz2", "torus:2", "prod(su2,torus:1)"])
+def test_each_label_weighed_once_per_pass(group, rng):
+    dual = parse_group(group)
+    calls = Counter()
+    assert validate(dual, _counted(dual, "poly:alpha=1", calls), depth=4).passed
+    assert set(dual.ball(4)) <= set(calls) and set(calls.values()) == {1}
+    u = random_field(dual, 2, rng, n_terms=6)
+    c1, c2 = Counter(), Counter()
+    factorize(u, _counted(dual, "dim", c1), _counted(dual, "poly:alpha=1", c2))
+    assert c1 == c2 == Counter(list(u.coeffs))
+
+
+def test_growth_curve_weighs_each_label_once(su2):
+    calls = Counter()
+    u = character_field(su2, Su2Spin(1)) * 0.5
+    curve = growth_curve(su2, u, _counted(su2, "poly:alpha=1", calls), [1, 2, 4, 8, 16], cutoff_cap=120)
+    # the norms of five fields, each over the spins its e^{itu} keeps
+    assert set(calls.values()) == {1} and 20 < len(calls) <= max(r[3] for r in curve.rows) + 1
+
+
+def test_inexact_restriction_weighs_the_spins_once(su2):
+    calls = Counter()
+    w0 = Weight(su2, lambda a: calls.update([a]) or 1.0 + a.n + (a.n % 2), "wobble")
+    r = restrict_weight(w0, cap=64)
+    got = [r(TorusChar((k,))) for k in range(-64, 65)]
+    assert got == [min(1.0 + n + n % 2 for n in range(abs(k), 65, 2)) for k in range(-64, 65)]
+    assert calls == Counter(Su2Spin(n) for n in range(65))
