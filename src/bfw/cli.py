@@ -8,10 +8,8 @@ Subcommands wrap the library operations with file I/O and fixed exit codes:
     4  numeric failure (quadrature refinement, tail mass, a weight value
        that overflows, or a value out of floating-point range)
 
-Reports embed the configuration that produced them; a fixed configuration
-yields byte-identical output.  ``BFW_THREADS`` sets nothing: the numeric core
-is sequential and deterministic, and the value is only recorded as
-``threads`` in each report's configuration.
+Reports embed the configuration that produced them, the parsed arguments;
+a fixed configuration yields byte-identical output.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ import functools
 import itertools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -52,13 +49,6 @@ class _CliParseError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _CliParseError(message)
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("BFW_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _write(path, text):
@@ -115,10 +105,7 @@ def _emit_report(args, payload) -> None:
 
 
 def _config_dict(args):
-    skip = {"func"}
-    out = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
-    out["threads"] = _threads()
-    return out
+    return {k: v for k, v in vars(args).items() if k != "func" and v is not None}
 
 
 def _svg_polyline(xs, ys) -> str:
