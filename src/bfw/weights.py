@@ -12,9 +12,10 @@ whenever sigma occurs in the fusion of a and b.  Built-in recipes:
 
 plus a JSON-only ``table`` recipe that overrides individual labels of a base
 recipe (handy for fabricating invalid weights in diagnostics).  Evaluations
-are not memoized: each pass over labels evaluates each label once.  All
-built-ins are symmetric on the supported families and nondecreasing in the SU(2) spin index, which the restriction
-weight uses as its exactness certificate.
+are not memoized; each pass over labels evaluates each label once.  All
+built-ins are symmetric on the supported families and nondecreasing in the
+SU(2) spin index, which the restriction weight uses as its exactness
+certificate.
 
 Growth scans read log w on arrays of lattice coordinates
 (:meth:`Weight.log_values`).  Each recipe evaluates them in bulk, calling
@@ -395,7 +396,7 @@ def validate(dual: GroupDual, w: Weight, depth: int = 12, tol: float = 1e-9) -> 
                        format_label(labels[ib[p]]))
             witness_vals = (float(vals[inv[t]]), float(va[ia[p]]), float(va[ib[p]]))
         i0 = i1
-    # the pairs (trivial, b) gave every label of the ball, and so each conjugate, its value
+    # the pairs (trivial, b) valued every label of the ball, each conjugate among them
     vals = [known[c] for c in map(tuple, coords.tolist())]
     conj = [known[tuple(dual.coords(dual.conjugate(a)))] for a in labels]
     sym = max(abs(x - v) / v for x, v in zip(conj, vals))
