@@ -7,8 +7,10 @@ CHANGES.md).  Their input files are ``tests/corpus/inputs/``, written from
 fixed seeds by :func:`write_inputs`.  ``tests/corpus/out/<name>/`` holds what
 each run wrote: ``stdout`` and ``stderr`` (left out when empty) and every
 file the run created, under ``files/``.  ``tests/corpus/recorded.json`` holds
-each run's exit code, the hash seed, and the NumPy version and platform the
-corpus was recorded on.
+each run's exit code, the hash seed, and the machine the corpus was recorded
+on (:func:`machine`).  On that machine a replay must give the recorded bytes;
+on any other, or where the machine cannot be told, the texts must agree
+outside their numbers and the numbers to :func:`same_text`'s tolerance.
 
 Each run starts in a fresh directory holding a copy of ``inputs/`` and calls
 ``bfw.cli.main`` in-process, with RuntimeWarnings raised as errors, as the
@@ -25,6 +27,7 @@ and commit the changed files with the change.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import io
 import json
 import os
@@ -63,6 +66,52 @@ WEIGHTS = {
 
 def platform_key() -> str:
     return f"{platform.system()}-{platform.machine()}"
+
+
+def cpu_features() -> str | None:
+    """The CPU features NumPy dispatches its kernels on, or None where it
+    does not say."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        try:  # NumPy 1.x
+            from numpy.core._multiarray_umath import __cpu_features__
+        except ImportError:
+            return None
+    return " ".join(sorted(name for name, on in __cpu_features__.items() if on))
+
+
+def blas_core() -> str | None:
+    """The kernel set of the OpenBLAS a NumPy wheel ships (``SkylakeX``,
+    ``Haswell``, ...), or None where no such library is found."""
+    root = Path(np.__file__).resolve().parent
+    for lib in sorted([*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]):
+        try:
+            dll = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for prefix in ("scipy_", ""):
+            for suffix in ("64_", ""):
+                get = getattr(dll, f"{prefix}openblas_get_corename{suffix}", None)
+                if get is not None:
+                    get.restype = ctypes.c_char_p
+                    return get().decode()
+    return None
+
+
+def machine() -> dict:
+    """What fixes the last bits of a run: the NumPy version, the platform, and
+    the CPU kernels of NumPy and of its OpenBLAS.  The same NumPy wheel picks
+    other kernels on another CPU, and those round differently."""
+    return {"numpy": np.__version__, "platform": platform_key(),
+            "cpu_features": cpu_features(), "blas_core": blas_core()}
+
+
+def exact_replay(recorded: dict) -> bool:
+    """Whether this machine is, as far as it can be told, the one the corpus
+    was recorded on."""
+    here = machine()
+    return None not in here.values() and all(recorded.get(k) == v for k, v in here.items())
 
 
 def write_inputs(dest: Path) -> None:
@@ -123,15 +172,33 @@ def run_cases(cases: list[dict], inputs: Path, hashseed: int = HASHSEED) -> dict
     results = {c["name"]: run_case(c["argv"], inputs) for c in cases if not c.get("hashseed")}
     seeded = [c["name"] for c in cases if c.get("hashseed")]
     if seeded:
-        import bfw
-
-        src = Path(bfw.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONHASHSEED": str(hashseed),
-               "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
         child = subprocess.run([sys.executable, __file__, "--child", str(inputs), *seeded],
-                               capture_output=True, text=True, env=env, check=True)
+                               capture_output=True, text=True, env=child_env(PYTHONHASHSEED=str(hashseed)),
+                               check=True)
         results.update(json.loads(child.stdout))
     return results
+
+
+def child_env(**extra: str) -> dict:
+    """This process's environment, with the bfw it imports first on the path."""
+    import bfw
+
+    src = Path(bfw.__file__).resolve().parents[1]
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+
+
+def replay() -> tuple[bool, dict]:
+    """Replay every case: whether the comparison was byte for byte, and
+    name -> :func:`differences` for every case that differs."""
+    recorded = json.loads((CORPUS / "recorded.json").read_text())
+    cases = load_cases()
+    if sorted(recorded["exit"]) != sorted(c["name"] for c in cases):
+        raise ValueError("recorded.json and cases.json name different cases: rewrite the corpus")
+    exact = exact_replay(recorded)
+    results = run_cases(cases, CORPUS / "inputs", recorded["hashseed"])
+    failed = {name: diff for name in sorted(results)
+              if (diff := differences(expected(name), results[name], exact))}
+    return exact, failed
 
 
 def expected(name: str) -> dict:
@@ -150,12 +217,17 @@ _NUMBER = re.compile(r"-?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 
 def same_text(want: str, got: str, rtol: float = 1e-12) -> bool:
     """The texts agree outside their numbers, and number by number to rtol
-    relative to the larger of the two: the comparison for outputs recorded
-    under another NumPy build or platform, where the last bits may differ."""
+    times the largest magnitude among the numbers of both texts: the
+    comparison for outputs recorded under another NumPy build or platform.
+    Rounding errors there scale with the output, not with the number itself:
+    a 1e-17 entry next to O(1) entries, or a residual of 1e-15, may change
+    by all of itself."""
     if _NUMBER.split(want) != _NUMBER.split(got):
         return False
-    xs, ys = _NUMBER.findall(want), _NUMBER.findall(got)
-    return all(abs(float(x) - float(y)) <= rtol * max(abs(float(x)), abs(float(y))) for x, y in zip(xs, ys))
+    xs = [float(x) for x in _NUMBER.findall(want)]
+    ys = [float(y) for y in _NUMBER.findall(got)]
+    scale = max((abs(v) for v in xs + ys), default=0.0)
+    return all(abs(x - y) <= rtol * scale for x, y in zip(xs, ys))
 
 
 def differences(want: dict, got: dict, exact: bool) -> list[str]:
@@ -192,8 +264,7 @@ def rewrite() -> None:
         for name, text in res["files"].items():
             (base / "files" / name).parent.mkdir(parents=True, exist_ok=True)
             (base / "files" / name).write_text(text, encoding="utf-8")
-    meta = {"numpy": np.__version__, "platform": platform_key(), "hashseed": HASHSEED,
-            "exit": {c["name"]: results[c["name"]]["exit"] for c in cases}}
+    meta = {**machine(), "hashseed": HASHSEED, "exit": {c["name"]: results[c["name"]]["exit"] for c in cases}}
     (CORPUS / "recorded.json").write_text(json.dumps(meta, indent=1, sort_keys=True) + "\n")
 
 
@@ -202,5 +273,8 @@ if __name__ == "__main__":
         by_name = {c["name"]: c for c in load_cases()}
         inputs = Path(sys.argv[2])
         json.dump({n: run_case(by_name[n]["argv"], inputs) for n in sys.argv[3:]}, sys.stdout)
+    elif sys.argv[1:] == ["--check"]:
+        exact, failed = replay()
+        json.dump({"exact": exact, "machine": machine(), "failed": failed}, sys.stdout)
     else:
         rewrite()
