@@ -489,13 +489,12 @@ def _scalar_field(dual, coords, coef, positions) -> OperatorField:
     return OperatorField(dual, {a: M for (_, a), M in zip(kept, blocks)})
 
 
-def _scalar_norm(dual, coords, coef, w: Weight, known: dict) -> float:
+def _scalar_norm(dual, coords, coef, w: Weight) -> float:
     """norm_a_omega of _scalar_field(dual, coords, coef, range(coef.size))
     without building it: the sum of (d |c|) d w(a) over the kept positions in
     order, with |c| as LAPACK's SVD gives the one singular value of [c]
     (dlapy3), so rank-one labels match the dense norm bit for bit; a d x d
-    block c I differs from it in the last bits.  known maps labels to w(a) and
-    takes each label's value the first time one of these sums meets it."""
+    block c I differs from it in the last bits."""
     kept = _kept(dual, coords, coef, range(coef.size))
     pos = np.array([i for i, _ in kept], dtype=np.intp)
     c = coef[pos]
@@ -504,9 +503,7 @@ def _scalar_norm(dual, coords, coef, w: Weight, known: dict) -> float:
     mod = top * np.sqrt((re / top) ** 2 + (im / top) ** 2 + 0.0)
     total = 0.0
     for (_, a), d, m in zip(kept, dual.dims_at(coords[pos]).tolist(), mod.tolist()):
-        if a not in known:
-            known[a] = w(a)
-        total += (d * m) * d * known[a]
+        total += (d * m) * d * w(a)
     if not math.isfinite(total):
         raise WeightOverflowError(f"A_omega norm under {w.descriptor} overflows")
     return total
@@ -572,10 +569,10 @@ def growth_curve(
             f"[max/10, max], got {times!r}"
         )
     exp = _ExpItu(dual, u)
-    rows, known = [], {}
+    rows = []
     for t in times:
         (coords, coef, defect), used = exp.auto(t, cutoff_cap, lambda n: exp.coefs(t, n, tail_tol))
-        rows.append((t, _scalar_norm(dual, coords, coef, w, known), (1.0 + abs(t)) ** exponent, used, defect))
+        rows.append((t, _scalar_norm(dual, coords, coef, w), (1.0 + abs(t)) ** exponent, used, defect))
     ts = np.array(times)
     norms = np.array([r[1] for r in rows])
     sel = ts >= ts.max() / 10.0

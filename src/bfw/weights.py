@@ -396,8 +396,9 @@ def validate(dual: GroupDual, w: Weight, depth: int = 12, tol: float = 1e-9) -> 
                        format_label(labels[ib[p]]))
             witness_vals = (float(vals[inv[t]]), float(va[ia[p]]), float(va[ib[p]]))
         i0 = i1
-    # the pairs (trivial, b) valued every label of the ball, each conjugate among them
-    vals = [known[c] for c in map(tuple, coords.tolist())]
+    # the pairs (trivial, b) of the first block valued every label of the ball, each
+    # conjugate among them, so va holds them all
+    vals = va.tolist()
     conj = [known[tuple(dual.coords(dual.conjugate(a)))] for a in labels]
     sym = max(abs(x - v) / v for x, v in zip(conj, vals))
     inf = min(vals)

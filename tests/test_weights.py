@@ -27,7 +27,7 @@ from bfw.labels import parse_label
 from walk_oracle import step
 from weight_log_oracle import oracle_log_value
 from conftest import cli_child, random_field
-from bfw.calculus import growth_curve
+from bfw.calculus import exp_itu_auto, growth_curve
 from bfw.fields import character_field, factorize
 from bfw.spectrum import spectrum_bounds
 from bfw.weights import (
@@ -630,12 +630,14 @@ def test_each_label_weighed_once_per_pass(group, rng):
     assert c1 == c2 == Counter(list(u.coeffs))
 
 
-def test_growth_curve_weighs_each_label_once(su2):
+def test_growth_curve_weighs_each_label_once_per_norm(su2):
     calls = Counter()
     u = character_field(su2, Su2Spin(1)) * 0.5
-    curve = growth_curve(su2, u, _counted(su2, "poly:alpha=1", calls), [1, 2, 4, 8, 16], cutoff_cap=120)
+    ts = [1, 2, 4, 8, 16]
+    growth_curve(su2, u, _counted(su2, "poly:alpha=1", calls), ts, cutoff_cap=120)
     # the norms of five fields, each over the spins its e^{itu} keeps
-    assert set(calls.values()) == {1} and 20 < len(calls) <= max(r[3] for r in curve.rows) + 1
+    kept = Counter(a for t in ts for a in exp_itu_auto(su2, u, t, 120)[0].coeffs)
+    assert calls == kept and max(kept.values()) == len(ts)
 
 
 def test_inexact_restriction_weighs_the_spins_once(su2):
