@@ -132,25 +132,14 @@ def series_tail(dual: GroupDual, s: float, n_max: int):
     """Partial sums of sum d^2 (1 + wordlength^2)^(-s) by word-length shells.
 
     Returns rows (n, partial_sum, increment); convergent for s above half the
-    group dimension.
+    group dimension.  Each shell's terms are summed in ball order.
     """
-    rows = []
-    total = 0.0
-    for n, shell in enumerate(_shells(dual, n_max)):
-        inc = sum(dual.dim(a) ** 2 * (1.0 + n**2) ** (-s) for a in shell)
-        total += inc
-        rows.append((n, total, inc))
-    return rows
-
-
-def _shells(dual: GroupDual, n_max: int) -> list[list[IrrepLabel]]:
-    """Shell n lists the labels of word length n, n <= n_max, in ball order;
-    each ball is sorted, so shell n is ball(n) minus ball(n - 1) in order."""
-    shells: list[list[IrrepLabel]] = [[] for _ in range(n_max + 1)]
     coords = dual.ball_coords(n_max)
-    for c, n in zip(coords.tolist(), dual.word_lengths_at(coords).tolist()):
-        shells[n].append(dual.label_at(c))
-    return shells
+    shells = [[] for _ in range(n_max + 1)]
+    for n, d in zip(dual.word_lengths_at(coords).tolist(), dual.dims_at(coords).tolist()):
+        shells[n].append(d)
+    incs = [sum(d**2 * (1.0 + n**2) ** (-s) for d in dims) for n, dims in enumerate(shells)]
+    return list(zip(range(n_max + 1), np.cumsum(incs).tolist(), incs))
 
 
 # ---------------------------------------------------------------------------
@@ -751,37 +740,43 @@ def point_derivation(dual: GroupDual, X, u: OperatorField) -> complex:
 
 
 def derivation_bound_scan(dual: GroupDual, X, w: Weight, n_max: int):
-    """Rows (n, sup over labels of word length <= n of ||dpi(X)|| / w(pi))."""
-    rows = []
-    best = 0.0
-    shells = _shells(dual, n_max)
-    top = _normal_top_eigenvalue(dual, X)
-    for n in range(1, n_max + 1):
-        # the trivial label sorts first, so shells 0 and 1 are ball(1) in order
-        for a in shells[0] + shells[1] if n == 1 else shells[n]:
-            norm = a.n * top if top is not None else float(np.linalg.norm(algebra_rep(dual, a, X), 2))
-            best = max(best, norm / w(a))
-        rows.append((n, best))
-    return rows
+    """Rows (n, sup over labels of word length <= n of ||dpi(X)|| / w(pi)).
+
+    One pass over ball_coords(n_max), taking w label by label in ball order
+    (word-length order on these families); n_max = 0 evaluates nothing.
+    """
+    coords = dual.ball_coords(n_max)
+    if n_max == 0:
+        return []
+    norm_at = _algebra_norm_at(dual, X)
+    best = np.zeros(n_max + 1)
+    ratios = [norm_at(c) / w(dual.label_at(c)) for c in coords.tolist()]
+    np.maximum.at(best, dual.word_lengths_at(coords), ratios)
+    return list(enumerate(np.maximum.accumulate(best).tolist()))[1:]
 
 
-def _algebra_norm(dual, a, X) -> float:
-    """||dpi_a(X)||, the operator norm, for one label: the per-label form of
-    :func:`derivation_bound_scan`'s norms, kept as the tests' reference."""
-    top = _normal_top_eigenvalue(dual, X)
+def _algebra_norm_at(dual: GroupDual, X):
+    """Lattice coordinates -> ||dpi(X)||: |mu . X| on a torus, one float dot
+    product a label (a batched product loses the 1 x 1 SVD's bits); on SU(2)
+    and SO(3) n max|eig X| for a normal X, else the SVD of dpi_n(X)."""
+    if not isinstance(dual, (Su2Dual, TorusDual)):
+        raise FamilyMismatchError(f"no Lie data for {dual!r}")
+    if not np.isfinite(X).all():
+        raise ValueError("the algebra element X must be finite")
+    if isinstance(dual, TorusDual):
+        return lambda c: abs(float(np.dot(c, X)))
+    top = _normal_top_eigenvalue(X)
     if top is not None:
-        return a.n * top
-    return float(np.linalg.norm(algebra_rep(dual, a, X), 2))
+        return lambda c: c[0] * top
+    return lambda c: float(np.linalg.norm(su2_algebra_rep(c[0], X), 2))
 
 
-def _normal_top_eigenvalue(dual, X) -> float | None:
-    """max |eig X| for a normal X on SU(2) or SO(3), else None.
+def _normal_top_eigenvalue(X) -> float | None:
+    """max |eig X| for a normal X, else None.
 
     A normal X is unitarily diagonalizable, so dpi(X) is unitarily conjugate
     to dpi of the diagonalization of X, whose norm is n times this modulus.
     """
-    if not isinstance(dual, Su2Dual):
-        return None
     X = np.asarray(X, dtype=complex)
     Xh = X.conj().T
     if not np.array_equal(X @ Xh, Xh @ X):

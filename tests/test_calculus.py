@@ -1,6 +1,7 @@
 """Casimir data, e^{itu}, growth curves, separating functions, derivations,
 synthesis degrees, and the shifted-argument tensor identities."""
 
+import json
 import math
 
 import numpy as np
@@ -22,7 +23,6 @@ from bfw import So3Dual, Su2Dual
 from bfw.calculus import (
     CasimirData,
     SplineBump,
-    _algebra_norm,
     algebra_rep,
     apply_one_minus_laplacian,
     casimir_eigenvalue,
@@ -48,7 +48,9 @@ from bfw.fields import PRUNE_TOL
 from bfw.quadrature import HaarGrid, grid_values
 from bfw.spectrum import Su2SpectrumPoint, char_eval, membership
 
+import derivation_oracle
 from conftest import field_max_abs, fields_close, random_field
+from derivation_oracle import algebra_norm
 from exp_oracle import su2_exp_kernel
 
 
@@ -840,7 +842,7 @@ def _shell_rows_reference(dual, X, w, s, n_max):
         for a in dual.ball(n):
             if a not in seen:
                 seen.add(a)
-                best = max(best, _algebra_norm(dual, a, X) / w(a))
+                best = max(best, algebra_norm(dual, a, X) / w(a))
         scan.append((n, best))
     tail, total, seen = [], 0.0, set()
     for n in range(n_max + 1):
@@ -923,8 +925,8 @@ def test_derivation_scan_one_eigen_solve(group, kind, monkeypatch):
     normal = kind.startswith("basis")
     if not normal:  # the per-label norm is still the SVD of dpi(X)
         for a in dual.ball(n_max):
-            assert _algebra_norm(dual, a, X) == float(np.linalg.norm(su2_algebra_rep(a.n, X), 2))
-    want = [(n, max(_algebra_norm(dual, a, X) / w(a) for a in dual.ball(n)))
+            assert algebra_norm(dual, a, X) == float(np.linalg.norm(su2_algebra_rep(a.n, X), 2))
+    want = [(n, max(algebra_norm(dual, a, X) / w(a) for a in dual.ball(n)))
             for n in range(1, n_max + 1)]
     calls = []
     eigvals = np.linalg.eigvals
@@ -938,15 +940,111 @@ def test_algebra_norm_non_normal(su2):
     # normal X; the nilpotent E has no nonzero eigenvalue but dpi_1(E) = E
     E = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     H = 1j * np.diag([1.0, -1.0])
-    assert abs(_algebra_norm(su2, Su2Spin(1), E) - 1.0) <= 1e-12
+    assert abs(algebra_norm(su2, Su2Spin(1), E) - 1.0) <= 1e-12
     for X in (E, H + E):
         for n in (1, 3, 4, 10):
             want = np.linalg.norm(su2_algebra_rep(n, X), 2)
-            assert abs(_algebra_norm(su2, Su2Spin(n), X) - want) <= 1e-12 * want, (n, X)
+            assert abs(algebra_norm(su2, Su2Spin(n), X) - want) <= 1e-12 * want, (n, X)
     # normal inputs keep the shortcut value exactly
     X = CasimirData(su2).basis[0]
     c = float(np.max(np.abs(np.linalg.eigvals(X))))
-    assert _algebra_norm(su2, Su2Spin(7), X) == 7 * c
+    assert algebra_norm(su2, Su2Spin(7), X) == 7 * c
+
+
+# --- the scans on coordinate rows against the shell loop --------------------------------
+
+SCAN_RECIPES = ["dim", "poly:alpha=0.75", "exp:lambda=1.5", "prod(dim,poly:alpha=1)", "pow(dim,2)",
+                '{"kind": "table", "base": {"kind": "poly", "alpha": 0.5}, "entries": {}}', "exp:lambda=1e300"]
+# ball(40) of torus:3 holds 45,961 labels, too many for one SVD each
+SCAN_RADII = {"su2": (0, 1, 7, 40), "so3": (0, 1, 7, 40), "torus:1": (0, 1, 7, 40), "torus:2": (0, 1, 7, 24),
+              "torus:3": (0, 1, 4, 10)}
+NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+
+def _outcome(scan, *args):
+    """The rows as text, or the error's type and message."""
+    try:
+        return repr(scan(*args))
+    except Exception as exc:  # the scans must fail alike
+        return type(exc), str(exc)
+
+
+def _scan_elements(dual, rng):
+    """The basis, then non-basis X: non-normal ones on SU(2) and SO(3)."""
+    basis = list(CasimirData(dual).basis)
+    if isinstance(dual, TorusDual):
+        return basis + [rng.standard_normal(dual.n), 1e3 * rng.standard_normal(dual.n), np.full(dual.n, 1 / 3)]
+    return basis + [NILPOTENT, 1j * np.diag([1.0, -1.0]) + NILPOTENT,
+                    rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))]
+
+
+@pytest.mark.parametrize("group", sorted(SCAN_RADII))
+@pytest.mark.parametrize("recipe", SCAN_RECIPES, ids=["dim", "poly", "exp", "prod", "pow", "table", "exp-overflow"])
+def test_derivation_scan_equals_shell_loop(group, recipe, rng):
+    # bit for bit, and the same error at the same first failing label
+    dual = parse_group(group)
+    w = make_weight(dual, json.loads(recipe) if recipe.startswith("{") else recipe)
+    for X in _scan_elements(dual, rng):
+        for n_max in SCAN_RADII[group]:
+            assert _outcome(derivation_bound_scan, dual, X, w, n_max) == \
+                _outcome(derivation_oracle.derivation_scan, dual, X, w, n_max), (X, n_max)
+
+
+@pytest.mark.parametrize("group", ["su2", "so3", "torus:1", "torus:2", "torus:3", "txz2", "prod(su2,torus:1)",
+                                   "prod(prod(su2,txz2),torus:1)"])
+def test_series_tail_equals_shell_loop(group):
+    dual = parse_group(group)
+    for s in (0.5, 1.0, 1.7, 3.0, -2.0):
+        for n_max in (0, 1, 5, 12):
+            assert _outcome(series_tail, dual, s, n_max) == _outcome(derivation_oracle.series_tail, dual, s, n_max)
+
+
+@pytest.mark.parametrize("group", ["txz2", "prod(su2,torus:1)"])
+def test_derivation_scan_without_lie_data(group):
+    # n_max = 0 gives no rows and evaluates nothing; past it the family is refused first
+    dual = parse_group(group)
+    calls = []
+    w = make_weight(dual, "dim")
+    probe = lambda a: calls.append(a) or w(a)
+    assert derivation_bound_scan(dual, np.eye(2), probe, 0) == []
+    with pytest.raises(FamilyMismatchError, match="no Lie data"):
+        derivation_bound_scan(dual, np.eye(2), probe, 3)
+    assert calls == []
+
+
+def test_derivation_scan_rejects_non_finite_elements(su2, t1):
+    for dual, X in ((su2, np.full((2, 2), np.nan)), (su2, np.diag([np.inf, 0.0])), (t1, np.array([np.inf]))):
+        with pytest.raises(ValueError, match="finite"):
+            derivation_bound_scan(dual, X, make_weight(dual, "dim"), 4)
+
+
+def _linalg_calls(monkeypatch):
+    """Names of the np.linalg functions called from here on, in order."""
+    calls = []
+    for name in ("norm", "svd", "eig", "eigh", "eigvals", "eigvalsh"):
+        f = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _f=f, _name=name, **k: calls.append(_name) or _f(*a, **k))
+    return calls
+
+
+def test_torus_scan_makes_no_linalg_call(monkeypatch):
+    # |mu . X| per row: no 1 x 1 SVDs
+    dual = TorusDual(2)
+    X, w = CasimirData(dual).basis[1], make_weight(dual, "poly:alpha=1")
+    want = derivation_oracle.derivation_scan(dual, X, w, 30)
+    calls = _linalg_calls(monkeypatch)
+    assert derivation_bound_scan(dual, X, w, 30) == want
+    assert calls == []
+
+
+@pytest.mark.parametrize("group", ["su2", "so3"])
+def test_non_normal_scan_takes_one_norm_per_spin(group, monkeypatch):
+    dual = parse_group(group)
+    X, w = 1j * np.diag([1.0, -1.0]) + NILPOTENT, make_weight(dual, "poly:alpha=0.75")
+    want = derivation_oracle.derivation_scan(dual, X, w, 24)
+    calls = _linalg_calls(monkeypatch)
+    assert derivation_bound_scan(dual, X, w, 24) == want
+    assert calls == ["norm"] * len(dual.ball(24))
 
 
 def test_algebra_rep_values(su2):
