@@ -11,6 +11,9 @@ points:
     {"group": "su2", "euler": [a, b, c], "lambda": 2.0}
     {"group": "torus:1", "z": [[re, im]]}
     {"group": "txz2", "z": [re, im], "flip": false}
+    {"group": "prod(su2,torus:1)", "factors": [{"group": "su2", ...}, {"group": "torus:1", ...}]}
+
+A product point lists one point document of each factor's group.
 
 ``dumps`` writes exactly the bytes of ``json.dumps(obj, sort_keys=True,
 indent=2) + "\n"`` from the running interpreter's stdlib: keys sorted, strings
@@ -29,11 +32,12 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .duals import (
-    GroupDual, SemidirectDual, Su2Dual, TorusDual, group_token, parse_group, su2_euler_point,
+    GroupDual, ProductDual, SemidirectDual, Su2Dual, TorusDual, group_token, parse_group, su2_euler_point,
 )
 from .fields import OperatorField
 from .labels import format_label, parse_label
 from .spectrum import (
+    ProductSpectrumPoint,
     SemidirectSpectrumPoint,
     Su2SpectrumPoint,
     TorusSpectrumPoint,
@@ -171,6 +175,9 @@ def spectrum_point_to_json(dual: GroupDual, theta) -> dict:
         return {"group": token, "euler": [alpha, beta, gamma], "lambda": theta.lam}
     if isinstance(theta, SemidirectSpectrumPoint):
         return {"group": token, "z": [theta.z.real, theta.z.imag], "flip": theta.flip}
+    if isinstance(theta, ProductSpectrumPoint):
+        return {"group": token, "factors": [spectrum_point_to_json(dual.left, theta.left),
+                                            spectrum_point_to_json(dual.right, theta.right)]}
     raise ValueError(f"cannot serialize {theta!r}")
 
 
@@ -186,6 +193,15 @@ def spectrum_point_from_json(data: dict):
     if isinstance(dual, SemidirectDual):
         re, im = _finite(data["z"], (2,), "z").tolist()
         return dual, SemidirectSpectrumPoint(complex(re, im), bool(data.get("flip", False)))
+    if isinstance(dual, ProductDual):
+        factors = _expect(data["factors"], list, "factors")
+        if len(factors) != 2:
+            raise ValueError(f"a point of {data['group']} needs two factor points, got {len(factors)}")
+        (left, p), (right, q) = map(spectrum_point_from_json, factors)
+        if (left, right) != (dual.left, dual.right):
+            raise ValueError(f"factor points of {group_token(left)} and {group_token(right)} "
+                             f"do not make a point of {data['group']}")
+        return dual, ProductSpectrumPoint(p, q)
     raise ValueError(f"no spectrum points for group {data['group']!r}")
 
 

@@ -56,6 +56,13 @@ POINTS = {
     "p_t1.json": {"group": "torus:1", "z": [[1.5, 0.0]]},
     "p_t2.json": {"group": "torus:2", "z": [[2.1, 0.0], [0.0, 0.5]]},
     "p_txz2.json": {"group": "txz2", "z": [0.0, -0.6], "flip": True},
+    "p_su2t1.json": {"group": "prod(su2,torus:1)", "factors": [
+        {"group": "su2", "euler": [0.3, 1.1, 2.0], "lambda": 2.1}, {"group": "torus:1", "z": [[0.0, 1.0]]}]},
+    "p_su2txz2t1.json": {"group": "prod(prod(su2,txz2),torus:1)", "factors": [
+        {"group": "prod(su2,txz2)", "factors": [
+            {"group": "su2", "euler": [0.3, 1.1, 2.0], "lambda": 1.5},
+            {"group": "txz2", "z": [0.0, -0.6], "flip": True}]},
+        {"group": "torus:1", "z": [[1.5, 0.0]]}]},
 }
 
 WEIGHTS = {

@@ -24,6 +24,7 @@ from bfw.serialize import (
 )
 from bfw.spectrum import SemidirectSpectrumPoint, Su2SpectrumPoint, TorusSpectrumPoint
 
+import margin_oracle
 from conftest import fields_close, random_field
 
 
@@ -385,3 +386,37 @@ def test_spectrum_point_round_trip(su2, sd, t1, rng):
         assert dual2 == dual
         for a in dual.ball(3):
             assert np.allclose(dual.rep(a, back), dual.rep(a, theta), atol=1e-9)
+
+
+@pytest.mark.parametrize("group", ["prod(su2,torus:1)", "prod(prod(su2,txz2),torus:1)"])
+def test_product_spectrum_point_round_trip(group, rng):
+    dual = bfw.parse_group(group)
+    theta = margin_oracle.spectrum_point(dual, rng)
+    doc = spectrum_point_to_json(dual, theta)
+    # one point document per factor, each of its factor's group
+    assert doc["factors"] == [spectrum_point_to_json(dual.left, theta.left),
+                              spectrum_point_to_json(dual.right, theta.right)]
+    dual2, back = spectrum_point_from_json(json.loads(json.dumps(doc)))
+    assert dual2 == dual
+    for a in dual.ball(2):
+        assert np.allclose(dual.rep(a, back), dual.rep(a, theta), atol=1e-9)
+
+
+@pytest.mark.parametrize("factors", [
+    [{"group": "torus:1", "z": [[1.0, 0.0]]}, {"group": "su2", "euler": [0, 0, 0], "lambda": 2.0}],
+    [{"group": "su2", "euler": [0, 0, 0], "lambda": 2.0}],
+    [{"group": "su2", "euler": [0, 0, 0], "lambda": 2.0}, {"group": "torus:1", "z": [[1.0, 0.0]]}, 5],
+    [{"group": "su2", "euler": [0, 0, 0], "lambda": 2.0}, {"group": "torus:1"}],
+    [{"group": "su2", "euler": [0, 0, 0], "lambda": 2.0}, [1, 2]],
+    5,
+    None,
+], ids=["swapped", "one", "three", "no-z", "junk-factor", "int", "null"])
+def test_product_spectrum_point_errors_exit_3(tmp_path, factors):
+    # a factor of the wrong group or a malformed factor list is a parse error
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"group": "prod(su2,torus:1)", "factors": factors}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run(["spectrum", "--group", "prod(su2,torus:1)", "--weight", "dim", "--num", "4",
+                       "--membership-point", str(p)])
+    assert code == 3 and err.getvalue().startswith("parse error:"), err.getvalue()

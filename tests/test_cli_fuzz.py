@@ -60,10 +60,19 @@ weights = st.recursive(
     ),
     max_leaves=3,
 ) | junk
-points = st.fixed_dictionaries(
-    {"group": st.sampled_from(["su2", "torus:1", "torus:2", "txz2", "so3", "prod(su2,torus:1)"]) | junk},
-    optional={"z": pairs | st.lists(pairs, max_size=3), "euler": st.lists(numbers, max_size=4) | junk,
-              "lambda": numbers | junk, "flip": junk},
+points = st.recursive(
+    st.fixed_dictionaries(
+        {"group": st.sampled_from(["su2", "torus:1", "torus:2", "txz2", "so3", "prod(su2,torus:1)"]) | junk},
+        optional={"z": pairs | st.lists(pairs, max_size=3), "euler": st.lists(numbers, max_size=4) | junk,
+                  "lambda": numbers | junk, "flip": junk},
+    ),
+    # a product point lists one point per factor
+    lambda inner: st.fixed_dictionaries(
+        {"group": st.sampled_from(["prod(su2,torus:1)", "prod(torus:1,su2)", "prod(prod(su2,txz2),torus:1)"])
+         | junk},
+        optional={"factors": st.lists(inner, max_size=3) | junk},
+    ),
+    max_leaves=4,
 ) | junk
 
 
@@ -181,6 +190,13 @@ REPRODUCED = [
     # one sample time printed "slope": NaN (not JSON); none failed in max() of an empty array
     (EXPCURVE + ["--tmax", "1.5"], {}, 3),
     (EXPCURVE + ["--tmax", "0.5"], {}, 3),
+] + [
+    # product points: a factor list that is not a list of two points of the factors' groups
+    (MEMBERSHIP + ["prod(su2,torus:1)"], {"p": {"group": "prod(su2,torus:1)", "factors": factors}}, code)
+    for factors, code in [
+        (5, 3), ([5, 5], 3), ([VALID["p"]], 3), ([VALID["p"], VALID["p"]], 3),
+        ([{"group": "su2", "euler": [0, 0, 0], "lambda": 2}, VALID["p"]], 0),
+    ]
 ]
 
 
