@@ -460,15 +460,9 @@ def growth_rate(
     return _certificate(dual, w, label, n_max)
 
 
-def classify_growth(
-    dual: GroupDual,
-    w: Weight,
-    S=None,
-    n_max: int = 2048,
-) -> GrowthClassification:
-    """Evidence-level growth classification over a generating set."""
-    S = tuple(S) if S is not None else dual.generators()
-    certs = tuple(_certificate(dual, w, s, n_max) for s in S)
+def classify_growth(dual: GroupDual, w: Weight, n_max: int = 2048) -> GrowthClassification:
+    """Evidence-level growth classification over the default generators."""
+    certs = tuple(_certificate(dual, w, s, n_max) for s in dual.generators())
     for cert in certs:
         if cert.tag == "exponential-witness":
             return GrowthClassification("exponential-witness", cert.label, cert.rho_hat, certs)

@@ -523,8 +523,6 @@ def test_growth_foreign_generator(su2, t1):
     w = make_weight(su2, "const:1")
     with pytest.raises(FamilyMismatchError):
         growth_rate(su2, w, TorusChar((1,)), 8)
-    with pytest.raises(FamilyMismatchError):
-        classify_growth(su2, w, S=(TorusChar((1,)),), n_max=8)
 
 
 # --- certificates against the per-root loop ------------------------------------
