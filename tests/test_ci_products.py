@@ -1,6 +1,6 @@
-"""The product checks that CI runs inline on every interpreter, run in-process
-through ``cli.main`` in a fresh directory, each with its assertions as CI
-states them."""
+"""Products through ``bfw multiply``, in-process through ``cli.main`` in a
+fresh directory: character products with their closed-form supports and
+blocks, and full random blocks on products of groups checked pointwise."""
 
 import contextlib
 import io

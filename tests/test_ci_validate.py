@@ -1,6 +1,6 @@
-"""The depth-24 weight validations that CI runs inline on every interpreter,
-each in a child process with its assertions as CI states them: the fusion
-inequality holds, in under 2 s and 150 MB peak a run."""
+"""Depth-24 weight validations through ``bfw validate-weight``, each in a
+child process: the fusion inequality holds, in under 2 s and 150 MB peak a
+run."""
 
 import json
 import time
