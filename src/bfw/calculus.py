@@ -745,9 +745,9 @@ def derivation_bound_scan(dual: GroupDual, X, w: Weight, n_max: int):
     One pass over ball_coords(n_max), taking w label by label in ball order
     (word-length order on these families); n_max = 0 evaluates nothing.
     """
-    coords = dual.ball_coords(n_max)
     if n_max == 0:
         return []
+    coords = dual.ball_coords(n_max)
     norm_at = _algebra_norm_at(dual, X)
     best = np.zeros(n_max + 1)
     ratios = [norm_at(c) / w(dual.label_at(c)) for c in coords.tolist()]

@@ -912,6 +912,15 @@ def test_derivation_scan_shapes(su2):
     assert s05[500] > 10.0 * s05[1]
 
 
+def _linalg_calls(monkeypatch):
+    """Names of the np.linalg functions called from here on, in order."""
+    calls = []
+    for name in ("norm", "svd", "eig", "eigh", "eigvals", "eigvalsh"):
+        f = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _f=f, _name=name, **k: calls.append(_name) or _f(*a, **k))
+    return calls
+
+
 @pytest.mark.parametrize("group", ["su2", "so3"])
 @pytest.mark.parametrize("kind", ["basis0", "basis1", "basis2", "nilpotent", "non-normal"])
 def test_derivation_scan_one_eigen_solve(group, kind, monkeypatch):
@@ -928,11 +937,10 @@ def test_derivation_scan_one_eigen_solve(group, kind, monkeypatch):
             assert algebra_norm(dual, a, X) == float(np.linalg.norm(su2_algebra_rep(a.n, X), 2))
     want = [(n, max(algebra_norm(dual, a, X) / w(a) for a in dual.ball(n)))
             for n in range(1, n_max + 1)]
-    calls = []
-    eigvals = np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(1) or eigvals(M))
+    calls = _linalg_calls(monkeypatch)
     assert derivation_bound_scan(dual, X, w, n_max) == want
-    assert len(calls) == (1 if normal else 0)
+    # one eigenvalue solve for a normal X, else one spectral norm per spin
+    assert calls == (["eigvals"] if normal else ["norm"] * len(dual.ball(n_max)))
 
 
 def test_algebra_norm_non_normal(su2):
@@ -1018,15 +1026,6 @@ def test_derivation_scan_rejects_non_finite_elements(su2, t1):
             derivation_bound_scan(dual, X, make_weight(dual, "dim"), 4)
 
 
-def _linalg_calls(monkeypatch):
-    """Names of the np.linalg functions called from here on, in order."""
-    calls = []
-    for name in ("norm", "svd", "eig", "eigh", "eigvals", "eigvalsh"):
-        f = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda *a, _f=f, _name=name, **k: calls.append(_name) or _f(*a, **k))
-    return calls
-
-
 def test_torus_scan_makes_no_linalg_call(monkeypatch):
     # |mu . X| per row: no 1 x 1 SVDs
     dual = TorusDual(2)
@@ -1035,16 +1034,6 @@ def test_torus_scan_makes_no_linalg_call(monkeypatch):
     calls = _linalg_calls(monkeypatch)
     assert derivation_bound_scan(dual, X, w, 30) == want
     assert calls == []
-
-
-@pytest.mark.parametrize("group", ["su2", "so3"])
-def test_non_normal_scan_takes_one_norm_per_spin(group, monkeypatch):
-    dual = parse_group(group)
-    X, w = 1j * np.diag([1.0, -1.0]) + NILPOTENT, make_weight(dual, "poly:alpha=0.75")
-    want = derivation_oracle.derivation_scan(dual, X, w, 24)
-    calls = _linalg_calls(monkeypatch)
-    assert derivation_bound_scan(dual, X, w, 24) == want
-    assert calls == ["norm"] * len(dual.ball(24))
 
 
 def test_algebra_rep_values(su2):

@@ -400,23 +400,3 @@ def test_product_spectrum_point_round_trip(group, rng):
     assert dual2 == dual
     for a in dual.ball(2):
         assert np.allclose(dual.rep(a, back), dual.rep(a, theta), atol=1e-9)
-
-
-@pytest.mark.parametrize("factors", [
-    [{"group": "torus:1", "z": [[1.0, 0.0]]}, {"group": "su2", "euler": [0, 0, 0], "lambda": 2.0}],
-    [{"group": "su2", "euler": [0, 0, 0], "lambda": 2.0}],
-    [{"group": "su2", "euler": [0, 0, 0], "lambda": 2.0}, {"group": "torus:1", "z": [[1.0, 0.0]]}, 5],
-    [{"group": "su2", "euler": [0, 0, 0], "lambda": 2.0}, {"group": "torus:1"}],
-    [{"group": "su2", "euler": [0, 0, 0], "lambda": 2.0}, [1, 2]],
-    5,
-    None,
-], ids=["swapped", "one", "three", "no-z", "junk-factor", "int", "null"])
-def test_product_spectrum_point_errors_exit_3(tmp_path, factors):
-    # a factor of the wrong group or a malformed factor list is a parse error
-    p = tmp_path / "p.json"
-    p.write_text(json.dumps({"group": "prod(su2,torus:1)", "factors": factors}))
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code, _ = run(["spectrum", "--group", "prod(su2,torus:1)", "--weight", "dim", "--num", "4",
-                       "--membership-point", str(p)])
-    assert code == 3 and err.getvalue().startswith("parse error:"), err.getvalue()

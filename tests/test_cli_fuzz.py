@@ -130,6 +130,7 @@ VALID = {
     "w": {"kind": "dim"},
     "p": {"group": "torus:1", "z": [[2, 0]]},
 }
+SU2_POINT = {"group": "su2", "euler": [0, 0, 0], "lambda": 2}
 NORM = ["norm", "--group", "su2", "--weight", "dim", "--element", E]
 WEIGHT = ["norm", "--group", "su2", "--weight", W, "--element", "char:1"]
 MEMBERSHIP = ["spectrum", "--weight", "exp:lambda=2", "--num", "8", "--membership-point", P, "--group"]
@@ -194,8 +195,9 @@ REPRODUCED = [
     # product points: a factor list that is not a list of two points of the factors' groups
     (MEMBERSHIP + ["prod(su2,torus:1)"], {"p": {"group": "prod(su2,torus:1)", "factors": factors}}, code)
     for factors, code in [
-        (5, 3), ([5, 5], 3), ([VALID["p"]], 3), ([VALID["p"], VALID["p"]], 3),
-        ([{"group": "su2", "euler": [0, 0, 0], "lambda": 2}, VALID["p"]], 0),
+        (5, 3), (None, 3), ([5, 5], 3), ([VALID["p"]], 3), ([VALID["p"], VALID["p"]], 3),
+        ([VALID["p"], SU2_POINT], 3), ([SU2_POINT, VALID["p"], VALID["p"]], 3),
+        ([SU2_POINT, {"group": "torus:1"}], 3), ([SU2_POINT, VALID["p"]], 0),
     ]
 ]
 
