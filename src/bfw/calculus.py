@@ -748,14 +748,14 @@ def derivation_bound_scan(dual: GroupDual, X, w: Weight, n_max: int):
     if n_max == 0:
         return []
     coords = dual.ball_coords(n_max)
-    norm_at = _algebra_norm_at(dual, X)
+    norm_at = _dpi_norm_rule(dual, X)
     best = np.zeros(n_max + 1)
     ratios = [norm_at(c) / w(dual.label_at(c)) for c in coords.tolist()]
     np.maximum.at(best, dual.word_lengths_at(coords), ratios)
     return list(enumerate(np.maximum.accumulate(best).tolist()))[1:]
 
 
-def _algebra_norm_at(dual: GroupDual, X):
+def _dpi_norm_rule(dual: GroupDual, X):
     """Lattice coordinates -> ||dpi(X)||: |mu . X| on a torus, one float dot
     product a label (a batched product loses the 1 x 1 SVD's bits); on SU(2)
     and SO(3) n max|eig X| for a normal X, else the SVD of dpi_n(X)."""
