@@ -963,8 +963,8 @@ def test_algebra_norm_non_normal(su2):
 
 SCAN_RECIPES = ["dim", "poly:alpha=0.75", "exp:lambda=1.5", "prod(dim,poly:alpha=1)", "pow(dim,2)",
                 '{"kind": "table", "base": {"kind": "poly", "alpha": 0.5}, "entries": {}}', "exp:lambda=1e300"]
-# ball(40) of torus:3 holds 45,961 labels, too many for one SVD each
-SCAN_RADII = {"su2": (0, 1, 7, 40), "so3": (0, 1, 7, 40), "torus:1": (0, 1, 7, 40), "torus:2": (0, 1, 7, 24),
+# ball(40) of torus:3 holds 88,641 labels, too many for one SVD each
+SCAN_RADII = {"su2": (0, 1, 7, 40), "so3": (0, 1, 7, 40), "torus:1": (0, 1, 7, 40), "torus:2": (0, 1, 7, 40),
               "torus:3": (0, 1, 4, 10)}
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 

@@ -192,7 +192,8 @@ REPRODUCED = [
     (EXPCURVE + ["--tmax", "1.5"], {}, 3),
     (EXPCURVE + ["--tmax", "0.5"], {}, 3),
 ] + [
-    # product points: a factor list that is not a list of two points of the factors' groups
+    # product points, which every input failed before they had a form: a factor list that is
+    # not two points of the factors' groups exits 3
     (MEMBERSHIP + ["prod(su2,torus:1)"], {"p": {"group": "prod(su2,torus:1)", "factors": factors}}, code)
     for factors, code in [
         (5, 3), (None, 3), ([5, 5], 3), ([VALID["p"]], 3), ([VALID["p"], VALID["p"]], 3),
